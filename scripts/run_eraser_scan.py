@@ -69,7 +69,7 @@ def main() -> int:
             bin_width_l=args.bin_width,
             bin_width_r=args.bin_width_r,
         )
-        results[kind] = run_experiment(spec, params, events=events, threads=args.threads)
+        results[kind] = run_experiment(spec, params, events=events)
         out = args.out_dir / f"scan_{kind.value}.csv"
         write_scan_csv(out, results[kind], __version__)
         print(f"wrote {out}")

@@ -145,6 +145,8 @@ def _cmd_table(args, parser) -> int:
 def _cmd_generate(args, parser) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     params = load_params(args.params)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     config = GeneratorConfig(seed=args.seed, n_pairs=args.pairs, tau_max=args.tau_max)
@@ -165,6 +167,8 @@ def _cmd_generate(args, parser) -> int:
 def _cmd_experiment(args, parser) -> int:
     if args.tau_r0 < 0:
         parser.error("--tau-r0 must be >= 0")
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     grid = _parse_grid(args.grid)
     params = load_params(args.params)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()

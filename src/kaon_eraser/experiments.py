@@ -37,7 +37,6 @@ twins.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -58,6 +57,7 @@ from .probabilities import (
 )
 
 _CODE_2PI, _CODE_3PI, _CODE_SLP, _CODE_SLM, _CODE_OTHER = range(5)
+_N_CODES = 5
 
 _S_CELLS = (
     (Outcome.K0, Outcome.K0),
@@ -276,12 +276,119 @@ def _family_sums(table: JointProbabilityTable) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
+# Count index: the integer counts of every row from one cut per scan
+# --------------------------------------------------------------------------
+
+
+def _n_above(sorted_tau: np.ndarray, t: float) -> int:
+    """How many entries are > ``t``; equals ``np.sum(tau > t)``."""
+    return int(sorted_tau.size - np.searchsorted(sorted_tau, t, "right"))
+
+
+def _n_within(sorted_tau: np.ndarray, lo: float, hi: float) -> int:
+    """How many entries lie in the closed bin [lo, hi]; equals
+    ``np.sum((tau >= lo) & (tau <= hi))``."""
+    return int(np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left"))
+
+
+def _sorted_by_code(
+    tau_l: np.ndarray, codes: np.ndarray, n_codes: int
+) -> tuple[np.ndarray, ...]:
+    """Sorted ``tau_l`` of the events of each code 0 .. n_codes - 1."""
+    return tuple(np.sort(tau_l[codes == k]) for k in range(n_codes))
+
+
+def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
+    return (tau >= window.lo) & (tau <= window.hi)
+
+
+def _window_cells(events: EventSet, window_r: TimeWindow) -> tuple[np.ndarray, ...]:
+    """Sorted ``tau_l`` of the pairs whose meter decays inside ``window_r``,
+    one array per cell code ``mode_l * 5 + mode_r``."""
+    kept = _in_window(events.tau_r, window_r)
+    cells = events.mode_l[kept].astype(np.intp) * _N_CODES + events.mode_r[kept]
+    return _sorted_by_code(events.tau_l[kept], cells, _N_CODES * _N_CODES)
+
+
+def _early_window(spec: ExperimentSpec) -> TimeWindow:
+    """One-sided meter window [tau_r0 - bin_width_r, tau_r0) of protocol b."""
+    return TimeWindow(max(0.0, spec.tau_r0 - spec.bin_width_r), spec.tau_r0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountIndex:
+    """Sorted decay times from which one scan reads every row's counts.
+
+    Each part comes from one cut on the meter side, is built only for the
+    kinds that read it, and turns a row's mask over all events into
+    :func:`_n_above` (``tau_l > t``) or :func:`_n_within` (a closed object
+    bin), which give the same integers:
+
+    ``survivors`` (a, b)
+        sorted ``tau_l`` of the pairs with ``tau_r > tau_r0``;
+    ``early``, ``early_window`` (b)
+        per meter mode code, sorted ``tau_l`` of the pairs with
+        ``tau_r < tau_r0``, and of those inside :func:`_early_window`;
+    ``window_sl`` (c)
+        ``(tau_l, tau_r, mode_r)`` of the semileptonic meter decays inside
+        the meter window, in event order: a row's Born draws pair up with
+        its records in that order;
+    ``window_modes`` (c)
+        per meter mode code, sorted ``tau_l`` of the meter-window pairs;
+    ``cells`` (d)
+        :func:`_window_cells` of the meter window.
+    """
+
+    n: int
+    survivors: Optional[np.ndarray] = None
+    early: tuple[np.ndarray, ...] = ()
+    early_window: tuple[np.ndarray, ...] = ()
+    window_sl: tuple[np.ndarray, ...] = ()
+    window_modes: tuple[np.ndarray, ...] = ()
+    cells: tuple[np.ndarray, ...] = ()
+
+
+def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
+    kind = spec.kind
+    tau_l, tau_r, mode_r = events.tau_l, events.tau_r, events.mode_r
+    if kind is ExperimentKind.ACTIVE_ACTIVE:
+        return _CountIndex(events.n, survivors=np.sort(tau_l[tau_r > spec.tau_r0]))
+    if kind is ExperimentKind.PARTIALLY_ACTIVE:
+        early = tau_r < spec.tau_r0
+        early_l, early_r, early_modes = tau_l[early], tau_r[early], mode_r[early]
+        in_window = early_r >= _early_window(spec).lo
+        return _CountIndex(
+            events.n,
+            survivors=np.sort(tau_l[tau_r > spec.tau_r0]),
+            early=_sorted_by_code(early_l, early_modes, _N_CODES),
+            early_window=_sorted_by_code(
+                early_l[in_window], early_modes[in_window], _N_CODES
+            ),
+        )
+    window_r = TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
+    if kind is ExperimentKind.PASSIVE_METER:
+        kept = _in_window(tau_r, window_r)
+        kept_l, kept_r, kept_modes = tau_l[kept], tau_r[kept], mode_r[kept]
+        sl = (kept_modes == _CODE_SLP) | (kept_modes == _CODE_SLM)
+        return _CountIndex(
+            events.n,
+            window_sl=(kept_l[sl], kept_r[sl], kept_modes[sl]),
+            window_modes=_sorted_by_code(kept_l, kept_modes, _N_CODES),
+        )
+    return _CountIndex(events.n, cells=_window_cells(events, window_r))
+
+
+# --------------------------------------------------------------------------
 # Per-kind row builders
 # --------------------------------------------------------------------------
 
 
 def _row_active_active(
-    spec: ExperimentSpec, params: PhysicsParams, events: Optional[EventSet], row: int
+    spec: ExperimentSpec,
+    params: PhysicsParams,
+    amps: Optional[TransitionAmplitudes],
+    index: Optional[_CountIndex],
+    row: int,
 ) -> ScanRow:
     """Both sides projected at (tau_l, tau_r0) on pairs surviving to both.
 
@@ -299,7 +406,7 @@ def _row_active_active(
     twin_ks, twin_kl = _family_sums(
         window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, point_r, params)
     )
-    if events is None:
+    if index is None:
         return ScanRow(
             tau_l,
             _analytic_estimate(twin_like),
@@ -308,7 +415,7 @@ def _row_active_active(
             _analytic_estimate(twin_kl),
             counts={"strangeness": 0, "lifetime": 0, "discarded": 0},
         )
-    survivors = int(np.sum((events.tau_l > tau_l) & (events.tau_r > spec.tau_r0)))
+    survivors = _n_above(index.survivors, tau_l)
     rng = np.random.default_rng([spec.seed, row, 0])
     c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
     c_m = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _MIXED_CELLS))
@@ -322,13 +429,17 @@ def _row_active_active(
         counts={
             "strangeness": survivors,
             "lifetime": survivors,
-            "discarded": events.n - survivors,
+            "discarded": index.n - survivors,
         },
     )
 
 
 def _row_partially_active(
-    spec: ExperimentSpec, params: PhysicsParams, events: Optional[EventSet], row: int
+    spec: ExperimentSpec,
+    params: PhysicsParams,
+    amps: Optional[TransitionAmplitudes],
+    index: Optional[_CountIndex],
+    row: int,
 ) -> ScanRow:
     """Meter matter fixed at tau_r0; the meter chooses by decaying or not.
 
@@ -343,15 +454,14 @@ def _row_partially_active(
     tau_l = spec.tau_l_grid[row]
     point_l = TimeWindow.point(tau_l)
     point_r = TimeWindow.point(spec.tau_r0)
-    early_lo = max(0.0, spec.tau_r0 - spec.bin_width_r)
-    early = TimeWindow(early_lo, spec.tau_r0)
+    early = _early_window(spec)
     twin_like, twin_unlike = _family_sums(
         window_table(Basis.STRANGENESS, Basis.STRANGENESS, point_l, point_r, params)
     )
     twin_ks, twin_kl = _family_sums(
         window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, early, params)
     )
-    if events is None:
+    if index is None:
         return ScanRow(
             tau_l,
             _analytic_estimate(twin_like),
@@ -360,21 +470,15 @@ def _row_partially_active(
             _analytic_estimate(twin_kl),
             counts={"strangeness": 0, "lifetime": 0, "early_strangeness": 0, "discarded": 0},
         )
-    amps = TransitionAmplitudes.from_params(params)
-    left_alive = events.tau_l > tau_l
-    survivors = int(np.sum(left_alive & (events.tau_r > spec.tau_r0)))
+    survivors = _n_above(index.survivors, tau_l)
     rng = np.random.default_rng([spec.seed, row, 1])
     c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
 
-    early_mask = left_alive & (events.tau_r < spec.tau_r0)
-    early_modes = events.mode_r[early_mask]
-    n_early_sl = int(np.sum((early_modes == _CODE_SLP) | (early_modes == _CODE_SLM)))
-    n_early_other = int(np.sum(early_modes == _CODE_OTHER))
-    in_window = early_mask & (events.tau_r >= early.lo)
-    c_2pi = int(np.sum(in_window & (events.mode_r == _CODE_2PI)))
-    c_3pi = int(np.sum(in_window & (events.mode_r == _CODE_3PI)))
+    n_early = [_n_above(taus, tau_l) for taus in index.early]
+    c_2pi = _n_above(index.early_window[_CODE_2PI], tau_l)
+    c_3pi = _n_above(index.early_window[_CODE_3PI], tau_l)
     d = survival_weight(point_l, early, params)
-    n_total = events.n
+    n_total = index.n
     mc = spec.min_count
     return ScanRow(
         tau_l,
@@ -388,15 +492,19 @@ def _row_partially_active(
         ),
         counts={
             "strangeness": survivors,
-            "lifetime": int(np.sum((early_modes == _CODE_2PI) | (early_modes == _CODE_3PI))),
-            "early_strangeness": n_early_sl,
-            "discarded": n_early_other,
+            "lifetime": n_early[_CODE_2PI] + n_early[_CODE_3PI],
+            "early_strangeness": n_early[_CODE_SLP] + n_early[_CODE_SLM],
+            "discarded": n_early[_CODE_OTHER],
         },
     )
 
 
 def _row_passive_meter(
-    spec: ExperimentSpec, params: PhysicsParams, events: EventSet, row: int
+    spec: ExperimentSpec,
+    params: PhysicsParams,
+    amps: TransitionAmplitudes,
+    index: _CountIndex,
+    row: int,
 ) -> ScanRow:
     """Meter read purely from its decay record near tau_r0; object active.
 
@@ -416,34 +524,27 @@ def _row_passive_meter(
     twin_ks, twin_kl = _family_sums(
         window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, window_r, params)
     )
-    amps = TransitionAmplitudes.from_params(params)
-    kept = (
-        (events.tau_l > tau_l)
-        & (events.tau_r >= window_r.lo)
-        & (events.tau_r <= window_r.hi)
-    )
-    modes_r = events.mode_r[kept]
-    taus_r = events.tau_r[kept]
 
     # semileptonic meter decays: strangeness tag; draw the left active
     # outcome from the conditional pair amplitude given the meter record
-    sl_mask = (modes_r == _CODE_SLP) | (modes_r == _CODE_SLM)
-    t_sl = taus_r[sl_mask]
+    sl_tau_l, sl_tau_r, sl_modes = index.window_sl
+    alive = sl_tau_l > tau_l
+    t_sl = sl_tau_r[alive]
     n_sl = int(t_sl.size)
     c_like = 0
     if n_sl:
-        sign = np.where(modes_r[sl_mask] == _CODE_SLP, 1.0, -1.0)
+        right_k0 = sl_modes[alive] == _CODE_SLP
+        sign = np.where(right_k0, 1.0, -1.0)
         c_sl, c_ls = _pair_coeffs(tau_l, t_sl, params)
         num = np.abs(sign * c_sl + c_ls) ** 2
         den = 2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2)
         p_k0 = num / den
         rng = np.random.default_rng([spec.seed, row, 2])
         left_k0 = rng.random(n_sl) < p_k0
-        right_k0 = modes_r[sl_mask] == _CODE_SLP
         c_like = int(np.sum(left_k0 == right_k0))
 
-    c_2pi = int(np.sum(modes_r == _CODE_2PI))
-    c_3pi = int(np.sum(modes_r == _CODE_3PI))
+    c_2pi = _n_above(index.window_modes[_CODE_2PI], tau_l)
+    c_3pi = _n_above(index.window_modes[_CODE_3PI], tau_l)
     d = survival_weight(point_l, window_r, params)
     mc = spec.min_count
     return ScanRow(
@@ -451,51 +552,45 @@ def _row_passive_meter(
         like=_ratio_estimate(c_like, n_sl, twin_like, mc),
         unlike=_ratio_estimate(n_sl - c_like, n_sl, twin_unlike, mc),
         s_ks=_scaled_estimate(
-            c_2pi, events.n * amps.identified_width(DecayMode.TWO_PI) * d, twin_ks, mc
+            c_2pi, index.n * amps.identified_width(DecayMode.TWO_PI) * d, twin_ks, mc
         ),
         s_kl=_scaled_estimate(
-            c_3pi, events.n * amps.identified_width(DecayMode.THREE_PI) * d, twin_kl, mc
+            c_3pi, index.n * amps.identified_width(DecayMode.THREE_PI) * d, twin_kl, mc
         ),
         counts={
             "strangeness": n_sl,
             "lifetime": c_2pi + c_3pi,
-            "discarded": int(np.sum(modes_r == _CODE_OTHER)),
+            "discarded": _n_above(index.window_modes[_CODE_OTHER], tau_l),
         },
     )
 
 
 def _row_passive_passive(
-    spec: ExperimentSpec, params: PhysicsParams, events: EventSet, row: int
+    spec: ExperimentSpec,
+    params: PhysicsParams,
+    amps: TransitionAmplitudes,
+    index: _CountIndex,
+    row: int,
 ) -> ScanRow:
     """Nothing projected: counting and sorting of joint decay records.
 
     Both decay times are binned (object bin around tau_l, meter bin around
     tau_r0) and the four identifying mode cells per observable family are
-    turned into probabilities by :func:`sort_passive_events`.
+    turned into probabilities by :func:`_passive_table`, the estimator of
+    :func:`sort_passive_events`.  Object bins of neighbouring rows may
+    overlap.
     """
     tau_l = spec.tau_l_grid[row]
-    table_s = sort_passive_events(
-        events,
-        [tau_l],
-        spec.bin_width_l,
-        spec.tau_r0,
-        params,
-        kind_r=Basis.STRANGENESS,
-        bin_width_r=spec.bin_width_r,
-        min_count=spec.min_count,
-    )[0]
-    table_m = sort_passive_events(
-        events,
-        [tau_l],
-        spec.bin_width_l,
-        spec.tau_r0,
-        params,
-        kind_r=Basis.LIFETIME,
-        bin_width_r=spec.bin_width_r,
-        min_count=spec.min_count,
-    )[0]
     window_l = TimeWindow.centered(tau_l, spec.bin_width_l)
     window_r = TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
+    d = survival_weight(window_l, window_r, params)
+    table_s, table_m = (
+        _passive_table(
+            index.cells, index.n, tau_l, window_l, d, amps,
+            Basis.STRANGENESS, kind_r, spec.tau_r0, spec.min_count,
+        )
+        for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
+    )
     twin_like, twin_unlike = _family_sums(
         window_table(Basis.STRANGENESS, Basis.STRANGENESS, window_l, window_r, params)
     )
@@ -509,17 +604,9 @@ def _row_passive_passive(
         n = sum(table.counts[c] for c in cells)
         return Estimate(float(value), float(sigma), twin, n, n < spec.min_count)
 
-    in_bins = (
-        (events.tau_l >= window_l.lo)
-        & (events.tau_l <= window_l.hi)
-        & (events.tau_r >= window_r.lo)
-        & (events.tau_r <= window_r.hi)
-    )
-    left_sl = (events.mode_l == _CODE_SLP) | (events.mode_l == _CODE_SLM)
-    right_sl = (events.mode_r == _CODE_SLP) | (events.mode_r == _CODE_SLM)
-    right_nl = (events.mode_r == _CODE_2PI) | (events.mode_r == _CODE_3PI)
-    n_ss = int(np.sum(in_bins & left_sl & right_sl))
-    n_sl_ = int(np.sum(in_bins & left_sl & right_nl))
+    # semileptonic object with semileptonic / nonleptonic meter: exactly
+    # the cells of the two tables
+    n_in_bins = sum(_n_within(taus, window_l.lo, window_l.hi) for taus in index.cells)
     return ScanRow(
         tau_l,
         like=combine(
@@ -535,9 +622,9 @@ def _row_passive_passive(
             table_m, [(Outcome.K0, Outcome.KL), (Outcome.K0BAR, Outcome.KL)], twin_kl
         ),
         counts={
-            "strangeness": n_ss,
-            "lifetime": n_sl_,
-            "discarded": int(np.sum(in_bins)) - n_ss - n_sl_,
+            "strangeness": table_s.n_events,
+            "lifetime": table_m.n_events,
+            "discarded": n_in_bins - table_s.n_events - table_m.n_events,
         },
     )
 
@@ -558,6 +645,61 @@ _CODE_FOR_OUTCOME = {
     Outcome.KS: _CODE_2PI,
     Outcome.KL: _CODE_3PI,
 }
+_OUTCOMES = {
+    Basis.STRANGENESS: (Outcome.K0, Outcome.K0BAR),
+    Basis.LIFETIME: (Outcome.KS, Outcome.KL),
+}
+
+
+def _passive_table(
+    cells: tuple[np.ndarray, ...],
+    n_pairs: int,
+    tau_l: float,
+    window_l: TimeWindow,
+    d: float,
+    amps: TransitionAmplitudes,
+    kind_l: Basis,
+    kind_r: Basis,
+    tau_r0: float,
+    min_count: int,
+) -> JointProbabilityTable:
+    """One table of :func:`sort_passive_events` from :func:`_window_cells`
+    of its meter window, the object bin ``window_l`` and ``d``, the
+    survival weight of the two bins."""
+    p: dict[tuple[Outcome, Outcome], float] = {}
+    sigma: dict[tuple[Outcome, Outcome], float] = {}
+    counts: dict[tuple[Outcome, Outcome], int] = {}
+    total = 0
+    for ol in _OUTCOMES[kind_l]:
+        for outcome_r in _OUTCOMES[kind_r]:
+            cell = _CODE_FOR_OUTCOME[ol] * _N_CODES + _CODE_FOR_OUTCOME[outcome_r]
+            count = _n_within(cells[cell], window_l.lo, window_l.hi)
+            total += count
+            counts[(ol, outcome_r)] = count
+            scale = (
+                n_pairs
+                * d
+                * amps.identified_width(_MODE_FOR_OUTCOME[ol])
+                * amps.identified_width(_MODE_FOR_OUTCOME[outcome_r])
+            )
+            if scale > 0.0:
+                p[(ol, outcome_r)] = count / scale
+                sigma[(ol, outcome_r)] = np.sqrt(count) / scale
+            else:
+                p[(ol, outcome_r)] = 0.0
+                sigma[(ol, outcome_r)] = 0.0
+    return JointProbabilityTable(
+        obs_l_kind=kind_l,
+        obs_r_kind=kind_r,
+        tau_l=float(tau_l),
+        tau_r=tau_r0,
+        p=p,
+        sigma=sigma,
+        source=Source.MONTE_CARLO,
+        n_events=total,
+        flagged=total < min_count,
+        counts=counts,
+    )
 
 
 def sort_passive_events(
@@ -576,7 +718,9 @@ def sort_passive_events(
     For every grid point, events whose left decay falls in the bin around
     it and whose right decay falls in the bin around ``tau_r0`` are sorted
     into the four identifying-mode cells of the requested observable pair.
-    Each count is divided by
+    Bins are closed at both ends, ``[lo, hi]``: a decay exactly on a bin
+    edge counts in that bin, and so in both rows when two bins share the
+    edge.  Each count is divided by
 
         n_pairs * #integral of the extinction factor over the bins#
                 * gamma(K_l -> f_l) * gamma(K_r -> f_r),
@@ -594,56 +738,14 @@ def sort_passive_events(
     width_r = bin_width if bin_width_r is None else bin_width_r
     amps = TransitionAmplitudes.from_params(params)
     window_r = TimeWindow.centered(tau_r0, width_r)
-    outcomes_l = (
-        (Outcome.K0, Outcome.K0BAR) if kind_l is Basis.STRANGENESS else (Outcome.KS, Outcome.KL)
-    )
-    outcomes_r = (
-        (Outcome.K0, Outcome.K0BAR) if kind_r is Basis.STRANGENESS else (Outcome.KS, Outcome.KL)
-    )
-    in_window_r = (events.tau_r >= window_r.lo) & (events.tau_r <= window_r.hi)
+    cells = _window_cells(events, window_r)
     tables = []
-    for tau_l in grid:
+    for tau_l in grid_arr:
         window_l = TimeWindow.centered(float(tau_l), bin_width)
-        in_bin = (
-            in_window_r & (events.tau_l >= window_l.lo) & (events.tau_l <= window_l.hi)
-        )
         d = survival_weight(window_l, window_r, params)
-        p: dict[tuple[Outcome, Outcome], float] = {}
-        sigma: dict[tuple[Outcome, Outcome], float] = {}
-        counts: dict[tuple[Outcome, Outcome], int] = {}
-        total = 0
-        for ol in outcomes_l:
-            mask_l = in_bin & (events.mode_l == _CODE_FOR_OUTCOME[ol])
-            for outcome_r in outcomes_r:
-                count = int(
-                    np.sum(mask_l & (events.mode_r == _CODE_FOR_OUTCOME[outcome_r]))
-                )
-                total += count
-                counts[(ol, outcome_r)] = count
-                scale = (
-                    events.n
-                    * d
-                    * amps.identified_width(_MODE_FOR_OUTCOME[ol])
-                    * amps.identified_width(_MODE_FOR_OUTCOME[outcome_r])
-                )
-                if scale > 0.0:
-                    p[(ol, outcome_r)] = count / scale
-                    sigma[(ol, outcome_r)] = np.sqrt(count) / scale
-                else:
-                    p[(ol, outcome_r)] = 0.0
-                    sigma[(ol, outcome_r)] = 0.0
         tables.append(
-            JointProbabilityTable(
-                obs_l_kind=kind_l,
-                obs_r_kind=kind_r,
-                tau_l=float(tau_l),
-                tau_r=tau_r0,
-                p=p,
-                sigma=sigma,
-                source=Source.MONTE_CARLO,
-                n_events=total,
-                flagged=total < min_count,
-                counts=counts,
+            _passive_table(
+                cells, events.n, tau_l, window_l, d, amps, kind_l, kind_r, tau_r0, min_count
             )
         )
     return tables
@@ -670,8 +772,9 @@ def run_experiment(
     """Run one eraser protocol over the object-time grid.
 
     ``events`` may be a pre-generated event set (reused as-is); otherwise
-    ``spec.n_pairs`` events are generated with ``spec.seed``.  The result
-    is independent of ``threads``.
+    ``spec.n_pairs`` events are generated with ``spec.seed`` by
+    ``threads`` workers.  The result is independent of ``threads``.
+    Without events (``n_pairs == 0``) the columns are analytic.
     """
     if events is None and spec.n_pairs > 0:
         events = generate(
@@ -682,14 +785,13 @@ def run_experiment(
         ExperimentKind.PASSIVE_PASSIVE,
     ):
         raise ValueError(f"kind {spec.kind.value!r} requires events")
+    amps = index = None
+    if events is not None:
+        amps = TransitionAmplitudes.from_params(params)
+        index = _count_index(spec, events)
     builder = _ROW_BUILDERS[spec.kind]
-    indices = range(len(spec.tau_l_grid))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda i: builder(spec, params, events, i), indices))
-    else:
-        rows = [builder(spec, params, events, i) for i in indices]
-    return ScanResult(spec=spec, params=params, rows=tuple(rows))
+    rows = tuple(builder(spec, params, amps, index, i) for i in range(len(spec.tau_l_grid)))
+    return ScanResult(spec=spec, params=params, rows=rows)
 
 
 # --------------------------------------------------------------------------

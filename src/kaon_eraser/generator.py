@@ -192,15 +192,18 @@ def sampling_kernel(
     r = expit(params.delta_gamma * dt)
     fringe = _stable_sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
     m_sl, m_ls, m_x = cell_weights
-    p36 = (
-        r[:, None] * m_sl[None, :]
-        + (1.0 - r)[:, None] * m_ls[None, :]
-        - fringe[:, None] * m_x[None, :]
+    # Draw among the cells with some weight only: the other cells are
+    # structurally forbidden, and a target of exactly 0 would pick the first.
+    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
+    p = (
+        r[:, None] * m_sl[None, live]
+        + (1.0 - r)[:, None] * m_ls[None, live]
+        - fringe[:, None] * m_x[None, live]
     )
-    np.clip(p36, 0.0, None, out=p36)
-    cum = np.cumsum(p36, axis=1)
+    np.clip(p, 0.0, None, out=p)
+    cum = np.cumsum(p, axis=1)
     target = u[3] * cum[:, -1]
-    cell = np.minimum((cum < target[:, None]).sum(axis=1), 35).astype(np.int64)
+    cell = live[np.minimum((cum < target[:, None]).sum(axis=1), live.size - 1)]
     ch_l, ch_r = cell // 6, cell % 6
     return (
         tau_l,
@@ -280,9 +283,13 @@ def write_events(path: Union[str, Path], events: EventSet) -> None:
 
 
 def read_events(path: Union[str, Path]) -> EventSet:
-    """Parse an event file; schema violations name the offending line."""
+    """Parse an event file; schema violations name the offending line.
+
+    Decay times must be finite and the number of records must equal the
+    header's ``n_pairs``; both are checked once all lines are parsed.
+    """
     name_to_code = {m.value: code for code, m in enumerate(MODE_ORDER)}
-    seed, tau_max, digest = 0, float("nan"), ""
+    seed, n_pairs, tau_max, digest = 0, None, float("nan"), ""
     tau_l, mode_l, tau_r, mode_r = [], [], [], []
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -296,11 +303,16 @@ def read_events(path: Union[str, Path]) -> EventSet:
         if line.startswith("#"):
             for token in line[1:].split():
                 key, _, value = token.partition("=")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "tau_max":
-                    tau_max = float(value)
-                elif key == "params_digest":
+                try:
+                    if key == "seed":
+                        seed = int(value)
+                    elif key == "n_pairs":
+                        n_pairs = int(value)
+                    elif key == "tau_max":
+                        tau_max = float(value)
+                except ValueError as exc:
+                    raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
+                if key == "params_digest":
                     digest = value
             continue
         if line == _HEADER_COLUMNS:
@@ -330,10 +342,22 @@ def read_events(path: Union[str, Path]) -> EventSet:
         mode_l.append(name_to_code[fields[2]])
         tau_r.append(tr)
         mode_r.append(name_to_code[fields[4]])
+    tau_l_arr = np.asarray(tau_l, dtype=float)
+    tau_r_arr = np.asarray(tau_r, dtype=float)
+    finite = np.isfinite(tau_l_arr) & np.isfinite(tau_r_arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EventFormatError(f"record id {bad}: decay times must be finite")
+    if n_pairs is None:
+        raise EventFormatError("metadata has no n_pairs")
+    if tau_l_arr.size != n_pairs:
+        raise EventFormatError(
+            f"header says n_pairs={n_pairs} but the file holds {tau_l_arr.size} records"
+        )
     return EventSet(
-        tau_l=np.asarray(tau_l, dtype=float),
+        tau_l=tau_l_arr,
         mode_l=np.asarray(mode_l, dtype=np.int8),
-        tau_r=np.asarray(tau_r, dtype=float),
+        tau_r=tau_r_arr,
         mode_r=np.asarray(mode_r, dtype=np.int8),
         seed=seed,
         tau_max=tau_max,
@@ -355,8 +379,9 @@ def mode_pair_chi2(
     (statistic, dof, p_value); any event in a structurally forbidden cell
     (expected exactly 0) yields p_value 0.
     """
-    counts = np.zeros((5, 5))
-    np.add.at(counts, (events.mode_l.astype(int), events.mode_r.astype(int)), 1.0)
+    counts = np.bincount(
+        events.mode_l.astype(np.intp) * 5 + events.mode_r, minlength=25
+    ).reshape(5, 5)
     expected = events.n * integrated_mode_pair_probabilities(params)
     if np.any(counts[expected == 0.0] > 0):
         return float("inf"), 0, 0.0

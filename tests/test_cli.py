@@ -112,6 +112,20 @@ def test_experiment_requires_tau_r0(capsys):
     assert "--tau-r0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_usage_error(tmp_path, capsys, threads):
+    commands = [
+        ["generate", "--pairs", "10"],
+        ["experiment", "a", "--tau-r0", "1", "--grid", "0:1:0.5"],
+    ]
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", threads, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_experiment_events_in_and_threads_identical(tmp_path, capsys):
     events_path = tmp_path / "ev.csv"
     code, _, _ = run_cli(

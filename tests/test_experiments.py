@@ -7,6 +7,7 @@ from kaon_eraser import (
     Basis,
     DecayEvent,
     DecayMode,
+    Estimate,
     EventSet,
     ExperimentKind,
     ExperimentSpec,
@@ -354,6 +355,13 @@ def test_sort_passive_rejects_overlapping_bins(default_params, events_1m):
         sort_passive_events(events_1m, [1.0, 1.1], 0.5, 1.0, default_params)
 
 
+def test_sort_passive_accepts_one_pass_grid(default_params, events_1m):
+    # a generator can be iterated once; every grid point still gets a table
+    tables = sort_passive_events(events_1m, (t for t in (1.0, 2.0)), 0.5, 1.0, default_params)
+    listed = sort_passive_events(events_1m, [1.0, 2.0], 0.5, 1.0, default_params)
+    assert tables == listed and len(tables) == 2
+
+
 def test_sort_passive_empty_bin_flagged(default_params, events_1m):
     tables = sort_passive_events(
         events_1m, [2_000.0], 0.2, 2_000.0, default_params, kind_r=Basis.STRANGENESS
@@ -388,6 +396,167 @@ def test_sort_passive_error_scaling(default_params):
         sigmas[n] = np.mean(pooled)
     ratio = sigmas[500_000] / sigmas[1_000_000]
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.1)
+
+
+# ---------------------------------------------------------------------------
+# counting: every row's counts against a brute-force mask over all events
+# ---------------------------------------------------------------------------
+
+_SLP, _SLM, _2PI, _3PI, _OTHER = 2, 3, 0, 1, 4
+
+
+def _edge_events(grid, bin_width_l, tau_r0, bin_width_r):
+    """Uniform random records plus records exactly on every edge a row
+    compares against: grid points (strict ``tau_l > t``), object-bin edges
+    (closed; shared by two rows when the spacing equals the bin width),
+    ``tau_r0``, ``tau_r0 - bin_width_r`` and the meter-window edges."""
+    rng = np.random.default_rng(5)
+    edges_l = sorted(
+        {float(t) for t in grid}
+        | {e for t in grid for e in (TimeWindow.centered(t, bin_width_l).lo,
+                                     TimeWindow.centered(t, bin_width_l).hi)}
+    )
+    window_r = TimeWindow.centered(tau_r0, bin_width_r)
+    edges_r = [tau_r0, tau_r0 - bin_width_r, window_r.lo, window_r.hi]
+    on_both = [(el, er) for el in edges_l for er in edges_r for _ in range(3)]
+    on_l = [(el, rng.uniform(window_r.lo, window_r.hi)) for el in edges_l for _ in range(6)]
+    on_r = [(rng.uniform(0.0, 2.4), er) for er in edges_r for _ in range(40)]
+    n_random = 5000
+    tau_l = np.concatenate(
+        [rng.uniform(0.0, 2.4, n_random), [p[0] for p in on_both + on_l + on_r]]
+    )
+    tau_r = np.concatenate(
+        [rng.uniform(0.0, 2.4, n_random), [p[1] for p in on_both + on_l + on_r]]
+    )
+    n = tau_l.size
+    return EventSet(
+        tau_l=tau_l, mode_l=rng.integers(0, 5, n).astype(np.int8),
+        tau_r=tau_r, mode_r=rng.integers(0, 5, n).astype(np.int8),
+        seed=5, tau_max=50.0, params_digest="synthetic",
+    )
+
+
+def _mask_reference_row(spec, params, events, row):
+    """Estimates (value, sigma, n, flag) and counts of one row, every count
+    a mask over all events."""
+    from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes
+    from kaon_eraser.experiments import (
+        _MIXED_CELLS, _S_CELLS, _born_cell_probs, _pair_coeffs, _ratio_estimate,
+        _scaled_estimate,
+    )
+
+    ev, t, r0, mc = events, spec.tau_l_grid[row], spec.tau_r0, spec.min_count
+    amps = TransitionAmplitudes.from_params(params)
+    width = {code: amps.identified_width(MODE_ORDER[code]) for code in (_2PI, _3PI, _SLP, _SLM)}
+    alive = ev.tau_l > t
+
+    def n_mode(code, mask):
+        return int(np.sum(mask & (ev.mode_r == code)))
+
+    def ratio(count, total):
+        return _ratio_estimate(int(count), total, 0.0, mc)
+
+    def scaled(count, scale):
+        return _scaled_estimate(count, scale, 0.0, mc)
+
+    kind = spec.kind.value
+    if kind in "ab":
+        survivors = int(np.sum(alive & (ev.tau_r > r0)))
+        rng = np.random.default_rng([spec.seed, row, "ab".index(kind)])
+        c_s = rng.multinomial(survivors, _born_cell_probs(t, r0, params, _S_CELLS))
+        like, unlike = ratio(c_s[0] + c_s[3], survivors), ratio(c_s[1] + c_s[2], survivors)
+    if kind == "a":
+        c_m = rng.multinomial(survivors, _born_cell_probs(t, r0, params, _MIXED_CELLS))
+        estimates = (like, unlike, ratio(c_m[0] + c_m[2], survivors),
+                     ratio(c_m[1] + c_m[3], survivors))
+        counts = {"strangeness": survivors, "lifetime": survivors,
+                  "discarded": ev.n - survivors}
+    elif kind == "b":
+        early = alive & (ev.tau_r < r0)
+        lo = max(0.0, r0 - spec.bin_width_r)
+        in_window = early & (ev.tau_r >= lo)
+        d = survival_weight(TimeWindow.point(t), TimeWindow(lo, r0), params)
+        estimates = (like, unlike,
+                     scaled(n_mode(_2PI, in_window), ev.n * width[_2PI] * d),
+                     scaled(n_mode(_3PI, in_window), ev.n * width[_3PI] * d))
+        counts = {"strangeness": survivors,
+                  "lifetime": n_mode(_2PI, early) + n_mode(_3PI, early),
+                  "early_strangeness": n_mode(_SLP, early) + n_mode(_SLM, early),
+                  "discarded": n_mode(_OTHER, early)}
+    elif kind == "c":
+        window_r = TimeWindow.centered(r0, spec.bin_width_r)
+        kept = alive & (ev.tau_r >= window_r.lo) & (ev.tau_r <= window_r.hi)
+        sl = kept & ((ev.mode_r == _SLP) | (ev.mode_r == _SLM))
+        n_sl = int(np.sum(sl))
+        c_like = 0
+        if n_sl:
+            right_k0 = ev.mode_r[sl] == _SLP
+            c_sl, c_ls = _pair_coeffs(t, ev.tau_r[sl], params)
+            num = np.abs(np.where(right_k0, 1.0, -1.0) * c_sl + c_ls) ** 2
+            p_k0 = num / (2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2))
+            left_k0 = np.random.default_rng([spec.seed, row, 2]).random(n_sl) < p_k0
+            c_like = int(np.sum(left_k0 == right_k0))
+        d = survival_weight(TimeWindow.point(t), window_r, params)
+        c_2pi, c_3pi = n_mode(_2PI, kept), n_mode(_3PI, kept)
+        estimates = (ratio(c_like, n_sl), ratio(n_sl - c_like, n_sl),
+                     scaled(c_2pi, ev.n * width[_2PI] * d),
+                     scaled(c_3pi, ev.n * width[_3PI] * d))
+        counts = {"strangeness": n_sl, "lifetime": c_2pi + c_3pi,
+                  "discarded": n_mode(_OTHER, kept)}
+    else:
+        window_l = TimeWindow.centered(t, spec.bin_width_l)
+        window_r = TimeWindow.centered(r0, spec.bin_width_r)
+        in_bins = ((ev.tau_l >= window_l.lo) & (ev.tau_l <= window_l.hi)
+                   & (ev.tau_r >= window_r.lo) & (ev.tau_r <= window_r.hi))
+        d = survival_weight(window_l, window_r, params)
+
+        def family(*cells):
+            n = value = sigma2 = 0
+            for code_l, code_r in cells:
+                count = int(np.sum(in_bins & (ev.mode_l == code_l) & (ev.mode_r == code_r)))
+                scale = ev.n * d * width[code_l] * width[code_r]
+                n, value, sigma2 = n + count, value + count / scale, sigma2 + (np.sqrt(count) / scale) ** 2
+            return Estimate(float(value), float(np.sqrt(sigma2)), 0.0, n, n < mc)
+
+        estimates = (family((_SLP, _SLP), (_SLM, _SLM)), family((_SLP, _SLM), (_SLM, _SLP)),
+                     family((_SLP, _2PI), (_SLM, _2PI)), family((_SLP, _3PI), (_SLM, _3PI)))
+        left_sl = (ev.mode_l == _SLP) | (ev.mode_l == _SLM)
+        n_ss = int(np.sum(in_bins & left_sl & ((ev.mode_r == _SLP) | (ev.mode_r == _SLM))))
+        n_sl = int(np.sum(in_bins & left_sl & ((ev.mode_r == _2PI) | (ev.mode_r == _3PI))))
+        counts = {"strangeness": n_ss, "lifetime": n_sl,
+                  "discarded": int(np.sum(in_bins)) - n_ss - n_sl}
+    return [(e.value, e.sigma, e.n, e.flagged) for e in estimates], counts
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind))
+@pytest.mark.parametrize("bin_width_l", [0.25, 0.5])
+def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
+    # bin_width_l 0.25 equals the grid spacing (neighbouring bins share an
+    # edge), 0.5 makes neighbouring object bins overlap; all edges are
+    # exact binary fractions, so shared edges coincide exactly
+    grid = tuple(0.25 * k for k in range(9))
+    spec = ExperimentSpec(kind, 1.0, grid, n_pairs=1, seed=8,
+                          bin_width_l=bin_width_l, bin_width_r=0.5, min_count=3)
+    events = _edge_events(grid, bin_width_l, spec.tau_r0, spec.bin_width_r)
+    result = run_experiment(spec, rich_params, events=events)
+    for row_index, row in enumerate(result.rows):
+        estimates, counts = _mask_reference_row(spec, rich_params, events, row_index)
+        got = [(e.value, e.sigma, e.n, e.flagged) for e in (getattr(row, f) for f in FAMILIES)]
+        assert got == estimates, (kind, row_index)
+        assert row.counts == counts, (kind, row_index)
+    if kind is ExperimentKind.PASSIVE_PASSIVE and bin_width_l == 0.25:
+        # records on the edge shared by rows 3 and 4 are counted in both
+        shared = TimeWindow.centered(grid[3], bin_width_l).hi
+        assert shared == TimeWindow.centered(grid[4], bin_width_l).lo
+        assert np.sum((events.tau_l == shared) & (np.abs(events.tau_r - 1.0) <= 0.25)) > 0
+        tables = sort_passive_events(events, grid, bin_width_l, spec.tau_r0, rich_params,
+                                     kind_r=Basis.LIFETIME, bin_width_r=spec.bin_width_r,
+                                     min_count=spec.min_count)
+        for row, table in zip(result.rows, tables):
+            assert table.counts[(Outcome.K0, Outcome.KS)] + table.counts[
+                (Outcome.K0BAR, Outcome.KS)] == row.s_ks.n
+            assert table.p[(Outcome.K0, Outcome.KL)] + table.p[
+                (Outcome.K0BAR, Outcome.KL)] == row.s_kl.value
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,18 @@ def test_sampling_kernel_inverse_cdf(default_params):
     assert mode_l.shape == (2,) and mode_r.shape == (2,)
 
 
+def test_sampling_kernel_zero_target_avoids_forbidden_cells(default_params):
+    # Philox gives exactly 0.0 with probability 2^-53; such a mode-cell
+    # target must still land in a cell of nonzero probability
+    rng = np.random.Generator(np.random.Philox(key=0))
+    u = rng.random((4, 1000))
+    u[3, :5] = 0.0
+    _, mode_l, _, mode_r = sampling_kernel(u, default_params)
+    allowed = integrated_mode_pair_probabilities(default_params) > 0.0
+    assert np.all(allowed[mode_l[:5], mode_r[:5]])
+    assert np.all(allowed[mode_l, mode_r])
+
+
 def test_factorizing_degenerate_case_kolmogorov_smirnov():
     # near-equal widths, no oscillation, purely semileptonic modes: both
     # decay times are independent unit-rate exponentials
@@ -243,4 +255,37 @@ def test_read_rejects_malformed_files(tmp_path):
         "id,tau_l,mode_l,tau_r,mode_r\n5,1.0,TwoPi,1.0,TwoPi\n"
     )
     with pytest.raises(EventFormatError, match="sequential"):
+        read_events(path)
+
+
+def _write_small_event_file(path, n_pairs, rows):
+    path.write_text(
+        f"# kaon-eraser events v1\n# seed=0 n_pairs={n_pairs} tau_max=50 params_digest=x\n"
+        "id,tau_l,mode_l,tau_r,mode_r\n" + "".join(f"{row}\n" for row in rows)
+    )
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_read_rejects_non_finite_times(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    _write_small_event_file(path, 2, ["0,1.0,TwoPi,1.0,TwoPi", f"1,2.0,TwoPi,{bad},ThreePi"])
+    with pytest.raises(EventFormatError, match="record id 1: decay times must be finite"):
+        read_events(path)
+
+
+def test_read_rejects_record_count_other_than_header(tmp_path):
+    path = tmp_path / "short.csv"
+    _write_small_event_file(path, 3, ["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,3.0,ThreePi"])
+    with pytest.raises(EventFormatError, match="n_pairs=3 but the file holds 2"):
+        read_events(path)
+    path.write_text(path.read_text().replace(" n_pairs=3", ""))
+    with pytest.raises(EventFormatError, match="no n_pairs"):
+        read_events(path)
+
+
+def test_read_rejects_malformed_metadata_value(tmp_path):
+    path = tmp_path / "seed.csv"
+    _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
+    path.write_text(path.read_text().replace("seed=0", "seed=abc"))
+    with pytest.raises(EventFormatError, match="line 2: seed"):
         read_events(path)
