@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--min-count", type=int, default=5)
     p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--events-in", type=Path, default=None,
-                       help="reuse a pre-generated event file (--pairs is then ignored)")
+                       help="reuse a pre-generated event file (--pairs is then ignored);"
+                       " it must come from the same --params")
     p_exp.add_argument("--params", type=Path, default=None)
     p_exp.add_argument("--out", type=Path, required=True)
     return parser
@@ -150,7 +151,6 @@ def _cmd_generate(args, parser) -> int:
     params = load_params(args.params)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     config = GeneratorConfig(seed=args.seed, n_pairs=args.pairs, tau_max=args.tau_max)
-    config.validate_horizon(params)
     events = generate(config, params, threads=args.threads)
     write_events(args.out, events)
     _write_manifest(
@@ -173,6 +173,11 @@ def _cmd_experiment(args, parser) -> int:
     params = load_params(args.params)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     events = read_events(args.events_in) if args.events_in is not None else None
+    if events is not None and events.params_digest != params.digest():
+        raise ValueError(
+            f"{args.events_in} was generated with params_digest="
+            f"{events.params_digest or '(none)'}, not {params.digest()} of the given params"
+        )
     n_pairs = events.n if events is not None else args.pairs
     spec = ExperimentSpec(
         kind=ExperimentKind(args.kind),

@@ -29,6 +29,7 @@ that summing over all modes and integrating over both times gives exactly
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from enum import Enum
 from typing import Optional
@@ -161,6 +162,16 @@ class TransitionAmplitudes:
         raise UnsupportedModeError(f"mode {mode} does not identify a kaon state")
 
 
+@functools.lru_cache(maxsize=16)
+def amplitudes(params: PhysicsParams) -> TransitionAmplitudes:
+    """:meth:`TransitionAmplitudes.from_params`, built once per parameter set.
+
+    A set that breaks the semileptonic tie raises on every call: the cache
+    keeps results only, never exceptions.
+    """
+    return TransitionAmplitudes.from_params(params)
+
+
 def normalization_factor(tau_l: float, tau_r: float, params: PhysicsParams) -> float:
     """Beam-extinction factor: fraction of pairs with both members surviving.
 
@@ -214,7 +225,7 @@ def joint_decay_rate(
     """
     if mode_l is DecayMode.OTHER or mode_r is DecayMode.OTHER:
         raise UnsupportedModeError("joint_decay_rate requires identifying decay modes")
-    amps = TransitionAmplitudes.from_params(params)
+    amps = amplitudes(params)
     return joint_rate_channels(
         _MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps
     )
@@ -232,7 +243,7 @@ def passive_probability(
     rate / (N(tau_l, tau_r) * gamma(K_{f_l} -> f_l) * gamma(K_{f_r} -> f_r));
     equals the corresponding active-measurement probability.
     """
-    amps = TransitionAmplitudes.from_params(params)
+    amps = amplitudes(params)
     width_l = amps.identified_width(mode_l)
     width_r = amps.identified_width(mode_r)
     if width_l <= 0.0 or width_r <= 0.0:
@@ -252,7 +263,7 @@ def integrated_mode_pair_probabilities(params: PhysicsParams) -> np.ndarray:
     Integrates the joint decay rate over both decay times; rows/columns
     follow ``MODE_ORDER``.  The whole table sums to 1.
     """
-    amps = TransitionAmplitudes.from_params(params)
+    amps = amplitudes(params)
     w_s, w_l, s = amps.w_s, amps.w_l, amps.interference
     gs, gl = params.gamma_s, params.gamma_l
     gbar = 0.5 * (gs + gl)

@@ -43,7 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .decay import DecayMode, TransitionAmplitudes
+from .decay import DecayMode, TransitionAmplitudes, amplitudes
 from .generator import DecayEvent, EventSet, GeneratorConfig, generate
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
@@ -52,8 +52,10 @@ from .probabilities import (
     JointProbabilityTable,
     Source,
     TimeWindow,
-    survival_weight,
-    window_table,
+    _bounds,
+    _check_analytic,
+    _survival,
+    _window_terms,
 )
 
 _CODE_2PI, _CODE_3PI, _CODE_SLP, _CODE_SLM, _CODE_OTHER = range(5)
@@ -264,15 +266,82 @@ def _analytic_estimate(twin: float) -> Estimate:
     return Estimate(twin, 0.0, twin, 0, False)
 
 
-def _family_sums(table: JointProbabilityTable) -> tuple[float, float]:
-    p = table.p
-    if table.obs_r_kind is Basis.STRANGENESS:
-        like = p[(Outcome.K0, Outcome.K0)] + p[(Outcome.K0BAR, Outcome.K0BAR)]
-        unlike = p[(Outcome.K0, Outcome.K0BAR)] + p[(Outcome.K0BAR, Outcome.K0)]
-        return like, unlike
-    ks = p[(Outcome.K0, Outcome.KS)] + p[(Outcome.K0BAR, Outcome.KS)]
-    kl = p[(Outcome.K0, Outcome.KL)] + p[(Outcome.K0BAR, Outcome.KL)]
-    return ks, kl
+# --------------------------------------------------------------------------
+# Analytic twins: every row's closed forms from one array call per scan
+# --------------------------------------------------------------------------
+
+
+def _meter_window(spec: ExperimentSpec) -> TimeWindow:
+    """Meter time of a and b (a point), meter bin of c and d."""
+    if spec.kind in (ExperimentKind.ACTIVE_ACTIVE, ExperimentKind.PARTIALLY_ACTIVE):
+        return TimeWindow.point(spec.tau_r0)
+    return TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
+
+
+def _early_window(spec: ExperimentSpec) -> TimeWindow:
+    """One-sided meter window [tau_r0 - bin_width_r, tau_r0) of protocol b."""
+    return TimeWindow(max(0.0, spec.tau_r0 - spec.bin_width_r), spec.tau_r0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ScanTwins:
+    """Per row: the twins of the four columns and ``d``, the survival weight
+    that the width-scaled estimates of b, c and d divide by.
+
+    The like twin is the sum of the (K0, K0) and (K0bar, K0bar) cells of
+    the window table, and so on for the other families, added in that
+    order.  The strangeness (x) lifetime twins and ``d`` of b use the
+    early meter window, all other twins the meter window of the kind.
+    """
+
+    like: list[float]
+    unlike: list[float]
+    s_ks: list[float]
+    s_kl: list[float]
+    d: list[float]
+
+
+def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> _ScanTwins:
+    if spec.kind is ExperimentKind.PASSIVE_PASSIVE:
+        lo, hi = _bounds(
+            [TimeWindow.centered(tau_l, spec.bin_width_l) for tau_l in spec.tau_l_grid]
+        )
+    else:
+        lo = hi = np.array(spec.tau_l_grid)
+    meter = _meter_window(spec)
+    fringe = mixed = _window_terms(lo, hi, meter.lo, meter.hi, params)
+    if spec.kind is ExperimentKind.PARTIALLY_ACTIVE:
+        early = _early_window(spec)
+        mixed = _window_terms(lo, hi, early.lo, early.hi, params)
+    cell_ks, cell_kl = 0.5 * mixed.w_ks, 0.5 * mixed.w_kl
+    # the checks of the (S,S) and (S,L) window tables the twins come from
+    _check_analytic((fringe.like, fringe.unlike, fringe.unlike, fringe.like))
+    _check_analytic((cell_ks, cell_kl, cell_ks, cell_kl))
+    return _ScanTwins(
+        like=(fringe.like + fringe.like).tolist(),
+        unlike=(fringe.unlike + fringe.unlike).tolist(),
+        s_ks=(cell_ks + cell_ks).tolist(),
+        s_kl=(cell_kl + cell_kl).tolist(),
+        d=mixed.d.tolist(),
+    )
+
+
+def _analytic_rows(spec: ExperimentSpec, twins: _ScanTwins) -> tuple[ScanRow, ...]:
+    """Rows of a scan without events (kinds a and b): every column is its twin."""
+    count_keys = _COUNT_KEYS[spec.kind]
+    return tuple(
+        ScanRow(
+            tau_l,
+            _analytic_estimate(like),
+            _analytic_estimate(unlike),
+            _analytic_estimate(s_ks),
+            _analytic_estimate(s_kl),
+            counts=dict.fromkeys(count_keys, 0),
+        )
+        for tau_l, like, unlike, s_ks, s_kl in zip(
+            spec.tau_l_grid, twins.like, twins.unlike, twins.s_ks, twins.s_kl
+        )
+    )
 
 
 # --------------------------------------------------------------------------
@@ -308,11 +377,6 @@ def _window_cells(events: EventSet, window_r: TimeWindow) -> tuple[np.ndarray, .
     kept = _in_window(events.tau_r, window_r)
     cells = events.mode_l[kept].astype(np.intp) * _N_CODES + events.mode_r[kept]
     return _sorted_by_code(events.tau_l[kept], cells, _N_CODES * _N_CODES)
-
-
-def _early_window(spec: ExperimentSpec) -> TimeWindow:
-    """One-sided meter window [tau_r0 - bin_width_r, tau_r0) of protocol b."""
-    return TimeWindow(max(0.0, spec.tau_r0 - spec.bin_width_r), spec.tau_r0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,7 +429,7 @@ def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
                 early_l[in_window], early_modes[in_window], _N_CODES
             ),
         )
-    window_r = TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
+    window_r = _meter_window(spec)
     if kind is ExperimentKind.PASSIVE_METER:
         kept = _in_window(tau_r, window_r)
         kept_l, kept_r, kept_modes = tau_l[kept], tau_r[kept], mode_r[kept]
@@ -386,8 +450,9 @@ def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
 def _row_active_active(
     spec: ExperimentSpec,
     params: PhysicsParams,
-    amps: Optional[TransitionAmplitudes],
-    index: Optional[_CountIndex],
+    amps: TransitionAmplitudes,
+    index: _CountIndex,
+    twins: _ScanTwins,
     row: int,
 ) -> ScanRow:
     """Both sides projected at (tau_l, tau_r0) on pairs surviving to both.
@@ -398,23 +463,6 @@ def _row_active_active(
     meter matter removed (strangeness-lifetime setup).
     """
     tau_l = spec.tau_l_grid[row]
-    point_l = TimeWindow.point(tau_l)
-    point_r = TimeWindow.point(spec.tau_r0)
-    twin_like, twin_unlike = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.STRANGENESS, point_l, point_r, params)
-    )
-    twin_ks, twin_kl = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, point_r, params)
-    )
-    if index is None:
-        return ScanRow(
-            tau_l,
-            _analytic_estimate(twin_like),
-            _analytic_estimate(twin_unlike),
-            _analytic_estimate(twin_ks),
-            _analytic_estimate(twin_kl),
-            counts={"strangeness": 0, "lifetime": 0, "discarded": 0},
-        )
     survivors = _n_above(index.survivors, tau_l)
     rng = np.random.default_rng([spec.seed, row, 0])
     c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
@@ -422,10 +470,10 @@ def _row_active_active(
     mc = spec.min_count
     return ScanRow(
         tau_l,
-        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twin_like, mc),
-        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twin_unlike, mc),
-        s_ks=_ratio_estimate(int(c_m[0] + c_m[2]), survivors, twin_ks, mc),
-        s_kl=_ratio_estimate(int(c_m[1] + c_m[3]), survivors, twin_kl, mc),
+        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twins.like[row], mc),
+        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twins.unlike[row], mc),
+        s_ks=_ratio_estimate(int(c_m[0] + c_m[2]), survivors, twins.s_ks[row], mc),
+        s_kl=_ratio_estimate(int(c_m[1] + c_m[3]), survivors, twins.s_kl[row], mc),
         counts={
             "strangeness": survivors,
             "lifetime": survivors,
@@ -437,8 +485,9 @@ def _row_active_active(
 def _row_partially_active(
     spec: ExperimentSpec,
     params: PhysicsParams,
-    amps: Optional[TransitionAmplitudes],
-    index: Optional[_CountIndex],
+    amps: TransitionAmplitudes,
+    index: _CountIndex,
+    twins: _ScanTwins,
     row: int,
 ) -> ScanRow:
     """Meter matter fixed at tau_r0; the meter chooses by decaying or not.
@@ -452,24 +501,6 @@ def _row_partially_active(
     are discarded.  The lifetime/early tallies cover all early decays.
     """
     tau_l = spec.tau_l_grid[row]
-    point_l = TimeWindow.point(tau_l)
-    point_r = TimeWindow.point(spec.tau_r0)
-    early = _early_window(spec)
-    twin_like, twin_unlike = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.STRANGENESS, point_l, point_r, params)
-    )
-    twin_ks, twin_kl = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, early, params)
-    )
-    if index is None:
-        return ScanRow(
-            tau_l,
-            _analytic_estimate(twin_like),
-            _analytic_estimate(twin_unlike),
-            _analytic_estimate(twin_ks),
-            _analytic_estimate(twin_kl),
-            counts={"strangeness": 0, "lifetime": 0, "early_strangeness": 0, "discarded": 0},
-        )
     survivors = _n_above(index.survivors, tau_l)
     rng = np.random.default_rng([spec.seed, row, 1])
     c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
@@ -477,18 +508,18 @@ def _row_partially_active(
     n_early = [_n_above(taus, tau_l) for taus in index.early]
     c_2pi = _n_above(index.early_window[_CODE_2PI], tau_l)
     c_3pi = _n_above(index.early_window[_CODE_3PI], tau_l)
-    d = survival_weight(point_l, early, params)
+    d = twins.d[row]
     n_total = index.n
     mc = spec.min_count
     return ScanRow(
         tau_l,
-        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twin_like, mc),
-        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twin_unlike, mc),
+        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twins.like[row], mc),
+        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twins.unlike[row], mc),
         s_ks=_scaled_estimate(
-            c_2pi, n_total * amps.identified_width(DecayMode.TWO_PI) * d, twin_ks, mc
+            c_2pi, n_total * amps.identified_width(DecayMode.TWO_PI) * d, twins.s_ks[row], mc
         ),
         s_kl=_scaled_estimate(
-            c_3pi, n_total * amps.identified_width(DecayMode.THREE_PI) * d, twin_kl, mc
+            c_3pi, n_total * amps.identified_width(DecayMode.THREE_PI) * d, twins.s_kl[row], mc
         ),
         counts={
             "strangeness": survivors,
@@ -504,6 +535,7 @@ def _row_passive_meter(
     params: PhysicsParams,
     amps: TransitionAmplitudes,
     index: _CountIndex,
+    twins: _ScanTwins,
     row: int,
 ) -> ScanRow:
     """Meter read purely from its decay record near tau_r0; object active.
@@ -516,14 +548,6 @@ def _row_passive_meter(
     counts as in the fully passive protocol.
     """
     tau_l = spec.tau_l_grid[row]
-    point_l = TimeWindow.point(tau_l)
-    window_r = TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
-    twin_like, twin_unlike = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.STRANGENESS, point_l, window_r, params)
-    )
-    twin_ks, twin_kl = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.LIFETIME, point_l, window_r, params)
-    )
 
     # semileptonic meter decays: strangeness tag; draw the left active
     # outcome from the conditional pair amplitude given the meter record
@@ -545,17 +569,17 @@ def _row_passive_meter(
 
     c_2pi = _n_above(index.window_modes[_CODE_2PI], tau_l)
     c_3pi = _n_above(index.window_modes[_CODE_3PI], tau_l)
-    d = survival_weight(point_l, window_r, params)
+    d = twins.d[row]
     mc = spec.min_count
     return ScanRow(
         tau_l,
-        like=_ratio_estimate(c_like, n_sl, twin_like, mc),
-        unlike=_ratio_estimate(n_sl - c_like, n_sl, twin_unlike, mc),
+        like=_ratio_estimate(c_like, n_sl, twins.like[row], mc),
+        unlike=_ratio_estimate(n_sl - c_like, n_sl, twins.unlike[row], mc),
         s_ks=_scaled_estimate(
-            c_2pi, index.n * amps.identified_width(DecayMode.TWO_PI) * d, twin_ks, mc
+            c_2pi, index.n * amps.identified_width(DecayMode.TWO_PI) * d, twins.s_ks[row], mc
         ),
         s_kl=_scaled_estimate(
-            c_3pi, index.n * amps.identified_width(DecayMode.THREE_PI) * d, twin_kl, mc
+            c_3pi, index.n * amps.identified_width(DecayMode.THREE_PI) * d, twins.s_kl[row], mc
         ),
         counts={
             "strangeness": n_sl,
@@ -570,6 +594,7 @@ def _row_passive_passive(
     params: PhysicsParams,
     amps: TransitionAmplitudes,
     index: _CountIndex,
+    twins: _ScanTwins,
     row: int,
 ) -> ScanRow:
     """Nothing projected: counting and sorting of joint decay records.
@@ -582,20 +607,12 @@ def _row_passive_passive(
     """
     tau_l = spec.tau_l_grid[row]
     window_l = TimeWindow.centered(tau_l, spec.bin_width_l)
-    window_r = TimeWindow.centered(spec.tau_r0, spec.bin_width_r)
-    d = survival_weight(window_l, window_r, params)
     table_s, table_m = (
         _passive_table(
-            index.cells, index.n, tau_l, window_l, d, amps,
+            index.cells, index.n, tau_l, window_l, twins.d[row], amps,
             Basis.STRANGENESS, kind_r, spec.tau_r0, spec.min_count,
         )
         for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
-    )
-    twin_like, twin_unlike = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.STRANGENESS, window_l, window_r, params)
-    )
-    twin_ks, twin_kl = _family_sums(
-        window_table(Basis.STRANGENESS, Basis.LIFETIME, window_l, window_r, params)
     )
 
     def combine(table, cells, twin):
@@ -610,16 +627,20 @@ def _row_passive_passive(
     return ScanRow(
         tau_l,
         like=combine(
-            table_s, [(Outcome.K0, Outcome.K0), (Outcome.K0BAR, Outcome.K0BAR)], twin_like
+            table_s,
+            [(Outcome.K0, Outcome.K0), (Outcome.K0BAR, Outcome.K0BAR)],
+            twins.like[row],
         ),
         unlike=combine(
-            table_s, [(Outcome.K0, Outcome.K0BAR), (Outcome.K0BAR, Outcome.K0)], twin_unlike
+            table_s,
+            [(Outcome.K0, Outcome.K0BAR), (Outcome.K0BAR, Outcome.K0)],
+            twins.unlike[row],
         ),
         s_ks=combine(
-            table_m, [(Outcome.K0, Outcome.KS), (Outcome.K0BAR, Outcome.KS)], twin_ks
+            table_m, [(Outcome.K0, Outcome.KS), (Outcome.K0BAR, Outcome.KS)], twins.s_ks[row]
         ),
         s_kl=combine(
-            table_m, [(Outcome.K0, Outcome.KL), (Outcome.K0BAR, Outcome.KL)], twin_kl
+            table_m, [(Outcome.K0, Outcome.KL), (Outcome.K0BAR, Outcome.KL)], twins.s_kl[row]
         ),
         counts={
             "strangeness": table_s.n_events,
@@ -736,19 +757,17 @@ def sort_passive_events(
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):
         raise ValueError("grid spacing must be at least bin_width (bins must not overlap)")
     width_r = bin_width if bin_width_r is None else bin_width_r
-    amps = TransitionAmplitudes.from_params(params)
+    amps = amplitudes(params)
     window_r = TimeWindow.centered(tau_r0, width_r)
     cells = _window_cells(events, window_r)
-    tables = []
-    for tau_l in grid_arr:
-        window_l = TimeWindow.centered(float(tau_l), bin_width)
-        d = survival_weight(window_l, window_r, params)
-        tables.append(
-            _passive_table(
-                cells, events.n, tau_l, window_l, d, amps, kind_l, kind_r, tau_r0, min_count
-            )
+    windows_l = [TimeWindow.centered(float(tau_l), bin_width) for tau_l in grid_arr]
+    d = _survival(*_bounds(windows_l), window_r.lo, window_r.hi, params).d.tolist()
+    return [
+        _passive_table(
+            cells, events.n, tau_l, window_l, d_row, amps, kind_l, kind_r, tau_r0, min_count
         )
-    return tables
+        for tau_l, window_l, d_row in zip(grid_arr, windows_l, d)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -785,12 +804,15 @@ def run_experiment(
         ExperimentKind.PASSIVE_PASSIVE,
     ):
         raise ValueError(f"kind {spec.kind.value!r} requires events")
-    amps = index = None
-    if events is not None:
-        amps = TransitionAmplitudes.from_params(params)
-        index = _count_index(spec, events)
+    twins = _scan_twins(spec, params)
+    if events is None:
+        return ScanResult(spec=spec, params=params, rows=_analytic_rows(spec, twins))
+    amps = amplitudes(params)
+    index = _count_index(spec, events)
     builder = _ROW_BUILDERS[spec.kind]
-    rows = tuple(builder(spec, params, amps, index, i) for i in range(len(spec.tau_l_grid)))
+    rows = tuple(
+        builder(spec, params, amps, index, twins, i) for i in range(len(spec.tau_l_grid))
+    )
     return ScanResult(spec=spec, params=params, rows=rows)
 
 
@@ -819,6 +841,18 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
     for fam in _FAMILIES:
         columns += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
     columns += [f"count_{key}" for key in count_keys]
+    # one line per row; %.17g and %d print what f"{x:.17g}" and str(n) print
+    line = ",".join(
+        ["%.17g"] + ["%.17g,%.17g,%.17g,%d,%d"] * len(_FAMILIES) + ["%d"] * len(count_keys)
+    ) + "\n"
+    lines = []
+    for row in result.rows:
+        fields = [row.tau_l]
+        for fam in _FAMILIES:
+            est = getattr(row, fam)
+            fields += (est.value, est.sigma, est.twin, est.n, est.flagged)
+        fields += [row.counts.get(key, 0) for key in count_keys]
+        lines.append(line % tuple(fields))
     grid = spec.tau_l_grid
     with open(path, "w") as fh:
         fh.write("# kaon-eraser scan v1\n")
@@ -835,16 +869,4 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
             "# analytic expectation of the estimator; *_flag=1 marks low statistics\n"
         )
         fh.write(",".join(columns) + "\n")
-        for row in result.rows:
-            fields = [f"{row.tau_l:.17g}"]
-            for fam in _FAMILIES:
-                est: Estimate = getattr(row, fam)
-                fields += [
-                    f"{est.value:.17g}",
-                    f"{est.sigma:.17g}",
-                    f"{est.twin:.17g}",
-                    str(est.n),
-                    str(int(est.flagged)),
-                ]
-            fields += [str(row.counts.get(key, 0)) for key in count_keys]
-            fh.write(",".join(fields) + "\n")
+        fh.write("".join(lines))

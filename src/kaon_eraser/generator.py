@@ -50,7 +50,7 @@ from .decay import (
     CHANNEL_TO_MODE_CODE,
     MODE_ORDER,
     DecayMode,
-    TransitionAmplitudes,
+    amplitudes,
     integrated_mode_pair_probabilities,
 )
 from .params import PhysicsParams
@@ -156,7 +156,7 @@ def _stable_sech(x: np.ndarray) -> np.ndarray:
 
 
 def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    amps = TransitionAmplitudes.from_params(params)
+    amps = amplitudes(params)
     gs_gl = params.gamma_s * params.gamma_l
     return (
         np.outer(amps.w_s, amps.w_l).ravel() / gs_gl,

@@ -19,7 +19,9 @@ included for completeness.
 This module also provides survival-weighted averages of the same
 quantities over finite time windows (exact closed-form integrals), which
 are the unbiased targets of the binned event-counting estimators in
-:mod:`kaon_eraser.experiments`.
+:mod:`kaon_eraser.experiments`.  One core, :func:`_window_terms`,
+evaluates them for one window or, on arrays, for a whole scan at once;
+:func:`survival_weight` and :func:`window_table` are its one-window forms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -40,6 +42,8 @@ _L_OUTCOMES = (Outcome.KS, Outcome.KL)
 
 #: Analytic tables must sum to 1 within this tolerance.
 TABLE_SUM_TOL = 1e-9
+#: Each cell of an analytic table must lie in [_P_MIN, _P_MAX].
+_P_MIN, _P_MAX = -1e-12, 1.0 + 1e-12
 
 
 class Source(Enum):
@@ -76,21 +80,13 @@ class JointProbabilityTable:
 
     def __post_init__(self) -> None:
         if self.source is Source.ANALYTIC:
-            if any(v < -1e-12 or v > 1.0 + 1e-12 for v in self.p.values()):
-                raise ValueError("analytic probabilities must lie in [0, 1]")
-            total = sum(self.p.values())
-            if abs(total - 1.0) > TABLE_SUM_TOL:
-                raise ValueError(f"analytic table sums to {total!r}, not 1")
+            _check_analytic(tuple(self.p.values()))
 
     def outcomes(self) -> tuple[tuple[Outcome, Outcome], ...]:
         return tuple(self.p.keys())
 
     def total(self) -> float:
         return float(sum(self.p.values()))
-
-
-def _outcomes_for(kind: Basis) -> tuple[Outcome, Outcome]:
-    return _S_OUTCOMES if kind is Basis.STRANGENESS else _L_OUTCOMES
 
 
 def visibility(delta_tau: float, params: PhysicsParams) -> float:
@@ -223,13 +219,115 @@ class TimeWindow:
         return 0.5 * (self.lo + self.hi)
 
 
-def _exp_factor(c: complex, window: TimeWindow) -> complex:
-    """exp(-c*tau) at a point, or its integral over the window."""
-    if window.is_point:
-        return np.exp(-c * window.lo)
-    if abs(c) * (window.hi - window.lo) < 1e-12:
-        return complex(window.hi - window.lo)
-    return (np.exp(-c * window.lo) - np.exp(-c * window.hi)) / c
+def _bounds(windows: Sequence[TimeWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lo`` and the ``hi`` of the windows, as two arrays."""
+    return np.array([w.lo for w in windows]), np.array([w.hi for w in windows])
+
+
+def _any(flags) -> bool:
+    """Whether one flag, or any flag of an array of them, is set."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _check_analytic(cells: Sequence) -> None:
+    """The range and sum checks of analytic tables.  ``cells`` are a
+    table's values in key order, each a float, or each an array holding one
+    table per element."""
+    for values in cells:
+        if _any((values < _P_MIN) | (values > _P_MAX)):
+            raise ValueError("analytic probabilities must lie in [0, 1]")
+    total = sum(cells)
+    off = abs(total - 1.0) > TABLE_SUM_TOL
+    if _any(off):
+        raise ValueError(f"analytic table sums to {float(np.extract(off, total)[0])!r}, not 1")
+
+
+def _select(flags, if_set, if_clear):
+    """``np.where`` on arrays of flags, a plain conditional on one flag."""
+    if isinstance(flags, np.ndarray):
+        return np.where(flags, if_set, if_clear)
+    return if_set if flags else if_clear
+
+
+def _exp_factors(c: complex, lo, hi):
+    """exp(-c*tau) at the point windows (lo == hi), its integral over the others."""
+    width = hi - lo
+    at_lo = np.exp(-c * lo)
+    integral = (at_lo - np.exp(-c * hi)) / c
+    # below 1e-12 the two exponentials cancel; the integral is the width
+    return _select(hi == lo, at_lo, _select(abs(c) * width < 1e-12, width, integral))
+
+
+class _Survival(NamedTuple):
+    """The survival weight ``d`` and the single-exponential factors it is
+    made of: ``f_s_l`` is the K_S factor of the object window, ``f_l_r``
+    the K_L factor of the meter window, and so on."""
+
+    d: np.ndarray
+    f_s_l: np.ndarray
+    f_l_l: np.ndarray
+    f_s_r: np.ndarray
+    f_l_r: np.ndarray
+
+
+def _survival(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _Survival:
+    """:func:`survival_weight` of the object windows ``[lo_l, hi_l]`` (floats,
+    or arrays of one window per element) against the meter window
+    ``[lo_r, hi_r]``."""
+    invalid = (lo_l < 0) | (hi_l < lo_l)
+    if _any(invalid):
+        i = int(np.argmax(invalid))
+        raise ValueError(f"invalid time window [{np.ravel(lo_l)[i]}, {np.ravel(hi_l)[i]}]")
+    f_s_l = _exp_factors(params.gamma_s, lo_l, hi_l)
+    f_l_l = _exp_factors(params.gamma_l, lo_l, hi_l)
+    f_s_r = _exp_factors(params.gamma_s, lo_r, hi_r)
+    f_l_r = _exp_factors(params.gamma_l, lo_r, hi_r)
+    d = 0.5 * (f_s_l * f_l_r + f_l_l * f_s_r)
+    return _Survival(d, f_s_l, f_l_l, f_s_r, f_l_r)
+
+
+class _WindowTerms(NamedTuple):
+    """Closed forms of object windows against one meter window.
+
+    ``d`` is :func:`survival_weight`; ``like`` and ``unlike`` are the
+    strangeness (x) strangeness cells of a like pair such as (K0, K0) and
+    of an unlike pair; ``w_ks`` and ``w_kl`` are the shares of surviving
+    pairs whose meter is K_S and K_L, so the strangeness (x) lifetime
+    cells are ``0.5 * w_ks`` and ``0.5 * w_kl``.
+    """
+
+    d: np.ndarray
+    like: np.ndarray
+    unlike: np.ndarray
+    w_ks: np.ndarray
+    w_kl: np.ndarray
+
+
+def _window_terms(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _WindowTerms:
+    """The one closed-form core of the window averages, for the object
+    windows ``[lo_l, hi_l]`` (floats, or arrays of one window per element)
+    against the meter window ``[lo_r, hi_r]``.
+
+    The terms are not checked: the caller checks the tables it builds of
+    them with :func:`_check_analytic`.  Element i of an array call is bit
+    for bit the float call on window i: each goes through the same IEEE
+    operations in the same order.  No complex array product is formed,
+    because NumPy's SIMD loop for it may fuse a multiply and an add (FMA),
+    which rounds once where the scalar product rounds twice and so moves
+    the last bit of some rows.  The real part of ``z_l * z_r`` is written
+    out in real operations instead.
+    """
+    d, f_s_l, f_l_l, f_s_r, f_l_r = _survival(lo_l, hi_l, lo_r, hi_r, params)
+    gbar = 0.5 * (params.gamma_s + params.gamma_l)
+    z_l = _exp_factors(gbar - 1j * params.delta_m, lo_l, hi_l)
+    z_r = _exp_factors(gbar + 1j * params.delta_m, lo_r, hi_r)
+    fringe = (z_l.real * z_r.real - z_l.imag * z_r.imag) / d
+    like = 0.25 * (1.0 - fringe)
+    unlike = 0.25 * (1.0 + fringe)
+    # the non-oscillating families factorize into single-exponential weights
+    w_ks = 0.5 * f_l_l * f_s_r / d  # right identified K_S (left is K_L-paced)
+    w_kl = 0.5 * f_s_l * f_l_r / d
+    return _WindowTerms(d, like, unlike, w_ks, w_kl)
 
 
 def survival_weight(
@@ -241,11 +339,7 @@ def survival_weight(
     N(tau_l, tau_r) = exp(-(gamma_s+gamma_l)(tau_l+tau_r)/2)
                       * cosh((gamma_l-gamma_s)(tau_l-tau_r)/2).
     """
-    f_s_l = _exp_factor(params.gamma_s, window_l).real
-    f_l_l = _exp_factor(params.gamma_l, window_l).real
-    f_s_r = _exp_factor(params.gamma_s, window_r).real
-    f_l_r = _exp_factor(params.gamma_l, window_r).real
-    return 0.5 * (f_s_l * f_l_r + f_l_l * f_s_r)
+    return _survival(window_l.lo, window_l.hi, window_r.lo, window_r.hi, params).d
 
 
 def window_table(
@@ -261,39 +355,26 @@ def window_table(
     decay (or measurement) times are binned into the given windows; for
     point windows it reduces to :func:`full_table`.
     """
-    d = survival_weight(window_l, window_r, params)
-    gbar = 0.5 * (params.gamma_s + params.gamma_l)
+    terms = _window_terms(window_l.lo, window_l.hi, window_r.lo, window_r.hi, params)
+    w_ks_r, w_kl_r = terms.w_ks, terms.w_kl
     p: dict[tuple[Outcome, Outcome], float] = {}
     if kind_l is Basis.STRANGENESS and kind_r is Basis.STRANGENESS:
-        z = _exp_factor(gbar - 1j * params.delta_m, window_l) * _exp_factor(
-            gbar + 1j * params.delta_m, window_r
-        )
-        fringe = z.real / d
         for ol in _S_OUTCOMES:
             for outcome_r in _S_OUTCOMES:
-                sign = -1.0 if ol is outcome_r else 1.0
-                p[(ol, outcome_r)] = 0.25 * (1.0 + sign * fringe)
+                p[(ol, outcome_r)] = terms.like if ol is outcome_r else terms.unlike
+    elif kind_l is Basis.STRANGENESS and kind_r is Basis.LIFETIME:
+        for ol in _S_OUTCOMES:
+            p[(ol, Outcome.KS)] = 0.5 * w_ks_r
+            p[(ol, Outcome.KL)] = 0.5 * w_kl_r
+    elif kind_l is Basis.LIFETIME and kind_r is Basis.STRANGENESS:
+        for outcome_r in _S_OUTCOMES:
+            p[(Outcome.KS, outcome_r)] = 0.5 * w_kl_r
+            p[(Outcome.KL, outcome_r)] = 0.5 * w_ks_r
     else:
-        # the non-oscillating families factorize into single-exponential weights
-        f_s_l = _exp_factor(params.gamma_s, window_l).real
-        f_l_l = _exp_factor(params.gamma_l, window_l).real
-        f_s_r = _exp_factor(params.gamma_s, window_r).real
-        f_l_r = _exp_factor(params.gamma_l, window_r).real
-        w_ks_r = 0.5 * f_l_l * f_s_r / d  # right identified K_S (left is K_L-paced)
-        w_kl_r = 0.5 * f_s_l * f_l_r / d
-        if kind_l is Basis.STRANGENESS and kind_r is Basis.LIFETIME:
-            for ol in _S_OUTCOMES:
-                p[(ol, Outcome.KS)] = 0.5 * w_ks_r
-                p[(ol, Outcome.KL)] = 0.5 * w_kl_r
-        elif kind_l is Basis.LIFETIME and kind_r is Basis.STRANGENESS:
-            for outcome_r in _S_OUTCOMES:
-                p[(Outcome.KS, outcome_r)] = 0.5 * w_kl_r
-                p[(Outcome.KL, outcome_r)] = 0.5 * w_ks_r
-        else:
-            p[(Outcome.KS, Outcome.KS)] = 0.0
-            p[(Outcome.KL, Outcome.KL)] = 0.0
-            p[(Outcome.KS, Outcome.KL)] = w_kl_r
-            p[(Outcome.KL, Outcome.KS)] = w_ks_r
+        p[(Outcome.KS, Outcome.KS)] = 0.0
+        p[(Outcome.KL, Outcome.KL)] = 0.0
+        p[(Outcome.KS, Outcome.KL)] = w_kl_r
+        p[(Outcome.KL, Outcome.KS)] = w_ks_r
     sigma = {key: 0.0 for key in p}
     return JointProbabilityTable(
         obs_l_kind=kind_l,

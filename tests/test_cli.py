@@ -160,6 +160,40 @@ def test_experiment_events_in_sets_pair_count(tmp_path, capsys):
     assert manifest["spec"]["n_pairs"] == 5000
 
 
+def test_experiment_refuses_events_from_other_params(tmp_path, capsys):
+    events_path = tmp_path / "ev.csv"
+    assert run_cli(
+        capsys, "generate", "--pairs", "2000", "--seed", "4", "--out", str(events_path)
+    )[0] == 0
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"delta_m": 0.5}))
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5",
+        "--events-in", str(events_path), "--params", str(params_path), "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert "params_digest" in err
+    assert not out.exists()
+    assert not (tmp_path / "scan.csv.manifest.json").exists()
+
+
+def test_experiment_accepts_events_from_same_params_file(tmp_path, capsys):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps({"delta_m": 0.5}))
+    events_path = tmp_path / "ev.csv"
+    assert run_cli(
+        capsys, "generate", "--pairs", "2000", "--seed", "4",
+        "--params", str(params_path), "--out", str(events_path),
+    )[0] == 0
+    code, _, _ = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5",
+        "--events-in", str(events_path), "--params", str(params_path),
+        "--out", str(tmp_path / "scan.csv"),
+    )
+    assert code == 0
+
+
 def test_experiment_rejects_malformed_event_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("junk\n")

@@ -17,7 +17,7 @@ from kaon_eraser import (
     normalization_factor,
     passive_probability,
 )
-from kaon_eraser.decay import CH_3PI, CH_SL_MINUS, CH_SL_PLUS, N_CHANNELS
+from kaon_eraser.decay import CH_3PI, CH_SL_MINUS, CH_SL_PLUS, N_CHANNELS, amplitudes
 from tests.conftest import random_params
 
 
@@ -60,6 +60,21 @@ def test_untied_semileptonic_widths_rejected():
     p = PhysicsParams(br_semileptonic_s=0.1, br_s_2pi=0.8)
     with pytest.raises(ConfigurationError, match="semileptonic"):
         TransitionAmplitudes.from_params(p)
+
+
+def test_untied_widths_rejected_on_every_passive_call():
+    # the amplitude cache keeps no failures: every call raises again
+    p = PhysicsParams(br_semileptonic_s=0.1, br_s_2pi=0.8)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="semileptonic"):
+            passive_probability(DecayMode.TWO_PI, 1.0, DecayMode.THREE_PI, 1.0, p)
+
+
+def test_amplitudes_built_once_per_params(default_params, rich_params):
+    amps = amplitudes(default_params)
+    assert amplitudes(PhysicsParams()) is amps
+    assert amplitudes(rich_params) is not amps
+    assert amps.a.tobytes() == TransitionAmplitudes.from_params(default_params).a.tobytes()
 
 
 def test_normalization_factor_basics(default_params):

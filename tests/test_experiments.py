@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,16 @@ def test_sort_passive_empty_bin_flagged(default_params, events_1m):
     assert table.n_events == 0
     assert all(v == 0.0 for v in table.p.values())
     assert all(s == 0.0 for s in table.sigma.values())
+
+
+def test_sort_passive_empty_far_bin_warns_nothing(default_params, events_1m):
+    # the survival weight of the far bins underflows to 0; the tables only
+    # divide by it, so no fringe or K_S/K_L share (0/0 there) is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sort_passive_events(
+            events_1m, [2_000.0], 0.2, 2_000.0, default_params, kind_r=Basis.STRANGENESS
+        )
 
 
 def test_sort_passive_error_scaling(default_params):

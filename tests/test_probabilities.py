@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kaon_eraser import (
     window_table,
 )
 from kaon_eraser.decay import normalization_factor
+from kaon_eraser.probabilities import _check_analytic, _window_terms
 from tests.conftest import random_params
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -271,3 +273,120 @@ def test_window_table_matches_numeric_quadrature(rich_params):
             for key in wt.p:
                 num = float((n_mesh * cell_values(kind_l, kind_r, key)).sum())
                 assert wt.p[key] == pytest.approx(num / den, abs=5e-7)
+
+
+# ---------------------------------------------------------------------------
+# the array core of the window averages, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _scalar_factor(c, window):
+    """exp(-c*tau) over one window in NumPy scalar arithmetic."""
+    if window.is_point:
+        return np.exp(-c * window.lo)
+    if abs(c) * (window.hi - window.lo) < 1e-12:
+        return complex(window.hi - window.lo)
+    return (np.exp(-c * window.lo) - np.exp(-c * window.hi)) / c
+
+
+def _scalar_terms(window_l, window_r, p):
+    """(d, like, unlike, w_ks, w_kl) of one window pair in scalar arithmetic,
+    the strangeness fringe from one complex scalar product."""
+    f_s_l, f_l_l, f_s_r, f_l_r = (
+        _scalar_factor(gamma, window).real
+        for gamma, window in (
+            (p.gamma_s, window_l),
+            (p.gamma_l, window_l),
+            (p.gamma_s, window_r),
+            (p.gamma_l, window_r),
+        )
+    )
+    d = 0.5 * (f_s_l * f_l_r + f_l_l * f_s_r)
+    gbar = 0.5 * (p.gamma_s + p.gamma_l)
+    z = _scalar_factor(gbar - 1j * p.delta_m, window_l) * _scalar_factor(
+        gbar + 1j * p.delta_m, window_r
+    )
+    fringe = z.real / d
+    return (
+        d,
+        0.25 * (1.0 - fringe),
+        0.25 * (1.0 + fringe),
+        0.5 * f_l_l * f_s_r / d,
+        0.5 * f_s_l * f_l_r / d,
+    )
+
+
+def _wrapper_terms(window_l, window_r, p):
+    """The same five numbers read from survival_weight and window_table."""
+    ss = window_table(Basis.STRANGENESS, Basis.STRANGENESS, window_l, window_r, p).p
+    ll = window_table(Basis.LIFETIME, Basis.LIFETIME, window_l, window_r, p).p
+    return (
+        survival_weight(window_l, window_r, p),
+        ss[(Outcome.K0, Outcome.K0)],
+        ss[(Outcome.K0, Outcome.K0BAR)],
+        ll[(Outcome.KL, Outcome.KS)],
+        ll[(Outcome.KS, Outcome.KL)],
+    )
+
+
+def _window_shapes(tau_r0, width):
+    """Object windows and meter window of the four protocols' twins, plus
+    zero-width and sub-1e-12-width object windows."""
+    grid = [round(0.1 * k, 12) for k in range(81)]
+    points = [TimeWindow.point(t) for t in grid]
+    bins = [TimeWindow.centered(t, width) for t in grid]
+    edge = [TimeWindow(1.0, 1.0), TimeWindow(2.0, 2.0 + 4e-13), TimeWindow(0.0, 1e-13)]
+    meter = TimeWindow.centered(tau_r0, width)
+    return {
+        "a": (points + edge, TimeWindow.point(tau_r0)),
+        "b": (points + edge, TimeWindow(max(0.0, tau_r0 - width), tau_r0)),
+        "c": (points + edge, meter),
+        "d": (bins + edge, meter),
+    }
+
+
+@pytest.mark.parametrize("tau_r0", [0.0, 0.5, 2.0, 5.0])
+@pytest.mark.parametrize("width", [0.2, 1.0])
+@pytest.mark.parametrize("params_name", ["default_params", "rich_params"])
+def test_window_core_is_bitwise_scalar(request, tau_r0, width, params_name):
+    # each row of the array core is bit for bit the scalar arithmetic, on
+    # every window shape of the protocols' twins; tau_r0 = 0 clips the
+    # meter windows at 0 and makes b's early window a point
+    p = request.getfixturevalue(params_name)
+    for shape, (windows_l, window_r) in _window_shapes(tau_r0, width).items():
+        lo = np.array([w.lo for w in windows_l])
+        hi = np.array([w.hi for w in windows_l])
+        core = np.array(_window_terms(lo, hi, window_r.lo, window_r.hi, p)).T
+        scalar = np.array([_scalar_terms(w, window_r, p) for w in windows_l], dtype=float)
+        wrapped = np.array([_wrapper_terms(w, window_r, p) for w in windows_l], dtype=float)
+        assert core.tobytes() == scalar.tobytes(), shape
+        assert core.tobytes() == wrapped.tobytes(), shape
+
+
+def test_core_window_and_table_checks(default_params):
+    with pytest.raises(ValueError, match="invalid time window"):
+        _window_terms(np.array([0.0, 2.0]), np.array([1.0, 1.5]), 1.0, 1.0, default_params)
+    with pytest.raises(ValueError, match="invalid time window"):
+        _window_terms(np.array([-0.5]), np.array([0.5]), 1.0, 1.0, default_params)
+    quarter = np.full(3, 0.25)
+    _check_analytic((quarter, quarter, quarter, quarter))
+    shift = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _check_analytic((quarter, quarter, quarter + shift, quarter - shift))
+    with pytest.raises(ValueError, match="sums to"):
+        _check_analytic((quarter, quarter, quarter, quarter + np.array([0, 1e-6, 0])))
+    # a single table gives the same verdicts on floats
+    _check_analytic((0.25, 0.25, 0.25, 0.25))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _check_analytic((0.25, 0.25, 1.25, -0.75))
+    with pytest.raises(ValueError, match=r"sums to 1\.000001, not 1"):
+        _check_analytic((0.25, 0.25, 0.25, 0.250001))
+
+
+def test_survival_weight_computes_no_fringe(default_params):
+    # far out the survival weight underflows to 0; the fringe and the
+    # K_S/K_L shares would be 0/0 there, but survival_weight needs neither
+    far = TimeWindow.centered(2_000.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert survival_weight(far, far, default_params) == 0.0
