@@ -28,7 +28,6 @@ from .pair import (
 )
 from .probabilities import (
     JointProbabilityTable,
-    Observable,
     Source,
     TimeWindow,
     full_table,
@@ -49,11 +48,9 @@ from .decay import (
     passive_probability,
 )
 from .generator import (
-    DecayEvent,
     EventFormatError,
     EventSet,
     GeneratorConfig,
-    PairEvent,
     generate,
     mode_pair_chi2,
     read_events,
@@ -79,13 +76,13 @@ __all__ = [
     "Basis", "KaonAmplitude", "Outcome", "evolve", "ket", "project", "to_basis",
     "DegenerateStateError", "PairAmplitude", "evolve_pair", "initial_state",
     "normalize_surviving", "project_pair", "to_pair_basis",
-    "JointProbabilityTable", "Observable", "Source", "TimeWindow", "full_table",
+    "JointProbabilityTable", "Source", "TimeWindow", "full_table",
     "joint_strangeness", "joint_strangeness_lifetime", "survival_weight",
     "visibility", "window_table",
     "ConfigurationError", "DecayMode", "TransitionAmplitudes",
     "UnsupportedModeError", "integrated_mode_pair_probabilities",
     "joint_decay_rate", "normalization_factor", "passive_probability",
-    "DecayEvent", "EventFormatError", "EventSet", "GeneratorConfig", "PairEvent",
+    "EventFormatError", "EventSet", "GeneratorConfig",
     "generate", "mode_pair_chi2", "read_events", "sampling_kernel", "write_events",
     "Estimate", "ExperimentKind", "ExperimentSpec", "ScanResult", "ScanRow",
     "classify_event_lifetime", "misidentification_rates", "run_experiment",

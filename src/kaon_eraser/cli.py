@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        # a non-finite stop or step would count towards it without end
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0 or stop < start or start < 0:
         raise ValueError("grid requires 0 <= start <= stop and step > 0")
     values = []

@@ -24,6 +24,12 @@ K_S/K_L interference pattern are observable.  The residual "other" channel
 is modeled as two orthogonal final states (one fed by each eigenstate) so
 that summing over all modes and integrating over both times gives exactly
 1: every pair eventually decays.
+
+``IDENTIFIES`` and ``MODE_CODES`` are the package's one decay-mode table:
+event files carry its codes and names, and the protocols of
+:mod:`kaon_eraser.experiments` read passive records through it.  The
+lifetime-basis pair coefficients (:func:`_pair_coefficients`) serve both
+the joint decay rate and protocol c's draw conditioned on a meter record.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ _MODE_TO_CHANNEL = {
 
 #: channel index -> public mode code (= DecayMode position, OTHER folds both)
 CHANNEL_TO_MODE_CODE = np.array([0, 1, 2, 3, 4, 4], dtype=np.int8)
+#: Public mode codes: a mode's position in ``DecayMode``.
 MODE_ORDER = tuple(DecayMode)
 MODE_CODES = {mode: code for code, mode in enumerate(MODE_ORDER)}
 
@@ -186,12 +193,13 @@ def normalization_factor(tau_l: float, tau_r: float, params: PhysicsParams) -> f
     )
 
 
-def _pair_coefficients(tau_l: float, tau_r: float, params: PhysicsParams) -> tuple[complex, complex]:
-    """Un-normalized lifetime-basis coefficients c_SL, c_LS of the evolved pair."""
+def _pair_coefficients(tau_l: float, tau_r, params: PhysicsParams):
+    """Un-normalized lifetime-basis coefficients c_SL, c_LS of the evolved
+    pair, for ``tau_r`` a float or an array of meter times."""
     sqrt_half = math.sqrt(0.5)
     c_sl = -sqrt_half * np.exp(-1j * (params.lambda_s * tau_l + params.lambda_l * tau_r))
     c_ls = sqrt_half * np.exp(-1j * (params.lambda_l * tau_l + params.lambda_s * tau_r))
-    return complex(c_sl), complex(c_ls)
+    return c_sl, c_ls
 
 
 def joint_rate_channels(
@@ -206,7 +214,7 @@ def joint_rate_channels(
         raise ValueError(f"times must be >= 0, got ({tau_l}, {tau_r})")
     c_sl, c_ls = _pair_coefficients(tau_l, tau_r, amps.params)
     a = amps.a
-    amp = c_sl * a[ch_l, 0] * a[ch_r, 1] + c_ls * a[ch_l, 1] * a[ch_r, 0]
+    amp = complex(c_sl) * a[ch_l, 0] * a[ch_r, 1] + complex(c_ls) * a[ch_l, 1] * a[ch_r, 0]
     return abs(amp) ** 2
 
 
@@ -271,7 +279,7 @@ def integrated_mode_pair_probabilities(params: PhysicsParams) -> np.ndarray:
     cross = np.outer(s, s) / (gbar**2 + params.delta_m**2)
     table6 = direct - cross
     # fold the two orthogonal "other" sub-channels into the public OTHER slot
-    table5 = np.zeros((5, 5))
+    table5 = np.zeros((len(MODE_ORDER), len(MODE_ORDER)))
     codes = CHANNEL_TO_MODE_CODE
     for i in range(N_CHANNELS):
         for j in range(N_CHANNELS):

@@ -31,20 +31,29 @@ Estimates come with standard errors (binomial for count ratios, Poisson
 for width-scaled counts) and a low-statistics flag instead of silent
 dropping.  Active projections are simulated by Born-rule draws from the
 evolved pair state (amplitude path), never from the closed forms used as
-twins.
+twins.  Passive records are read through the decay-mode table of
+:mod:`kaon_eraser.decay` (``IDENTIFIES``, ``MODE_CODES``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .decay import DecayMode, TransitionAmplitudes, amplitudes
-from .generator import DecayEvent, EventSet, GeneratorConfig, generate
+from .decay import (
+    IDENTIFIES,
+    MODE_CODES,
+    DecayMode,
+    TransitionAmplitudes,
+    _pair_coefficients,
+    amplitudes,
+)
+from .generator import EventSet, GeneratorConfig, generate
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
 from .params import PhysicsParams
@@ -52,27 +61,21 @@ from .probabilities import (
     JointProbabilityTable,
     Source,
     TimeWindow,
+    _L_OUTCOMES,
+    _S_OUTCOMES,
     _bounds,
     _check_analytic,
     _survival,
     _window_terms,
 )
 
-_CODE_2PI, _CODE_3PI, _CODE_SLP, _CODE_SLM, _CODE_OTHER = range(5)
-_N_CODES = 5
+_OUTCOMES = {Basis.STRANGENESS: _S_OUTCOMES, Basis.LIFETIME: _L_OUTCOMES}
+_S_CELLS = tuple(itertools.product(_S_OUTCOMES, _S_OUTCOMES))
+_MIXED_CELLS = tuple(itertools.product(_S_OUTCOMES, _L_OUTCOMES))
 
-_S_CELLS = (
-    (Outcome.K0, Outcome.K0),
-    (Outcome.K0, Outcome.K0BAR),
-    (Outcome.K0BAR, Outcome.K0),
-    (Outcome.K0BAR, Outcome.K0BAR),
-)
-_MIXED_CELLS = (
-    (Outcome.K0, Outcome.KS),
-    (Outcome.K0, Outcome.KL),
-    (Outcome.K0BAR, Outcome.KS),
-    (Outcome.K0BAR, Outcome.KL),
-)
+#: The decay mode that identifies each outcome: ``decay.IDENTIFIES`` read
+#: backwards.
+_MODE_OF = {outcome: mode for mode, outcome in IDENTIFIES.items() if outcome is not None}
 
 
 class ExperimentKind(Enum):
@@ -106,6 +109,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau_l_grid", tuple(float(t) for t in self.tau_l_grid))
         object.__setattr__(self, "kind", ExperimentKind(self.kind))
+        values = (self.tau_r0, *self.tau_l_grid, self.bin_width_l, self.bin_width_r)
+        if not np.isfinite(values).all():
+            raise ValueError("tau_r0, tau_l_grid and bin widths must be finite")
         if self.tau_r0 < 0:
             raise ValueError(f"tau_r0 must be >= 0, got {self.tau_r0}")
         grid = self.tau_l_grid
@@ -162,9 +168,6 @@ class ScanResult:
     params: PhysicsParams
     rows: tuple[ScanRow, ...]
 
-    def column(self, name: str) -> list[Estimate]:
-        return [getattr(row, name) for row in self.rows]
-
 
 # --------------------------------------------------------------------------
 # Classification helpers
@@ -186,32 +189,31 @@ def misidentification_rates(params: PhysicsParams) -> tuple[float, float]:
 
 
 def classify_event_lifetime(
-    event: DecayEvent,
+    tau: float,
+    mode: DecayMode,
     measurement_time: float,
     params: PhysicsParams,
     method: str = "window",
 ) -> Optional[Outcome]:
-    """Lifetime identification of a single decay record.
+    """Lifetime identification of one decay record, at time ``tau`` in ``mode``.
 
     ``method="window"``: active-style rule anchored at ``measurement_time``;
     decay at or before measurement_time + lifetime_window means K_S (closed
     upper boundary), later means K_L.  Decays before the measurement time
     are unclassifiable (the kaon never reached the measurement point).
 
-    ``method="mode"``: passive rule; 2pi tags K_S, 3pi tags K_L, any other
+    ``method="mode"``: passive rule; the lifetime outcome the mode
+    identifies (``decay.IDENTIFIES``: 2pi tags K_S, 3pi tags K_L), any other
     mode is unclassifiable for lifetime.
     """
     if method == "mode":
-        if event.mode is DecayMode.TWO_PI:
-            return Outcome.KS
-        if event.mode is DecayMode.THREE_PI:
-            return Outcome.KL
-        return None
+        outcome = IDENTIFIES[mode]
+        return outcome if outcome is not None and outcome.basis is Basis.LIFETIME else None
     if method != "window":
         raise ValueError(f"method must be 'window' or 'mode', got {method!r}")
-    if event.tau < measurement_time:
+    if tau < measurement_time:
         return None
-    if event.tau <= measurement_time + params.lifetime_window:
+    if tau <= measurement_time + params.lifetime_window:
         return Outcome.KS
     return Outcome.KL
 
@@ -229,14 +231,6 @@ def _born_cell_probs(
     )
     p = np.array([project_pair(state, ol, outcome_r) for ol, outcome_r in cells])
     return p / p.sum()
-
-
-def _pair_coeffs(tau_l: float, tau_r: np.ndarray, params: PhysicsParams):
-    """Un-normalized lifetime-basis pair coefficients, vectorized in tau_r."""
-    sqrt_half = np.sqrt(0.5)
-    c_sl = -sqrt_half * np.exp(-1j * (params.lambda_s * tau_l + params.lambda_l * tau_r))
-    c_ls = sqrt_half * np.exp(-1j * (params.lambda_l * tau_l + params.lambda_s * tau_r))
-    return c_sl, c_ls
 
 
 # --------------------------------------------------------------------------
@@ -360,23 +354,29 @@ def _n_within(sorted_tau: np.ndarray, lo: float, hi: float) -> int:
     return int(np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left"))
 
 
-def _sorted_by_code(
-    tau_l: np.ndarray, codes: np.ndarray, n_codes: int
-) -> tuple[np.ndarray, ...]:
-    """Sorted ``tau_l`` of the events of each code 0 .. n_codes - 1."""
-    return tuple(np.sort(tau_l[codes == k]) for k in range(n_codes))
+def _sorted_by_mode(tau_l: np.ndarray, codes: np.ndarray) -> dict[DecayMode, np.ndarray]:
+    """Sorted ``tau_l`` of the events of each decay mode, given their mode codes."""
+    return {mode: np.sort(tau_l[codes == code]) for mode, code in MODE_CODES.items()}
 
 
 def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
     return (tau >= window.lo) & (tau <= window.hi)
 
 
-def _window_cells(events: EventSet, window_r: TimeWindow) -> tuple[np.ndarray, ...]:
+def _window_cells(
+    events: EventSet, window_r: TimeWindow
+) -> dict[tuple[DecayMode, DecayMode], np.ndarray]:
     """Sorted ``tau_l`` of the pairs whose meter decays inside ``window_r``,
-    one array per cell code ``mode_l * 5 + mode_r``."""
+    one array per (mode_l, mode_r) cell."""
     kept = _in_window(events.tau_r, window_r)
-    cells = events.mode_l[kept].astype(np.intp) * _N_CODES + events.mode_r[kept]
-    return _sorted_by_code(events.tau_l[kept], cells, _N_CODES * _N_CODES)
+    n_modes = len(MODE_CODES)
+    cells = events.mode_l[kept].astype(np.intp) * n_modes + events.mode_r[kept]
+    tau_l = events.tau_l[kept]
+    return {
+        (mode_l, mode_r): np.sort(tau_l[cells == code_l * n_modes + code_r])
+        for mode_l, code_l in MODE_CODES.items()
+        for mode_r, code_r in MODE_CODES.items()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -391,25 +391,25 @@ class _CountIndex:
     ``survivors`` (a, b)
         sorted ``tau_l`` of the pairs with ``tau_r > tau_r0``;
     ``early``, ``early_window`` (b)
-        per meter mode code, sorted ``tau_l`` of the pairs with
+        per meter decay mode, sorted ``tau_l`` of the pairs with
         ``tau_r < tau_r0``, and of those inside :func:`_early_window`;
     ``window_sl`` (c)
         ``(tau_l, tau_r, mode_r)`` of the semileptonic meter decays inside
         the meter window, in event order: a row's Born draws pair up with
         its records in that order;
     ``window_modes`` (c)
-        per meter mode code, sorted ``tau_l`` of the meter-window pairs;
+        per meter decay mode, sorted ``tau_l`` of the meter-window pairs;
     ``cells`` (d)
         :func:`_window_cells` of the meter window.
     """
 
     n: int
     survivors: Optional[np.ndarray] = None
-    early: tuple[np.ndarray, ...] = ()
-    early_window: tuple[np.ndarray, ...] = ()
+    early: Optional[dict[DecayMode, np.ndarray]] = None
+    early_window: Optional[dict[DecayMode, np.ndarray]] = None
     window_sl: tuple[np.ndarray, ...] = ()
-    window_modes: tuple[np.ndarray, ...] = ()
-    cells: tuple[np.ndarray, ...] = ()
+    window_modes: Optional[dict[DecayMode, np.ndarray]] = None
+    cells: Optional[dict[tuple[DecayMode, DecayMode], np.ndarray]] = None
 
 
 def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
@@ -424,20 +424,19 @@ def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
         return _CountIndex(
             events.n,
             survivors=np.sort(tau_l[tau_r > spec.tau_r0]),
-            early=_sorted_by_code(early_l, early_modes, _N_CODES),
-            early_window=_sorted_by_code(
-                early_l[in_window], early_modes[in_window], _N_CODES
-            ),
+            early=_sorted_by_mode(early_l, early_modes),
+            early_window=_sorted_by_mode(early_l[in_window], early_modes[in_window]),
         )
     window_r = _meter_window(spec)
     if kind is ExperimentKind.PASSIVE_METER:
         kept = _in_window(tau_r, window_r)
         kept_l, kept_r, kept_modes = tau_l[kept], tau_r[kept], mode_r[kept]
-        sl = (kept_modes == _CODE_SLP) | (kept_modes == _CODE_SLM)
+        # semileptonic meter decays: the modes that identify a strangeness outcome
+        sl = np.isin(kept_modes, [MODE_CODES[_MODE_OF[outcome]] for outcome in _S_OUTCOMES])
         return _CountIndex(
             events.n,
             window_sl=(kept_l[sl], kept_r[sl], kept_modes[sl]),
-            window_modes=_sorted_by_code(kept_l, kept_modes, _N_CODES),
+            window_modes=_sorted_by_mode(kept_l, kept_modes),
         )
     return _CountIndex(events.n, cells=_window_cells(events, window_r))
 
@@ -505,9 +504,9 @@ def _row_partially_active(
     rng = np.random.default_rng([spec.seed, row, 1])
     c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
 
-    n_early = [_n_above(taus, tau_l) for taus in index.early]
-    c_2pi = _n_above(index.early_window[_CODE_2PI], tau_l)
-    c_3pi = _n_above(index.early_window[_CODE_3PI], tau_l)
+    n_early = {mode: _n_above(taus, tau_l) for mode, taus in index.early.items()}
+    c_2pi = _n_above(index.early_window[DecayMode.TWO_PI], tau_l)
+    c_3pi = _n_above(index.early_window[DecayMode.THREE_PI], tau_l)
     d = twins.d[row]
     n_total = index.n
     mc = spec.min_count
@@ -523,9 +522,11 @@ def _row_partially_active(
         ),
         counts={
             "strangeness": survivors,
-            "lifetime": n_early[_CODE_2PI] + n_early[_CODE_3PI],
-            "early_strangeness": n_early[_CODE_SLP] + n_early[_CODE_SLM],
-            "discarded": n_early[_CODE_OTHER],
+            "lifetime": n_early[DecayMode.TWO_PI] + n_early[DecayMode.THREE_PI],
+            "early_strangeness": (
+                n_early[DecayMode.SEMILEPTONIC_PLUS] + n_early[DecayMode.SEMILEPTONIC_MINUS]
+            ),
+            "discarded": n_early[DecayMode.OTHER],
         },
     )
 
@@ -557,9 +558,9 @@ def _row_passive_meter(
     n_sl = int(t_sl.size)
     c_like = 0
     if n_sl:
-        right_k0 = sl_modes[alive] == _CODE_SLP
+        right_k0 = sl_modes[alive] == MODE_CODES[_MODE_OF[Outcome.K0]]
         sign = np.where(right_k0, 1.0, -1.0)
-        c_sl, c_ls = _pair_coeffs(tau_l, t_sl, params)
+        c_sl, c_ls = _pair_coefficients(tau_l, t_sl, params)
         num = np.abs(sign * c_sl + c_ls) ** 2
         den = 2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2)
         p_k0 = num / den
@@ -567,8 +568,8 @@ def _row_passive_meter(
         left_k0 = rng.random(n_sl) < p_k0
         c_like = int(np.sum(left_k0 == right_k0))
 
-    c_2pi = _n_above(index.window_modes[_CODE_2PI], tau_l)
-    c_3pi = _n_above(index.window_modes[_CODE_3PI], tau_l)
+    c_2pi = _n_above(index.window_modes[DecayMode.TWO_PI], tau_l)
+    c_3pi = _n_above(index.window_modes[DecayMode.THREE_PI], tau_l)
     d = twins.d[row]
     mc = spec.min_count
     return ScanRow(
@@ -584,7 +585,7 @@ def _row_passive_meter(
         counts={
             "strangeness": n_sl,
             "lifetime": c_2pi + c_3pi,
-            "discarded": _n_above(index.window_modes[_CODE_OTHER], tau_l),
+            "discarded": _n_above(index.window_modes[DecayMode.OTHER], tau_l),
         },
     )
 
@@ -623,7 +624,7 @@ def _row_passive_passive(
 
     # semileptonic object with semileptonic / nonleptonic meter: exactly
     # the cells of the two tables
-    n_in_bins = sum(_n_within(taus, window_l.lo, window_l.hi) for taus in index.cells)
+    n_in_bins = sum(_n_within(taus, window_l.lo, window_l.hi) for taus in index.cells.values())
     return ScanRow(
         tau_l,
         like=combine(
@@ -654,26 +655,9 @@ def _row_passive_passive(
 # Passive sorting (the fully passive estimator)
 # --------------------------------------------------------------------------
 
-_MODE_FOR_OUTCOME = {
-    Outcome.K0: DecayMode.SEMILEPTONIC_PLUS,
-    Outcome.K0BAR: DecayMode.SEMILEPTONIC_MINUS,
-    Outcome.KS: DecayMode.TWO_PI,
-    Outcome.KL: DecayMode.THREE_PI,
-}
-_CODE_FOR_OUTCOME = {
-    Outcome.K0: _CODE_SLP,
-    Outcome.K0BAR: _CODE_SLM,
-    Outcome.KS: _CODE_2PI,
-    Outcome.KL: _CODE_3PI,
-}
-_OUTCOMES = {
-    Basis.STRANGENESS: (Outcome.K0, Outcome.K0BAR),
-    Basis.LIFETIME: (Outcome.KS, Outcome.KL),
-}
-
 
 def _passive_table(
-    cells: tuple[np.ndarray, ...],
+    cells: dict[tuple[DecayMode, DecayMode], np.ndarray],
     n_pairs: int,
     tau_l: float,
     window_l: TimeWindow,
@@ -693,16 +677,11 @@ def _passive_table(
     total = 0
     for ol in _OUTCOMES[kind_l]:
         for outcome_r in _OUTCOMES[kind_r]:
-            cell = _CODE_FOR_OUTCOME[ol] * _N_CODES + _CODE_FOR_OUTCOME[outcome_r]
-            count = _n_within(cells[cell], window_l.lo, window_l.hi)
+            mode_l, mode_r = _MODE_OF[ol], _MODE_OF[outcome_r]
+            count = _n_within(cells[(mode_l, mode_r)], window_l.lo, window_l.hi)
             total += count
             counts[(ol, outcome_r)] = count
-            scale = (
-                n_pairs
-                * d
-                * amps.identified_width(_MODE_FOR_OUTCOME[ol])
-                * amps.identified_width(_MODE_FOR_OUTCOME[outcome_r])
-            )
+            scale = n_pairs * d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
             if scale > 0.0:
                 p[(ol, outcome_r)] = count / scale
                 sigma[(ol, outcome_r)] = np.sqrt(count) / scale

@@ -40,7 +40,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit
@@ -48,12 +48,13 @@ from scipy.stats import chi2
 
 from .decay import (
     CHANNEL_TO_MODE_CODE,
+    MODE_CODES,
     MODE_ORDER,
-    DecayMode,
     amplitudes,
     integrated_mode_pair_probabilities,
 )
 from .params import PhysicsParams
+from .probabilities import _sech
 
 EVENT_SCHEMA_VERSION = 1
 _BATCH = 1 << 13
@@ -64,37 +65,6 @@ TRUNCATION_BOUND = 1e-12
 
 class EventFormatError(ValueError):
     """An event file does not follow the documented schema."""
-
-
-class Side:
-    LEFT = "Left"
-    RIGHT = "Right"
-
-
-@dataclasses.dataclass(frozen=True)
-class DecayEvent:
-    """One recorded decay: which beam, proper time, decay mode."""
-
-    side: str
-    tau: float
-    mode: DecayMode
-
-    def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"decay time must be >= 0, got {self.tau}")
-
-
-@dataclasses.dataclass(frozen=True)
-class PairEvent:
-    """The joined left/right decay record of one kaon pair."""
-
-    left: DecayEvent
-    right: DecayEvent
-    id: int
-
-    def __post_init__(self) -> None:
-        if self.left.side != Side.LEFT or self.right.side != Side.RIGHT:
-            raise ValueError("PairEvent sides must be (Left, Right)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,25 +104,11 @@ class EventSet:
     def n(self) -> int:
         return self.tau_l.shape[0]
 
-    def pairs(self) -> Iterator[PairEvent]:
-        for i in range(self.n):
-            yield PairEvent(
-                left=DecayEvent(Side.LEFT, float(self.tau_l[i]), MODE_ORDER[self.mode_l[i]]),
-                right=DecayEvent(Side.RIGHT, float(self.tau_r[i]), MODE_ORDER[self.mode_r[i]]),
-                id=i,
-            )
-
 
 def _truncated_exp(u: np.ndarray, gamma: np.ndarray, horizon: np.ndarray) -> np.ndarray:
     """Inverse CDF of the exponential truncated at ``horizon``."""
     mass = -np.expm1(-gamma * horizon)
     return -np.log1p(-u * mass) / gamma
-
-
-def _stable_sech(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return 2.0 * e / (1.0 + e * e)
 
 
 def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,7 +146,7 @@ def sampling_kernel(
 
     dt = tau_l - tau_r
     r = expit(params.delta_gamma * dt)
-    fringe = _stable_sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
+    fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
     m_sl, m_ls, m_x = cell_weights
     # Draw among the cells with some weight only: the other cells are
     # structurally forbidden, and a target of exactly 0 would pick the first.
@@ -288,7 +244,7 @@ def read_events(path: Union[str, Path]) -> EventSet:
     Decay times must be finite and the number of records must equal the
     header's ``n_pairs``; both are checked once all lines are parsed.
     """
-    name_to_code = {m.value: code for code, m in enumerate(MODE_ORDER)}
+    name_to_code = {mode.value: code for mode, code in MODE_CODES.items()}
     seed, n_pairs, tau_max, digest = 0, None, float("nan"), ""
     tau_l, mode_l, tau_r, mode_r = [], [], [], []
     with open(path) as fh:
@@ -379,9 +335,10 @@ def mode_pair_chi2(
     (statistic, dof, p_value); any event in a structurally forbidden cell
     (expected exactly 0) yields p_value 0.
     """
+    n_modes = len(MODE_ORDER)
     counts = np.bincount(
-        events.mode_l.astype(np.intp) * 5 + events.mode_r, minlength=25
-    ).reshape(5, 5)
+        events.mode_l.astype(np.intp) * n_modes + events.mode_r, minlength=n_modes * n_modes
+    ).reshape(n_modes, n_modes)
     expected = events.n * integrated_mode_pair_probabilities(params)
     if np.any(counts[expected == 0.0] > 0):
         return float("inf"), 0, 0.0

@@ -22,6 +22,10 @@ are the unbiased targets of the binned event-counting estimators in
 :mod:`kaon_eraser.experiments`.  One core, :func:`_window_terms`,
 evaluates them for one window or, on arrays, for a whole scan at once;
 :func:`survival_weight` and :func:`window_table` are its one-window forms.
+
+The sech of the visibility, :func:`_sech`, is also the fringe envelope of
+the Monte Carlo kernel in :mod:`kaon_eraser.generator`.  Analytic tables
+are checked for range and sum; a NaN cell fails both checks.
 """
 
 from __future__ import annotations
@@ -52,18 +56,6 @@ class Source(Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class Observable:
-    """A measurement kind together with one of its outcomes."""
-
-    kind: Basis
-    outcome: Outcome
-
-    def __post_init__(self) -> None:
-        if self.outcome.basis is not self.kind:
-            raise ValueError(f"outcome {self.outcome} inconsistent with kind {self.kind}")
-
-
-@dataclasses.dataclass(frozen=True)
 class JointProbabilityTable:
     """Probabilities for the four outcomes of a chosen observable pair."""
 
@@ -82,18 +74,20 @@ class JointProbabilityTable:
         if self.source is Source.ANALYTIC:
             _check_analytic(tuple(self.p.values()))
 
-    def outcomes(self) -> tuple[tuple[Outcome, Outcome], ...]:
-        return tuple(self.p.keys())
-
     def total(self) -> float:
         return float(sum(self.p.values()))
 
 
+def _sech(x):
+    """1/cosh(x) of a float or an array, written to avoid cosh overflow at
+    large |x|."""
+    e = np.exp(-np.abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def visibility(delta_tau: float, params: PhysicsParams) -> float:
     """Fringe contrast of the strangeness oscillations, 1/cosh(dG*dt/2)."""
-    x = abs(0.5 * params.delta_gamma * delta_tau)
-    # sech(x) written to avoid cosh overflow at large |x|
-    return 2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))
+    return float(_sech(0.5 * params.delta_gamma * delta_tau))
 
 
 def _check_times(tau_l: float, tau_r: float) -> None:
@@ -224,22 +218,24 @@ def _bounds(windows: Sequence[TimeWindow]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([w.lo for w in windows]), np.array([w.hi for w in windows])
 
 
-def _any(flags) -> bool:
-    """Whether one flag, or any flag of an array of them, is set."""
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+def _all(flags) -> bool:
+    """Whether one flag, or every flag of an array of them, is set."""
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
 def _check_analytic(cells: Sequence) -> None:
     """The range and sum checks of analytic tables.  ``cells`` are a
     table's values in key order, each a float, or each an array holding one
-    table per element."""
+    table per element.  Each check asks for the good case, so a NaN, which
+    compares false, fails it."""
     for values in cells:
-        if _any((values < _P_MIN) | (values > _P_MAX)):
+        if not _all((_P_MIN <= values) & (values <= _P_MAX)):
             raise ValueError("analytic probabilities must lie in [0, 1]")
     total = sum(cells)
-    off = abs(total - 1.0) > TABLE_SUM_TOL
-    if _any(off):
-        raise ValueError(f"analytic table sums to {float(np.extract(off, total)[0])!r}, not 1")
+    ok = abs(total - 1.0) <= TABLE_SUM_TOL
+    if not _all(ok):
+        bad = np.ravel(total)[np.argmin(ok)]
+        raise ValueError(f"analytic table sums to {float(bad)!r}, not 1")
 
 
 def _select(flags, if_set, if_clear):
@@ -274,9 +270,9 @@ def _survival(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _S
     """:func:`survival_weight` of the object windows ``[lo_l, hi_l]`` (floats,
     or arrays of one window per element) against the meter window
     ``[lo_r, hi_r]``."""
-    invalid = (lo_l < 0) | (hi_l < lo_l)
-    if _any(invalid):
-        i = int(np.argmax(invalid))
+    valid = (lo_l >= 0) & (hi_l >= lo_l)
+    if not _all(valid):
+        i = int(np.argmin(valid))
         raise ValueError(f"invalid time window [{np.ravel(lo_l)[i]}, {np.ravel(hi_l)[i]}]")
     f_s_l = _exp_factors(params.gamma_s, lo_l, hi_l)
     f_l_l = _exp_factors(params.gamma_l, lo_l, hi_l)

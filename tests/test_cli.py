@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kaon_eraser
 from kaon_eraser.cli import EXIT_FORMAT, EXIT_IO, EXIT_USAGE, _parse_grid, main
 
 
@@ -20,6 +26,44 @@ def test_parse_grid():
         _parse_grid("0:1")
     with pytest.raises(ValueError):
         _parse_grid("1:0:0.5")
+
+
+#: Address-space cap of the child process that parses bad grids.
+_CHILD_MEMORY = 600 << 20
+
+# Parses each grid of argv[1:] with ``_parse_grid`` and prints one line per
+# grid: its text and "ValueError", or the number of points.
+_PARSE_GRIDS = """
+import sys
+from kaon_eraser.cli import _parse_grid
+for text in sys.argv[1:]:
+    try:
+        print(text, len(_parse_grid(text)))
+    except ValueError:
+        print(text, "ValueError")
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+
+def test_parse_grid_rejects_non_finite_values():
+    # A parser that takes a non-finite stop or step counts towards it until
+    # memory runs out, so the grids are parsed in a child process with its
+    # address space capped and a time limit: a regression fails the test
+    # with a MemoryError (or a timeout) in the child.
+    texts = ["0:inf:0.1", "0:nan:0.1", "0:1:nan", "nan:1:0.1", "0:1:inf", "0:1:0.5"]
+    src = str(Path(kaon_eraser.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_GRIDS, *texts],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    expected = [f"{text} ValueError" for text in texts[:-1]] + ["0:1:0.5 3"]
+    assert proc.stdout.splitlines() == expected
 
 
 def test_table_epr_point(capsys):
@@ -103,6 +147,21 @@ def test_experiment_analytic_fringe_table(tmp_path, capsys):
     # two full oscillation periods: at least four interior extrema
     sign_changes = np.sum(np.abs(np.diff(np.sign(np.diff(unlike)))) > 0)
     assert sign_changes >= 4
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau-r0", "nan"), ("--tau-r0", "inf"), ("--bin-width", "nan"), ("--bin-width-r", "inf")],
+)
+def test_experiment_non_finite_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "a", "--tau-r0", "1", "--grid", "0:1:0.5",
+        "--out", str(out), flag, value,
+    )
+    assert code == EXIT_USAGE
+    assert "finite" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_experiment_requires_tau_r0(capsys):

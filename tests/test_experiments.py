@@ -6,7 +6,6 @@ import pytest
 
 from kaon_eraser import (
     Basis,
-    DecayEvent,
     DecayMode,
     Estimate,
     EventSet,
@@ -26,7 +25,6 @@ from kaon_eraser import (
     visibility,
     write_scan_csv,
 )
-from kaon_eraser.generator import Side
 
 FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 
@@ -61,39 +59,26 @@ def _pass_stats(result):
 
 
 def test_window_rule_boundary_is_ks(default_params):
-    event = DecayEvent(Side.RIGHT, 2.0 + default_params.lifetime_window, DecayMode.OTHER)
-    assert classify_event_lifetime(event, 2.0, default_params) is Outcome.KS
-    later = DecayEvent(Side.RIGHT, 2.0 + default_params.lifetime_window + 1e-9, DecayMode.OTHER)
-    assert classify_event_lifetime(later, 2.0, default_params) is Outcome.KL
+    tau = 2.0 + default_params.lifetime_window
+    assert classify_event_lifetime(tau, DecayMode.OTHER, 2.0, default_params) is Outcome.KS
+    later = tau + 1e-9
+    assert classify_event_lifetime(later, DecayMode.OTHER, 2.0, default_params) is Outcome.KL
 
 
 def test_window_rule_needs_survival(default_params):
-    event = DecayEvent(Side.RIGHT, 1.0, DecayMode.TWO_PI)
-    assert classify_event_lifetime(event, 2.0, default_params) is None
+    assert classify_event_lifetime(1.0, DecayMode.TWO_PI, 2.0, default_params) is None
 
 
 def test_mode_rule(default_params):
-    assert (
-        classify_event_lifetime(
-            DecayEvent(Side.LEFT, 1.0, DecayMode.TWO_PI), 0.0, default_params, method="mode"
-        )
-        is Outcome.KS
-    )
-    assert (
-        classify_event_lifetime(
-            DecayEvent(Side.LEFT, 1.0, DecayMode.THREE_PI), 0.0, default_params, method="mode"
-        )
-        is Outcome.KL
-    )
-    assert (
-        classify_event_lifetime(
-            DecayEvent(Side.LEFT, 1.0, DecayMode.SEMILEPTONIC_PLUS),
-            0.0,
-            default_params,
-            method="mode",
-        )
-        is None
-    )
+    expected = {
+        DecayMode.TWO_PI: Outcome.KS,
+        DecayMode.THREE_PI: Outcome.KL,
+        DecayMode.SEMILEPTONIC_PLUS: None,
+        DecayMode.SEMILEPTONIC_MINUS: None,
+        DecayMode.OTHER: None,
+    }
+    for mode, outcome in expected.items():
+        assert classify_event_lifetime(1.0, mode, 0.0, default_params, method="mode") is outcome
 
 
 def test_misidentification_rates(default_params):
@@ -119,6 +104,19 @@ def test_spec_validation():
         ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 1.0, (), 0)
     with pytest.raises(ValueError, match="event-based"):
         ExperimentSpec(ExperimentKind.PASSIVE_PASSIVE, 1.0, (0.0, 1.0), 0)
+    # NaN passes every ordering check, so non-finite values need their own
+    fields = dict(kind=ExperimentKind.ACTIVE_ACTIVE, tau_r0=1.0, tau_l_grid=(0.0, 1.0), n_pairs=0)
+    for field, value in [
+        ("tau_r0", math.nan),
+        ("tau_r0", math.inf),
+        ("tau_l_grid", (math.nan,)),
+        ("tau_l_grid", (0.0, math.nan)),
+        ("tau_l_grid", (0.0, math.inf)),
+        ("bin_width_l", math.nan),
+        ("bin_width_r", math.inf),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(**{**fields, field: value})
     spec = ExperimentSpec("a", 1.0, (0.0, 1.0), 0)
     assert spec.kind is ExperimentKind.ACTIVE_ACTIVE
 
@@ -126,6 +124,15 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 # analytic columns
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_analytic_scan_where_survival_underflows_is_refused(default_params, kind):
+    # at tau_l = tau_r0 = 2000 the survival weight is 0 and the twins are
+    # 0/0 = NaN, which the table checks must not pass
+    spec = ExperimentSpec(ExperimentKind(kind), 2000.0, (2000.0,), 0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\[0, 1\]"):
+        run_experiment(spec, default_params)
 
 
 def test_analytic_fringe_has_visibility_envelope(default_params):
@@ -326,7 +333,7 @@ def test_sort_passive_synthetic_factorized_oracle(rich_params):
     )
     grid = (1.0, 2.0)
     tau_r0, bw = 1.5, 0.5
-    from kaon_eraser.decay import TransitionAmplitudes
+    from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes
 
     amps = TransitionAmplitudes.from_params(rich_params)
     tables = sort_passive_events(
@@ -342,10 +349,8 @@ def test_sort_passive_synthetic_factorized_oracle(rich_params):
             mode_left = {Outcome.K0: 2, Outcome.K0BAR: 3}[ol]
             mode_right = {Outcome.KS: 0, Outcome.KL: 1}[outcome_r]
             joint = p_left[mode_left] * prob_l_bin * p_right[mode_right] * prob_r_bin
-            from kaon_eraser.experiments import _MODE_FOR_OUTCOME
-
-            width_l = amps.identified_width(_MODE_FOR_OUTCOME[ol])
-            width_r = amps.identified_width(_MODE_FOR_OUTCOME[outcome_r])
+            width_l = amps.identified_width(MODE_ORDER[mode_left])
+            width_r = amps.identified_width(MODE_ORDER[mode_right])
             expected = joint / (d * width_l * width_r)
             sigma = table.sigma[(ol, outcome_r)]
             assert abs(value - expected) <= 3.0 * max(sigma, 1e-12)
@@ -450,9 +455,9 @@ def _edge_events(grid, bin_width_l, tau_r0, bin_width_r):
 def _mask_reference_row(spec, params, events, row):
     """Estimates (value, sigma, n, flag) and counts of one row, every count
     a mask over all events."""
-    from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes
+    from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes, _pair_coefficients
     from kaon_eraser.experiments import (
-        _MIXED_CELLS, _S_CELLS, _born_cell_probs, _pair_coeffs, _ratio_estimate,
+        _MIXED_CELLS, _S_CELLS, _born_cell_probs, _ratio_estimate,
         _scaled_estimate,
     )
 
@@ -502,7 +507,7 @@ def _mask_reference_row(spec, params, events, row):
         c_like = 0
         if n_sl:
             right_k0 = ev.mode_r[sl] == _SLP
-            c_sl, c_ls = _pair_coeffs(t, ev.tau_r[sl], params)
+            c_sl, c_ls = _pair_coefficients(t, ev.tau_r[sl], params)
             num = np.abs(np.where(right_k0, 1.0, -1.0) * c_sl + c_ls) ** 2
             p_k0 = num / (2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2))
             left_k0 = np.random.default_rng([spec.seed, row, 2]).random(n_sl) < p_k0

@@ -6,7 +6,6 @@ from scipy import stats
 
 from kaon_eraser import (
     sampling_kernel,
-    DecayMode,
     EventFormatError,
     GeneratorConfig,
     PhysicsParams,
@@ -16,7 +15,6 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
-from kaon_eraser.generator import Side
 
 
 @pytest.fixture(scope="module")
@@ -217,17 +215,6 @@ def test_round_trip_serialization(tmp_path, default_params):
     np.testing.assert_array_equal(back.mode_r, events.mode_r)
     assert back.seed == events.seed
     assert back.params_digest == events.params_digest
-
-
-def test_pair_event_view(default_params):
-    events = generate(GeneratorConfig(seed=13, n_pairs=50), default_params)
-    pairs = list(events.pairs())
-    assert len(pairs) == 50
-    assert pairs[7].id == 7
-    assert pairs[7].left.side == Side.LEFT
-    assert pairs[7].right.side == Side.RIGHT
-    assert isinstance(pairs[7].left.mode, DecayMode)
-    assert pairs[7].left.tau == events.tau_l[7]
 
 
 def test_read_rejects_malformed_files(tmp_path):

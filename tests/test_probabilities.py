@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kaon_eraser import (
     Basis,
-    Observable,
     Outcome,
     PhysicsParams,
     TimeWindow,
@@ -28,12 +27,6 @@ from kaon_eraser.probabilities import _check_analytic, _window_terms
 from tests.conftest import random_params
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
-
-
-def test_observable_consistency():
-    Observable(Basis.STRANGENESS, Outcome.K0)
-    with pytest.raises(ValueError):
-        Observable(Basis.STRANGENESS, Outcome.KS)
 
 
 def test_visibility_at_zero(default_params):
@@ -381,6 +374,22 @@ def test_core_window_and_table_checks(default_params):
         _check_analytic((0.25, 0.25, 1.25, -0.75))
     with pytest.raises(ValueError, match=r"sums to 1\.000001, not 1"):
         _check_analytic((0.25, 0.25, 0.25, 0.250001))
+    # NaN compares false, so it fails the range check on floats and arrays
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _check_analytic((math.nan, 0.25, 0.25, 0.25))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _check_analytic((quarter, quarter, quarter, quarter + np.array([0.0, math.nan, 0.0])))
+
+
+def test_table_checks_reject_nan(default_params):
+    # both times far out: the survival weight underflows to 0, the fringe
+    # cells are 0/0 = NaN, and NaN compares false in every check
+    w = TimeWindow.centered(2000.0, 0.2)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\[0, 1\]"):
+        window_table(Basis.STRANGENESS, Basis.STRANGENESS, w, w, default_params)
+    # a NaN bound fails the window check as well
+    with pytest.raises(ValueError, match="invalid time window"):
+        survival_weight(TimeWindow(0.0, math.nan), w, default_params)
 
 
 def test_survival_weight_computes_no_fringe(default_params):
