@@ -16,11 +16,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .generator import (
     EventFormatError,
+    EventSet,
     GeneratorConfig,
+    _atomic_write,
     generate,
     read_events,
     write_events,
@@ -42,6 +45,9 @@ EXIT_FORMAT = 4
 
 _BASIS_NAMES = {"strangeness": Basis.STRANGENESS, "lifetime": Basis.LIFETIME}
 
+#: Most steps a --grid may span: a larger grid is refused before its list is built.
+_MAX_GRID_POINTS = 1_000_000
+
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """'start:stop:step' inclusive of stop (up to half a step of slack)."""
@@ -54,6 +60,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError("grid start, stop and step must be finite")
     if step <= 0 or stop < start or start < 0:
         raise ValueError("grid requires 0 <= start <= stop and step > 0")
+    if (stop - start) / step > _MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} spans more than {_MAX_GRID_POINTS} steps")
     values = []
     k = 0
     while True:
@@ -108,8 +116,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(
-    out_path: Path, params, spec_echo: dict, seed: int, started: str, outputs: list[str]
+    out_path: Path,
+    params,
+    spec_echo: dict,
+    seed: int,
+    started: str,
+    outputs: list[str],
+    events: Optional[EventSet] = None,
 ) -> None:
+    """``events``, read from an event file, adds that file's header."""
     manifest = {
         "tool_version": __version__,
         "params_digest": params.digest(),
@@ -120,15 +135,23 @@ def _write_manifest(
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if events is not None:
+        manifest["events"] = {
+            "seed": events.seed,
+            "n_pairs": events.n,
+            # a header without tau_max reads as NaN, which JSON cannot hold
+            "tau_max": events.tau_max if math.isfinite(events.tau_max) else None,
+            "params_digest": events.params_digest,
+        }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with _atomic_write(Path(str(out_path) + ".manifest.json")) as fh:
+        fh.write(text)
 
 
 def _cmd_table(args, parser) -> int:
-    if args.tau_l < 0:
-        parser.error("--tau-l must be >= 0")
-    if args.tau_r < 0:
-        parser.error("--tau-r must be >= 0")
+    for flag, value in (("--tau-l", args.tau_l), ("--tau-r", args.tau_r)):
+        if not (math.isfinite(value) and value >= 0):
+            parser.error(f"{flag} must be finite and >= 0, got {value}")
     params = load_params(args.params)
     table = full_table(
         _BASIS_NAMES[args.left], _BASIS_NAMES[args.right], args.tau_l, args.tau_r, params
@@ -212,6 +235,7 @@ def _cmd_experiment(args, parser) -> int:
         args.seed,
         started,
         [str(args.out)],
+        events=events,
     )
     return EXIT_OK
 

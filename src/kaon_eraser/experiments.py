@@ -53,7 +53,7 @@ from .decay import (
     _pair_coefficients,
     amplitudes,
 )
-from .generator import EventSet, GeneratorConfig, generate
+from .generator import EventSet, GeneratorConfig, _atomic_write, generate
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
 from .params import PhysicsParams
@@ -833,7 +833,7 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
         fields += [row.counts.get(key, 0) for key in count_keys]
         lines.append(line % tuple(fields))
     grid = spec.tau_l_grid
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")
         fh.write(
             f"# tool_version={tool_version} kind={spec.kind.value}"

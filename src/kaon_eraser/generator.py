@@ -36,11 +36,14 @@ exp(-gamma_s * tau_max) < 1e-12, so the discarded mass is negligible.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 from scipy.special import expit
@@ -111,21 +114,29 @@ def _truncated_exp(u: np.ndarray, gamma: np.ndarray, horizon: np.ndarray) -> np.
     return -np.log1p(-u * mass) / gamma
 
 
-def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The live mode cells and their three weights, once per parameter set.
+
+    Returns (live, m_sl, m_ls, m_x): the flat indices ``6 * ch_l + ch_r``
+    of the cells with some weight, and for each of them the weight of the
+    S-left/L-right pacing, of the L-left/S-right pacing and of the fringe.
+    The other cells are structurally forbidden, and a target of exactly 0
+    would pick the first of them, so the kernel draws among the live ones.
+    """
     amps = amplitudes(params)
     gs_gl = params.gamma_s * params.gamma_l
-    return (
-        np.outer(amps.w_s, amps.w_l).ravel() / gs_gl,
-        np.outer(amps.w_l, amps.w_s).ravel() / gs_gl,
-        np.outer(amps.interference, amps.interference).ravel() / gs_gl,
-    )
+    m_sl = np.outer(amps.w_s, amps.w_l).ravel() / gs_gl
+    m_ls = np.outer(amps.w_l, amps.w_s).ravel() / gs_gl
+    m_x = np.outer(amps.interference, amps.interference).ravel() / gs_gl
+    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
+    return live, m_sl[live], m_ls[live], m_x[live]
 
 
 def sampling_kernel(
     u: np.ndarray,
     params: PhysicsParams,
     tau_max: float = 50.0,
-    cell_weights: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    cell_weights: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Map uniform variates to exact joint decay draws.
 
@@ -133,6 +144,16 @@ def sampling_kernel(
     cell.  Returns (tau_l, mode_l, tau_r, mode_r) with public mode codes.
     One call is one exact draw per column from the truncated joint decay
     density; no rejection, no grids.
+
+    The mode cell is drawn from one C-contiguous (live cells, n) array,
+    filled and summed in place one cell row at a time.  Each cell gets
+    the IEEE operations of ``r*m_sl + (1-r)*m_ls - fringe*m_x``, a clip at
+    0 and a running sum over the live cells, in that order, so the draws
+    are bit for bit those of the broadcast (n, cells) form with
+    ``np.cumsum(axis=1)``.  Where ``m_x == 0`` the fringe term is ±0 and
+    the clip changes nothing, so only the SL×SL rows take them.  No
+    matmul, einsum or reordered sum: those round differently (fused
+    multiply-add, pairwise sums) and would move the last bit of a total.
     """
     if cell_weights is None:
         cell_weights = _cell_weights(params)
@@ -147,25 +168,27 @@ def sampling_kernel(
     dt = tau_l - tau_r
     r = expit(params.delta_gamma * dt)
     fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
-    m_sl, m_ls, m_x = cell_weights
-    # Draw among the cells with some weight only: the other cells are
-    # structurally forbidden, and a target of exactly 0 would pick the first.
-    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
-    p = (
-        r[:, None] * m_sl[None, live]
-        + (1.0 - r)[:, None] * m_ls[None, live]
-        - fringe[:, None] * m_x[None, live]
-    )
-    np.clip(p, 0.0, None, out=p)
-    cum = np.cumsum(p, axis=1)
-    target = u[3] * cum[:, -1]
-    cell = live[np.minimum((cum < target[:, None]).sum(axis=1), live.size - 1)]
-    ch_l, ch_r = cell // 6, cell % 6
+    live, m_sl, m_ls, m_x = cell_weights
+    # Rows are views of p; ``out=row`` writes in place, where ``p[j] += x``
+    # would also copy the row onto itself.
+    p = np.multiply.outer(m_sl, r)
+    one_minus_r = 1.0 - r
+    term = np.empty_like(r)
+    for row, w in zip(p, m_ls):
+        np.add(row, np.multiply(w, one_minus_r, out=term), out=row)
+    for j in np.flatnonzero(m_x):
+        row = p[j]
+        np.subtract(row, np.multiply(m_x[j], fringe, out=term), out=row)
+        np.maximum(row, 0.0, out=row)  # what np.clip(row, 0.0, None) calls
+    for prev, row in zip(p, p[1:]):
+        np.add(row, prev, out=row)
+    target = u[3] * p[-1]
+    pick = np.minimum((p < target).sum(axis=0), live.size - 1)  # position in live
     return (
         tau_l,
-        CHANNEL_TO_MODE_CODE[ch_l],
+        CHANNEL_TO_MODE_CODE[live // 6][pick],
         tau_r,
-        CHANNEL_TO_MODE_CODE[ch_r],
+        CHANNEL_TO_MODE_CODE[live % 6][pick],
     )
 
 
@@ -175,7 +198,7 @@ def _generate_batch(
     seed: int,
     tau_max: float,
     params: PhysicsParams,
-    cell_weights: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cell_weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
     return sampling_kernel(rng.random((4, size)), params, tau_max, cell_weights)
@@ -220,22 +243,57 @@ def generate(
 # --------------------------------------------------------------------------
 
 _HEADER_COLUMNS = "id,tau_l,mode_l,tau_r,mode_r"
+# %.17g prints what f"{x:.17g}" prints
+_EVENT_LINE = "%d,%.17g,%s,%.17g,%s\n"
+
+
+@contextlib.contextmanager
+def _atomic_write(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A text file that takes the place of ``path`` once it is complete.
+
+    It is written under a temporary name in the same directory and moved
+    onto ``path`` with ``os.replace``.  If the writing raises, the
+    temporary file is removed and ``path`` is left as it was: absent, or
+    the earlier complete file.  No reader ever sees a partial file.  A
+    path that exists and is not a regular file, such as ``/dev/stdout``,
+    cannot be replaced and is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_events(path: Union[str, Path], events: EventSet) -> None:
-    mode_names = [m.value for m in MODE_ORDER]
-    with open(path, "w") as fh:
+    """One line per event, formatted and written ``_BATCH`` rows at a time."""
+    mode_names = np.array([m.value for m in MODE_ORDER], dtype=object)
+    with _atomic_write(path) as fh:
         fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n")
         fh.write(
             f"# seed={events.seed} n_pairs={events.n} tau_max={events.tau_max:.17g}"
             f" params_digest={events.params_digest}\n"
         )
         fh.write(_HEADER_COLUMNS + "\n")
-        for i in range(events.n):
-            fh.write(
-                f"{i},{events.tau_l[i]:.17g},{mode_names[events.mode_l[i]]}"
-                f",{events.tau_r[i]:.17g},{mode_names[events.mode_r[i]]}\n"
+        for start in range(0, events.n, _BATCH):
+            chunk = slice(start, start + _BATCH)
+            rows = zip(
+                range(start, start + _BATCH),
+                events.tau_l[chunk].tolist(),
+                mode_names[events.mode_l[chunk]].tolist(),
+                events.tau_r[chunk].tolist(),
+                mode_names[events.mode_r[chunk]].tolist(),
             )
+            fh.write("".join([_EVENT_LINE % row for row in rows]))
 
 
 def read_events(path: Union[str, Path]) -> EventSet:

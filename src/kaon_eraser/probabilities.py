@@ -192,7 +192,8 @@ class TimeWindow:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo:
+        # asks for the good case, so a NaN bound fails it
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0 <= self.lo <= self.hi):
             raise ValueError(f"invalid time window [{self.lo}, {self.hi}]")
 
     @classmethod

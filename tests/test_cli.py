@@ -1,3 +1,6 @@
+import builtins
+import errno
+import io
 import json
 import os
 import resource
@@ -9,7 +12,14 @@ import numpy as np
 import pytest
 
 import kaon_eraser
-from kaon_eraser.cli import EXIT_FORMAT, EXIT_IO, EXIT_USAGE, _parse_grid, main
+from kaon_eraser.cli import (
+    EXIT_FORMAT,
+    EXIT_IO,
+    EXIT_USAGE,
+    _MAX_GRID_POINTS,
+    _parse_grid,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -48,12 +58,15 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
 
 
-def test_parse_grid_rejects_non_finite_values():
-    # A parser that takes a non-finite stop or step counts towards it until
-    # memory runs out, so the grids are parsed in a child process with its
-    # address space capped and a time limit: a regression fails the test
-    # with a MemoryError (or a timeout) in the child.
-    texts = ["0:inf:0.1", "0:nan:0.1", "0:1:nan", "nan:1:0.1", "0:1:inf", "0:1:0.5"]
+def _parse_grids_in_child(texts):
+    """Lines printed by ``_PARSE_GRIDS`` for ``texts``.
+
+    A parser that counts towards a stop it never reaches, or builds a
+    list of 1e12 points, runs until memory runs out, so the grids are
+    parsed in a child process with its address space capped and a time
+    limit: a regression fails the test with a MemoryError (or a timeout)
+    in the child.
+    """
     src = str(Path(kaon_eraser.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -62,8 +75,20 @@ def test_parse_grid_rejects_non_finite_values():
         capture_output=True, text=True, timeout=120, env=env, preexec_fn=_cap_memory,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()
+
+
+def test_parse_grid_rejects_non_finite_values():
+    texts = ["0:inf:0.1", "0:nan:0.1", "0:1:nan", "nan:1:0.1", "0:1:inf", "0:1:0.5"]
     expected = [f"{text} ValueError" for text in texts[:-1]] + ["0:1:0.5 3"]
-    assert proc.stdout.splitlines() == expected
+    assert _parse_grids_in_child(texts) == expected
+
+
+def test_parse_grid_bounds_point_count():
+    assert _MAX_GRID_POINTS == 1_000_000
+    texts = ["0:1e12:1", "0:2e6:1", "5:5.2:1e-7", "0:1e5:1", "0:1e6:1"]
+    expected = [f"{text} ValueError" for text in texts[:3]] + ["0:1e5:1 100001", "0:1e6:1 1000001"]
+    assert _parse_grids_in_child(texts) == expected
 
 
 def test_table_epr_point(capsys):
@@ -95,6 +120,27 @@ def test_table_negative_time_usage_error(capsys):
               "--tau-l", "-1.0", "--tau-r", "0.0"])
     assert exc.value.code == EXIT_USAGE
     assert "--tau-l" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "left, right, flag, value",
+    [
+        ("strangeness", "strangeness", "--tau-l", "nan"),
+        ("strangeness", "strangeness", "--tau-r", "nan"),
+        ("strangeness", "lifetime", "--tau-r", "inf"),
+        ("lifetime", "lifetime", "--tau-l", "inf"),
+    ],
+)
+def test_table_non_finite_time_usage_error(capsys, left, right, flag, value):
+    argv = ["table", "--left", left, "--right", right, "--tau-l", "1.0", "--tau-r", "1.0"]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{flag} must be finite" in captured.err
+    assert value in captured.err
+    assert captured.out == ""
 
 
 def test_generate_deterministic_and_counted(tmp_path, capsys):
@@ -274,3 +320,123 @@ def test_experiment_scan_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["spec"]["kind"] == "c"
     assert manifest["tool_version"]
+
+
+def test_experiment_manifest_records_event_provenance(tmp_path, capsys):
+    events_path = tmp_path / "ev.csv"
+    assert run_cli(
+        capsys, "generate", "--pairs", "3000", "--seed", "17", "--tau-max", "60",
+        "--out", str(events_path),
+    )[0] == 0
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5", "--seed", "3",
+        "--events-in", str(events_path), "--out", str(out),
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+    generated = json.loads((tmp_path / "ev.csv.manifest.json").read_text())
+    assert manifest["seed"] == 3
+    assert manifest["events"] == {
+        "seed": 17,
+        "n_pairs": 3000,
+        "tau_max": 60.0,
+        "params_digest": generated["params_digest"],
+    }
+    # a scan of events drawn in the same run has no event file to describe
+    code, _, _ = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5", "--pairs", "1000",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert "events" not in json.loads((tmp_path / "scan.csv.manifest.json").read_text())
+
+
+class _FullDisk:
+    """A text file whose writes raise ENOSPC once ``room`` characters are used."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, text):
+        if len(text) > self._room:
+            self._fh.write(text[: self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device", self._fh.name)
+        self._room -= len(text)
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _fill_disk_for(monkeypatch, directory, manifest, room=40):
+    """Make text files opened for writing in ``directory`` fail with ENOSPC
+    after ``room`` characters: the manifests if ``manifest``, else the
+    data files (temporary names included)."""
+    real_open = io.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and "w" in mode:
+            path = Path(file)
+            if path.parent == directory and ("manifest" in path.name) == manifest:
+                return _FullDisk(fh, room)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+
+
+_WRITES = {
+    "generate": ["generate", "--pairs", "300", "--seed", "{seed}"],
+    "experiment": ["experiment", "c", "--tau-r0", "1", "--grid", "0:2:0.5", "--pairs", "2000",
+                   "--seed", "{seed}"],
+}
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+@pytest.mark.parametrize("target", ["out.csv", "out.csv.manifest.json"])
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, command, target,
+                                             earlier):
+    # a write that fails partway through (here: the disk fills) must leave
+    # the target as it was: absent, or holding the earlier complete file
+    out = tmp_path / "out.csv"
+
+    def run(seed):
+        argv = [a.format(seed=seed) for a in _WRITES[command]] + ["--out", str(out)]
+        return run_cli(capsys, *argv)
+
+    before = {}
+    if earlier:
+        assert run(1)[0] == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fill_disk_for(monkeypatch, tmp_path, manifest=target.endswith(".manifest.json"))
+    code, _, err = run(2)
+    monkeypatch.undo()
+    assert code == EXIT_IO, err
+    assert "No space left" in err
+    path = tmp_path / target
+    if earlier:
+        assert path.read_bytes() == before[target]
+    else:
+        assert not path.exists()
+    # and no temporary file is left behind
+    assert {p.name for p in tmp_path.iterdir()} <= {"out.csv", "out.csv.manifest.json"}
+
+
+def test_device_target_is_written_in_place(tmp_path, capsys):
+    # a device cannot be replaced: a link to /dev/null must stay a link
+    link = tmp_path / "out.csv"
+    link.symlink_to(os.devnull)
+    code, _, err = run_cli(capsys, "generate", "--pairs", "10", "--out", str(link))
+    assert code == 0, err
+    assert link.is_symlink()
+    assert {p.name for p in tmp_path.iterdir()} == {"out.csv", "out.csv.manifest.json"}

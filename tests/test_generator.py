@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from kaon_eraser import (
     sampling_kernel,
@@ -15,6 +16,10 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
+from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, amplitudes
+from kaon_eraser.generator import _BATCH, _cell_weights, _truncated_exp
+from kaon_eraser.probabilities import _sech
+from tests.conftest import random_params
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +163,63 @@ def test_sampling_kernel_zero_target_avoids_forbidden_cells(default_params):
     allowed = integrated_mode_pair_probabilities(default_params) > 0.0
     assert np.all(allowed[mode_l[:5], mode_r[:5]])
     assert np.all(allowed[mode_l, mode_r])
+
+
+def _broadcast_kernel(u, params, tau_max=50.0):
+    """Reference: the mode cell drawn from broadcast (n, cells) products and
+    ``np.cumsum(axis=1)``; same truncated exponentials, r and fringe.
+    Returns the four event columns and the running cell totals."""
+    gs = params.gamma_s
+    s_paced_left = u[0] < 0.5
+    gamma_left = np.where(s_paced_left, gs, params.gamma_l)
+    gamma_right = np.where(s_paced_left, params.gamma_l, gs)
+    tau_l = _truncated_exp(u[1], gamma_left, tau_max * gs / gamma_left)
+    tau_r = _truncated_exp(u[2], gamma_right, tau_max * gs / gamma_right)
+    dt = tau_l - tau_r
+    r = expit(params.delta_gamma * dt)
+    fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
+    amps = amplitudes(params)
+    gs_gl = params.gamma_s * params.gamma_l
+    m_sl = np.outer(amps.w_s, amps.w_l).ravel() / gs_gl
+    m_ls = np.outer(amps.w_l, amps.w_s).ravel() / gs_gl
+    m_x = np.outer(amps.interference, amps.interference).ravel() / gs_gl
+    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
+    p = (
+        r[:, None] * m_sl[None, live]
+        + (1.0 - r)[:, None] * m_ls[None, live]
+        - fringe[:, None] * m_x[None, live]
+    )
+    np.clip(p, 0.0, None, out=p)
+    cum = np.cumsum(p, axis=1)
+    target = u[3] * cum[:, -1]
+    cell = live[np.minimum((cum < target[:, None]).sum(axis=1), live.size - 1)]
+    events = (tau_l, CHANNEL_TO_MODE_CODE[cell // 6], tau_r, CHANNEL_TO_MODE_CODE[cell % 6])
+    return events, cum
+
+
+def test_kernel_is_bitwise_broadcast_reference(default_params, rich_params):
+    # The cell-major in-place kernel must give the reference's bytes: the
+    # same IEEE operations on each cell, in the same order.  A last-bit
+    # change of a running total moves a draw only where the target sits on
+    # it, so every other column gets such a target: u3 = cum[j] / cum[-1]
+    # for a random cell j (u3 * cum[-1] then lands on cum[j] for most
+    # columns).  A target of exactly 0 is in every batch as well.
+    rng = np.random.default_rng(2024)
+    param_sets = [default_params, rich_params] + [random_params(rng) for _ in range(5)]
+    for n_set, params in enumerate(param_sets):
+        weights = _cell_weights(params)
+        for k in range(8):
+            u = np.random.Generator(np.random.Philox(key=n_set).jumped(k)).random((4, _BATCH))
+            _, cum = _broadcast_kernel(u, params)
+            cols = np.arange(0, _BATCH, 2)
+            edge = rng.integers(0, cum.shape[1] - 1, size=cols.size)
+            u[3, cols] = cum[cols, edge] / cum[cols, -1]
+            u[3, k::509] = 0.0
+            expected, _ = _broadcast_kernel(u, params)
+            for got in (sampling_kernel(u, params, 50.0, weights), sampling_kernel(u, params)):
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (n_set, k)
 
 
 def test_factorizing_degenerate_case_kolmogorov_smirnov():

@@ -381,6 +381,24 @@ def test_core_window_and_table_checks(default_params):
         _check_analytic((quarter, quarter, quarter, quarter + np.array([0.0, math.nan, 0.0])))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TimeWindow(math.nan, math.nan),
+        lambda: TimeWindow.centered(math.nan, 0.2),
+        lambda: TimeWindow.point(math.nan),
+        lambda: TimeWindow(0.0, math.inf),
+        lambda: TimeWindow(math.inf, math.inf),
+        lambda: TimeWindow.centered(1.0, math.inf),
+        lambda: TimeWindow(-1.0, 1.0),
+        lambda: TimeWindow(2.0, 1.0),
+    ],
+)
+def test_time_window_refuses_non_finite_and_unordered_bounds(make):
+    with pytest.raises(ValueError, match="invalid time window"):
+        make()
+
+
 def test_table_checks_reject_nan(default_params):
     # both times far out: the survival weight underflows to 0, the fringe
     # cells are 0/0 = NaN, and NaN compares false in every check
