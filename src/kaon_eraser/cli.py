@@ -11,12 +11,13 @@ fixed seed every output data file is byte-for-byte reproducible for any
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .generator import (
@@ -115,16 +116,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(
+@contextlib.contextmanager
+def _manifest_around(
     out_path: Path,
     params,
     spec_echo: dict,
     seed: int,
     started: str,
-    outputs: list[str],
     events: Optional[EventSet] = None,
-) -> None:
-    """``events``, read from an event file, adds that file's header."""
+) -> Iterator[None]:
+    """``<out_path>.manifest.json``, written and flushed under a temporary
+    name before the body writes the data file and moved into place right
+    after it, so a failed write of either file leaves both as they were.
+    ``events``, read from an event file, adds that file's header."""
     manifest = {
         "tool_version": __version__,
         "params_digest": params.digest(),
@@ -133,7 +137,7 @@ def _write_manifest(
         "seed": seed,
         "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": [str(out_path)],
     }
     if events is not None:
         manifest["events"] = {
@@ -146,6 +150,8 @@ def _write_manifest(
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     with _atomic_write(Path(str(out_path) + ".manifest.json")) as fh:
         fh.write(text)
+        fh.flush()
+        yield
 
 
 def _cmd_table(args, parser) -> int:
@@ -179,15 +185,14 @@ def _cmd_generate(args, parser) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     config = GeneratorConfig(seed=args.seed, n_pairs=args.pairs, tau_max=args.tau_max)
     events = generate(config, params, threads=args.threads)
-    write_events(args.out, events)
-    _write_manifest(
+    with _manifest_around(
         args.out,
         params,
         {"command": "generate", "n_pairs": args.pairs, "tau_max": args.tau_max},
         args.seed,
         started,
-        [str(args.out)],
-    )
+    ):
+        write_events(args.out, events)
     return EXIT_OK
 
 
@@ -216,9 +221,11 @@ def _cmd_experiment(args, parser) -> int:
         bin_width_r=args.bin_width if args.bin_width_r is None else args.bin_width_r,
         min_count=args.min_count,
     )
-    result = run_experiment(spec, params, events=events, threads=args.threads)
-    write_scan_csv(args.out, result, __version__)
-    _write_manifest(
+    sample = events
+    if events is None and spec.n_pairs > 0:
+        sample = generate(GeneratorConfig(spec.seed, spec.n_pairs), params, threads=args.threads)
+    result = run_experiment(spec, params, events=sample)
+    with _manifest_around(
         args.out,
         params,
         {
@@ -234,9 +241,9 @@ def _cmd_experiment(args, parser) -> int:
         },
         args.seed,
         started,
-        [str(args.out)],
         events=events,
-    )
+    ):
+        write_scan_csv(args.out, result, __version__)
     return EXIT_OK
 
 

@@ -49,11 +49,10 @@ from .decay import (
     IDENTIFIES,
     MODE_CODES,
     DecayMode,
-    TransitionAmplitudes,
     _pair_coefficients,
     amplitudes,
 )
-from .generator import EventSet, GeneratorConfig, _atomic_write, generate
+from .generator import EventSet, _atomic_write
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
 from .params import PhysicsParams
@@ -233,31 +232,16 @@ def _born_cell_probs(
     return p / p.sum()
 
 
-# --------------------------------------------------------------------------
-# Estimate constructors
-# --------------------------------------------------------------------------
-
-
-def _ratio_estimate(count: int, total: int, twin: float, min_count: int) -> Estimate:
-    if total == 0:
-        return Estimate(0.0, 0.0, twin, 0, True)
-    value = count / total
-    sigma = np.sqrt(max(value * (1.0 - value), 0.0) / total)
-    # the binomial error is only trustworthy when both cells are populated
-    flagged = min(count, total - count) < min_count
-    return Estimate(float(value), float(sigma), twin, total, flagged)
-
-
-def _scaled_estimate(count: int, scale: float, twin: float, min_count: int) -> Estimate:
-    if scale <= 0.0:
-        return Estimate(0.0, 0.0, twin, int(count), True)
-    value = count / scale
-    sigma = np.sqrt(count) / scale
-    return Estimate(float(value), float(sigma), twin, int(count), count < min_count)
-
-
-def _analytic_estimate(twin: float) -> Estimate:
-    return Estimate(twin, 0.0, twin, 0, False)
+def _born_counts(spec, params, survivors, stream: int, *cell_sets) -> list[np.ndarray]:
+    """Born-rule draws of the survivors of every row, one ``(rows, cells)``
+    array per cell set.  Row i draws from its own generator, seeded
+    ``[seed, i, stream]``, one multinomial per cell set in the given order."""
+    counts = [np.empty((survivors.size, len(cells)), dtype=np.int64) for cells in cell_sets]
+    for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, survivors.tolist())):
+        rng = np.random.default_rng([spec.seed, row, stream])
+        for out, cells in zip(counts, cell_sets):
+            out[row] = rng.multinomial(n, _born_cell_probs(tau_l, spec.tau_r0, params, cells))
+    return counts
 
 
 # --------------------------------------------------------------------------
@@ -277,31 +261,24 @@ def _early_window(spec: ExperimentSpec) -> TimeWindow:
     return TimeWindow(max(0.0, spec.tau_r0 - spec.bin_width_r), spec.tau_r0)
 
 
-@dataclasses.dataclass(frozen=True)
-class _ScanTwins:
-    """Per row: the twins of the four columns and ``d``, the survival weight
-    that the width-scaled estimates of b, c and d divide by.
+def _object_bins(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` of every row's object window: a bin for d, a point otherwise."""
+    if spec.kind is ExperimentKind.PASSIVE_PASSIVE:
+        return _bounds([TimeWindow.centered(tau_l, spec.bin_width_l) for tau_l in spec.tau_l_grid])
+    grid = np.array(spec.tau_l_grid)
+    return grid, grid
+
+
+def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> tuple[dict, np.ndarray]:
+    """Per family, every row's twin; and ``d``, the survival weight that
+    the width-scaled estimates of b, c and d divide by.
 
     The like twin is the sum of the (K0, K0) and (K0bar, K0bar) cells of
     the window table, and so on for the other families, added in that
     order.  The strangeness (x) lifetime twins and ``d`` of b use the
     early meter window, all other twins the meter window of the kind.
     """
-
-    like: list[float]
-    unlike: list[float]
-    s_ks: list[float]
-    s_kl: list[float]
-    d: list[float]
-
-
-def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> _ScanTwins:
-    if spec.kind is ExperimentKind.PASSIVE_PASSIVE:
-        lo, hi = _bounds(
-            [TimeWindow.centered(tau_l, spec.bin_width_l) for tau_l in spec.tau_l_grid]
-        )
-    else:
-        lo = hi = np.array(spec.tau_l_grid)
+    lo, hi = _object_bins(spec)
     meter = _meter_window(spec)
     fringe = mixed = _window_terms(lo, hi, meter.lo, meter.hi, params)
     if spec.kind is ExperimentKind.PARTIALLY_ACTIVE:
@@ -311,61 +288,42 @@ def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> _ScanTwins:
     # the checks of the (S,S) and (S,L) window tables the twins come from
     _check_analytic((fringe.like, fringe.unlike, fringe.unlike, fringe.like))
     _check_analytic((cell_ks, cell_kl, cell_ks, cell_kl))
-    return _ScanTwins(
-        like=(fringe.like + fringe.like).tolist(),
-        unlike=(fringe.unlike + fringe.unlike).tolist(),
-        s_ks=(cell_ks + cell_ks).tolist(),
-        s_kl=(cell_kl + cell_kl).tolist(),
-        d=mixed.d.tolist(),
-    )
-
-
-def _analytic_rows(spec: ExperimentSpec, twins: _ScanTwins) -> tuple[ScanRow, ...]:
-    """Rows of a scan without events (kinds a and b): every column is its twin."""
-    count_keys = _COUNT_KEYS[spec.kind]
-    return tuple(
-        ScanRow(
-            tau_l,
-            _analytic_estimate(like),
-            _analytic_estimate(unlike),
-            _analytic_estimate(s_ks),
-            _analytic_estimate(s_kl),
-            counts=dict.fromkeys(count_keys, 0),
-        )
-        for tau_l, like, unlike, s_ks, s_kl in zip(
-            spec.tau_l_grid, twins.like, twins.unlike, twins.s_ks, twins.s_kl
-        )
-    )
+    twins = {
+        "like": fringe.like + fringe.like,
+        "unlike": fringe.unlike + fringe.unlike,
+        "s_ks": cell_ks + cell_ks,
+        "s_kl": cell_kl + cell_kl,
+    }
+    return twins, mixed.d
 
 
 # --------------------------------------------------------------------------
-# Count index: the integer counts of every row from one cut per scan
+# Counting and estimates: every row's counts from one searchsorted of the
+# grid per sorted cut, every row of a family from one array expression
 # --------------------------------------------------------------------------
 
 
-def _n_above(sorted_tau: np.ndarray, t: float) -> int:
-    """How many entries are > ``t``; equals ``np.sum(tau > t)``."""
-    return int(sorted_tau.size - np.searchsorted(sorted_tau, t, "right"))
+def _n_above(sorted_tau: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per grid point t, how many entries are > t; equals ``np.sum(tau > t)``."""
+    return sorted_tau.size - np.searchsorted(sorted_tau, grid, "right")
 
 
-def _n_within(sorted_tau: np.ndarray, lo: float, hi: float) -> int:
-    """How many entries lie in the closed bin [lo, hi]; equals
+def _n_within(sorted_tau: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per closed bin [lo, hi], how many entries lie in it; equals
     ``np.sum((tau >= lo) & (tau <= hi))``."""
-    return int(np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left"))
+    return np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left")
 
 
-def _sorted_by_mode(tau_l: np.ndarray, codes: np.ndarray) -> dict[DecayMode, np.ndarray]:
-    """Sorted ``tau_l`` of the events of each decay mode, given their mode codes."""
-    return {mode: np.sort(tau_l[codes == code]) for mode, code in MODE_CODES.items()}
+def _above_by_mode(tau_l, codes, grid: np.ndarray) -> dict[DecayMode, np.ndarray]:
+    """Per decay mode, :func:`_n_above` of the ``tau_l`` of the events whose mode code it is."""
+    return {m: _n_above(np.sort(tau_l[codes == c]), grid) for m, c in MODE_CODES.items()}
 
 
 def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
     return (tau >= window.lo) & (tau <= window.hi)
 
 
-def _window_cells(
-    events: EventSet, window_r: TimeWindow
-) -> dict[tuple[DecayMode, DecayMode], np.ndarray]:
+def _window_cells(events: EventSet, window_r: TimeWindow) -> dict[tuple, np.ndarray]:
     """Sorted ``tau_l`` of the pairs whose meter decays inside ``window_r``,
     one array per (mode_l, mode_r) cell."""
     kept = _in_window(events.tau_r, window_r)
@@ -379,81 +337,44 @@ def _window_cells(
     }
 
 
-@dataclasses.dataclass(frozen=True)
-class _CountIndex:
-    """Sorted decay times from which one scan reads every row's counts.
-
-    Each part comes from one cut on the meter side, is built only for the
-    kinds that read it, and turns a row's mask over all events into
-    :func:`_n_above` (``tau_l > t``) or :func:`_n_within` (a closed object
-    bin), which give the same integers:
-
-    ``survivors`` (a, b)
-        sorted ``tau_l`` of the pairs with ``tau_r > tau_r0``;
-    ``early``, ``early_window`` (b)
-        per meter decay mode, sorted ``tau_l`` of the pairs with
-        ``tau_r < tau_r0``, and of those inside :func:`_early_window`;
-    ``window_sl`` (c)
-        ``(tau_l, tau_r, mode_r)`` of the semileptonic meter decays inside
-        the meter window, in event order: a row's Born draws pair up with
-        its records in that order;
-    ``window_modes`` (c)
-        per meter decay mode, sorted ``tau_l`` of the meter-window pairs;
-    ``cells`` (d)
-        :func:`_window_cells` of the meter window.
-    """
-
-    n: int
-    survivors: Optional[np.ndarray] = None
-    early: Optional[dict[DecayMode, np.ndarray]] = None
-    early_window: Optional[dict[DecayMode, np.ndarray]] = None
-    window_sl: tuple[np.ndarray, ...] = ()
-    window_modes: Optional[dict[DecayMode, np.ndarray]] = None
-    cells: Optional[dict[tuple[DecayMode, DecayMode], np.ndarray]] = None
+#: One family over the grid: ``(value, sigma, n, flagged)`` arrays.
+_Column = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _count_index(spec: ExperimentSpec, events: EventSet) -> _CountIndex:
-    kind = spec.kind
-    tau_l, tau_r, mode_r = events.tau_l, events.tau_r, events.mode_r
-    if kind is ExperimentKind.ACTIVE_ACTIVE:
-        return _CountIndex(events.n, survivors=np.sort(tau_l[tau_r > spec.tau_r0]))
-    if kind is ExperimentKind.PARTIALLY_ACTIVE:
-        early = tau_r < spec.tau_r0
-        early_l, early_r, early_modes = tau_l[early], tau_r[early], mode_r[early]
-        in_window = early_r >= _early_window(spec).lo
-        return _CountIndex(
-            events.n,
-            survivors=np.sort(tau_l[tau_r > spec.tau_r0]),
-            early=_sorted_by_mode(early_l, early_modes),
-            early_window=_sorted_by_mode(early_l[in_window], early_modes[in_window]),
-        )
-    window_r = _meter_window(spec)
-    if kind is ExperimentKind.PASSIVE_METER:
-        kept = _in_window(tau_r, window_r)
-        kept_l, kept_r, kept_modes = tau_l[kept], tau_r[kept], mode_r[kept]
-        # semileptonic meter decays: the modes that identify a strangeness outcome
-        sl = np.isin(kept_modes, [MODE_CODES[_MODE_OF[outcome]] for outcome in _S_OUTCOMES])
-        return _CountIndex(
-            events.n,
-            window_sl=(kept_l[sl], kept_r[sl], kept_modes[sl]),
-            window_modes=_sorted_by_mode(kept_l, kept_modes),
-        )
-    return _CountIndex(events.n, cells=_window_cells(events, window_r))
+def _ratio(count: np.ndarray, total: np.ndarray, min_count: int) -> _Column:
+    """Binomial count ratios; a row with ``total == 0`` reads 0 +- 0, flagged."""
+    safe = np.maximum(total, 1)
+    value = count / safe
+    sigma = np.sqrt(np.maximum(value * (1.0 - value), 0.0) / safe)
+    # the binomial error is only trustworthy when both cells are populated
+    return value, sigma, total, np.minimum(count, total - count) < min_count
+
+
+def _divided(count: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``count / scale`` and its Poisson error; 0 +- 0 where ``scale <= 0``."""
+    live = scale > 0.0
+    safe = np.where(live, scale, 1.0)
+    return np.where(live, count / safe, 0.0), np.where(live, np.sqrt(count) / safe, 0.0)
+
+
+def _lifetime_columns(n_window, n_pairs: int, params, d, min_count: int) -> dict[str, _Column]:
+    """s_ks and s_kl of b and c: the meter's 2pi and 3pi decays inside its
+    window (``n_window``, per mode) as width-scaled Poisson counts; a row
+    whose scale is not positive is flagged."""
+    amps = amplitudes(params)
+    columns = {}
+    for fam, mode in (("s_ks", DecayMode.TWO_PI), ("s_kl", DecayMode.THREE_PI)):
+        count, scale = n_window[mode], n_pairs * amps.identified_width(mode) * d
+        columns[fam] = (*_divided(count, scale), count, (scale <= 0.0) | (count < min_count))
+    return columns
 
 
 # --------------------------------------------------------------------------
-# Per-kind row builders
+# Per-kind columns: each family's (value, sigma, n, flagged) over the grid
 # --------------------------------------------------------------------------
 
 
-def _row_active_active(
-    spec: ExperimentSpec,
-    params: PhysicsParams,
-    amps: TransitionAmplitudes,
-    index: _CountIndex,
-    twins: _ScanTwins,
-    row: int,
-) -> ScanRow:
+def _columns_active_active(spec, params, events: EventSet, d: np.ndarray) -> tuple[dict, dict]:
     """Both sides projected at (tau_l, tau_r0) on pairs surviving to both.
 
     Survival is decided by rejection on the generated decay times; the
@@ -461,34 +382,21 @@ def _row_active_active(
     state, once in the strangeness-strangeness setup and once with the
     meter matter removed (strangeness-lifetime setup).
     """
-    tau_l = spec.tau_l_grid[row]
-    survivors = _n_above(index.survivors, tau_l)
-    rng = np.random.default_rng([spec.seed, row, 0])
-    c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
-    c_m = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _MIXED_CELLS))
+    grid = np.array(spec.tau_l_grid)
+    survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
+    c_s, c_m = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
     mc = spec.min_count
-    return ScanRow(
-        tau_l,
-        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twins.like[row], mc),
-        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twins.unlike[row], mc),
-        s_ks=_ratio_estimate(int(c_m[0] + c_m[2]), survivors, twins.s_ks[row], mc),
-        s_kl=_ratio_estimate(int(c_m[1] + c_m[3]), survivors, twins.s_kl[row], mc),
-        counts={
-            "strangeness": survivors,
-            "lifetime": survivors,
-            "discarded": index.n - survivors,
-        },
-    )
+    columns = {
+        "like": _ratio(c_s[:, 0] + c_s[:, 3], survivors, mc),
+        "unlike": _ratio(c_s[:, 1] + c_s[:, 2], survivors, mc),
+        "s_ks": _ratio(c_m[:, 0] + c_m[:, 2], survivors, mc),
+        "s_kl": _ratio(c_m[:, 1] + c_m[:, 3], survivors, mc),
+    }
+    counts = {"strangeness": survivors, "lifetime": survivors, "discarded": events.n - survivors}
+    return columns, counts
 
 
-def _row_partially_active(
-    spec: ExperimentSpec,
-    params: PhysicsParams,
-    amps: TransitionAmplitudes,
-    index: _CountIndex,
-    twins: _ScanTwins,
-    row: int,
-) -> ScanRow:
+def _columns_partially_active(spec, params, events: EventSet, d: np.ndarray) -> tuple[dict, dict]:
     """Meter matter fixed at tau_r0; the meter chooses by decaying or not.
 
     Pairs whose meter survives to tau_r0 get the active strangeness
@@ -499,46 +407,30 @@ def _row_partially_active(
     measure strangeness instead and are tallied separately; other modes
     are discarded.  The lifetime/early tallies cover all early decays.
     """
-    tau_l = spec.tau_l_grid[row]
-    survivors = _n_above(index.survivors, tau_l)
-    rng = np.random.default_rng([spec.seed, row, 1])
-    c_s = rng.multinomial(survivors, _born_cell_probs(tau_l, spec.tau_r0, params, _S_CELLS))
-
-    n_early = {mode: _n_above(taus, tau_l) for mode, taus in index.early.items()}
-    c_2pi = _n_above(index.early_window[DecayMode.TWO_PI], tau_l)
-    c_3pi = _n_above(index.early_window[DecayMode.THREE_PI], tau_l)
-    d = twins.d[row]
-    n_total = index.n
-    mc = spec.min_count
-    return ScanRow(
-        tau_l,
-        like=_ratio_estimate(int(c_s[0] + c_s[3]), survivors, twins.like[row], mc),
-        unlike=_ratio_estimate(int(c_s[1] + c_s[2]), survivors, twins.unlike[row], mc),
-        s_ks=_scaled_estimate(
-            c_2pi, n_total * amps.identified_width(DecayMode.TWO_PI) * d, twins.s_ks[row], mc
+    grid = np.array(spec.tau_l_grid)
+    survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
+    (c_s,) = _born_counts(spec, params, survivors, 1, _S_CELLS)
+    early = events.tau_r < spec.tau_r0
+    in_window = early & (events.tau_r >= _early_window(spec).lo)
+    n_early = _above_by_mode(events.tau_l[early], events.mode_r[early], grid)
+    n_window = _above_by_mode(events.tau_l[in_window], events.mode_r[in_window], grid)
+    columns = {
+        "like": _ratio(c_s[:, 0] + c_s[:, 3], survivors, spec.min_count),
+        "unlike": _ratio(c_s[:, 1] + c_s[:, 2], survivors, spec.min_count),
+        **_lifetime_columns(n_window, events.n, params, d, spec.min_count),
+    }
+    counts = {
+        "strangeness": survivors,
+        "lifetime": n_early[DecayMode.TWO_PI] + n_early[DecayMode.THREE_PI],
+        "early_strangeness": (
+            n_early[DecayMode.SEMILEPTONIC_PLUS] + n_early[DecayMode.SEMILEPTONIC_MINUS]
         ),
-        s_kl=_scaled_estimate(
-            c_3pi, n_total * amps.identified_width(DecayMode.THREE_PI) * d, twins.s_kl[row], mc
-        ),
-        counts={
-            "strangeness": survivors,
-            "lifetime": n_early[DecayMode.TWO_PI] + n_early[DecayMode.THREE_PI],
-            "early_strangeness": (
-                n_early[DecayMode.SEMILEPTONIC_PLUS] + n_early[DecayMode.SEMILEPTONIC_MINUS]
-            ),
-            "discarded": n_early[DecayMode.OTHER],
-        },
-    )
+        "discarded": n_early[DecayMode.OTHER],
+    }
+    return columns, counts
 
 
-def _row_passive_meter(
-    spec: ExperimentSpec,
-    params: PhysicsParams,
-    amps: TransitionAmplitudes,
-    index: _CountIndex,
-    twins: _ScanTwins,
-    row: int,
-) -> ScanRow:
+def _columns_passive_meter(spec, params, events: EventSet, d: np.ndarray) -> tuple[dict, dict]:
     """Meter read purely from its decay record near tau_r0; object active.
 
     Meter decays inside the window centered on tau_r0 are classified by
@@ -548,107 +440,85 @@ def _row_passive_meter(
     out as plain count ratios; the lifetime columns are width-scaled
     counts as in the fully passive protocol.
     """
-    tau_l = spec.tau_l_grid[row]
-
-    # semileptonic meter decays: strangeness tag; draw the left active
-    # outcome from the conditional pair amplitude given the meter record
-    sl_tau_l, sl_tau_r, sl_modes = index.window_sl
-    alive = sl_tau_l > tau_l
-    t_sl = sl_tau_r[alive]
-    n_sl = int(t_sl.size)
-    c_like = 0
-    if n_sl:
-        right_k0 = sl_modes[alive] == MODE_CODES[_MODE_OF[Outcome.K0]]
-        sign = np.where(right_k0, 1.0, -1.0)
-        c_sl, c_ls = _pair_coefficients(tau_l, t_sl, params)
-        num = np.abs(sign * c_sl + c_ls) ** 2
-        den = 2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2)
-        p_k0 = num / den
-        rng = np.random.default_rng([spec.seed, row, 2])
-        left_k0 = rng.random(n_sl) < p_k0
-        c_like = int(np.sum(left_k0 == right_k0))
-
-    c_2pi = _n_above(index.window_modes[DecayMode.TWO_PI], tau_l)
-    c_3pi = _n_above(index.window_modes[DecayMode.THREE_PI], tau_l)
-    d = twins.d[row]
-    mc = spec.min_count
-    return ScanRow(
-        tau_l,
-        like=_ratio_estimate(c_like, n_sl, twins.like[row], mc),
-        unlike=_ratio_estimate(n_sl - c_like, n_sl, twins.unlike[row], mc),
-        s_ks=_scaled_estimate(
-            c_2pi, index.n * amps.identified_width(DecayMode.TWO_PI) * d, twins.s_ks[row], mc
-        ),
-        s_kl=_scaled_estimate(
-            c_3pi, index.n * amps.identified_width(DecayMode.THREE_PI) * d, twins.s_kl[row], mc
-        ),
-        counts={
-            "strangeness": n_sl,
-            "lifetime": c_2pi + c_3pi,
-            "discarded": _n_above(index.window_modes[DecayMode.OTHER], tau_l),
-        },
-    )
+    kept = _in_window(events.tau_r, _meter_window(spec))
+    kept_l, kept_r, kept_modes = events.tau_l[kept], events.tau_r[kept], events.mode_r[kept]
+    # semileptonic meter decays: the modes that identify a strangeness outcome
+    sl = np.isin(kept_modes, [MODE_CODES[_MODE_OF[outcome]] for outcome in _S_OUTCOMES])
+    sl_tau_l, sl_tau_r = kept_l[sl], kept_r[sl]
+    sl_k0 = kept_modes[sl] == MODE_CODES[_MODE_OF[Outcome.K0]]
+    n_sl, c_like = np.zeros((2, len(spec.tau_l_grid)), dtype=np.int64)
+    for row, tau_l in enumerate(spec.tau_l_grid):
+        # draw the left active outcome of every record alive at tau_l from
+        # the conditional pair amplitude given the meter record; the draws
+        # pair up with the records in event order
+        alive = sl_tau_l > tau_l
+        t_sl = sl_tau_r[alive]
+        n_sl[row] = t_sl.size
+        if t_sl.size:
+            right_k0 = sl_k0[alive]
+            c_sl, c_ls = _pair_coefficients(tau_l, t_sl, params)
+            num = np.abs(np.where(right_k0, 1.0, -1.0) * c_sl + c_ls) ** 2
+            p_k0 = num / (2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2))
+            left_k0 = np.random.default_rng([spec.seed, row, 2]).random(t_sl.size) < p_k0
+            c_like[row] = np.sum(left_k0 == right_k0)
+    n_window = _above_by_mode(kept_l, kept_modes, np.array(spec.tau_l_grid))
+    columns = {
+        "like": _ratio(c_like, n_sl, spec.min_count),
+        "unlike": _ratio(n_sl - c_like, n_sl, spec.min_count),
+        **_lifetime_columns(n_window, events.n, params, d, spec.min_count),
+    }
+    counts = {
+        "strangeness": n_sl,
+        "lifetime": n_window[DecayMode.TWO_PI] + n_window[DecayMode.THREE_PI],
+        "discarded": n_window[DecayMode.OTHER],
+    }
+    return columns, counts
 
 
-def _row_passive_passive(
-    spec: ExperimentSpec,
-    params: PhysicsParams,
-    amps: TransitionAmplitudes,
-    index: _CountIndex,
-    twins: _ScanTwins,
-    row: int,
-) -> ScanRow:
+def _columns_passive_passive(spec, params, events: EventSet, d: np.ndarray) -> tuple[dict, dict]:
     """Nothing projected: counting and sorting of joint decay records.
 
     Both decay times are binned (object bin around tau_l, meter bin around
     tau_r0) and the four identifying mode cells per observable family are
-    turned into probabilities by :func:`_passive_table`, the estimator of
+    turned into probabilities by :func:`_passive_cells`, the estimator of
     :func:`sort_passive_events`.  Object bins of neighbouring rows may
     overlap.
     """
-    tau_l = spec.tau_l_grid[row]
-    window_l = TimeWindow.centered(tau_l, spec.bin_width_l)
+    lo, hi = _object_bins(spec)
+    cells = _window_cells(events, _meter_window(spec))
+    # semileptonic object with semileptonic / nonleptonic meter
     table_s, table_m = (
-        _passive_table(
-            index.cells, index.n, tau_l, window_l, twins.d[row], amps,
-            Basis.STRANGENESS, kind_r, spec.tau_r0, spec.min_count,
-        )
+        _passive_cells(cells, lo, hi, events.n * d, params, Basis.STRANGENESS, kind_r)
         for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
     )
 
-    def combine(table, cells, twin):
-        value = sum(table.p[c] for c in cells)
-        sigma = np.sqrt(sum(table.sigma[c] ** 2 for c in cells))
-        n = sum(table.counts[c] for c in cells)
-        return Estimate(float(value), float(sigma), twin, n, n < spec.min_count)
+    def family(table, key_a, key_b) -> _Column:
+        (p_a, s_a, n_a), (p_b, s_b, n_b) = table[key_a], table[key_b]
+        # scalar ** is libm pow, an array's ** 2 is x * x: they can differ
+        # in the last bit, and the scan bytes are pinned to the scalar form
+        sigma = np.sqrt([a ** 2 + b ** 2 for a, b in zip(s_a.tolist(), s_b.tolist())])
+        n = n_a + n_b
+        return p_a + p_b, sigma, n, n < spec.min_count
 
-    # semileptonic object with semileptonic / nonleptonic meter: exactly
-    # the cells of the two tables
-    n_in_bins = sum(_n_within(taus, window_l.lo, window_l.hi) for taus in index.cells.values())
-    return ScanRow(
-        tau_l,
-        like=combine(
-            table_s,
-            [(Outcome.K0, Outcome.K0), (Outcome.K0BAR, Outcome.K0BAR)],
-            twins.like[row],
-        ),
-        unlike=combine(
-            table_s,
-            [(Outcome.K0, Outcome.K0BAR), (Outcome.K0BAR, Outcome.K0)],
-            twins.unlike[row],
-        ),
-        s_ks=combine(
-            table_m, [(Outcome.K0, Outcome.KS), (Outcome.K0BAR, Outcome.KS)], twins.s_ks[row]
-        ),
-        s_kl=combine(
-            table_m, [(Outcome.K0, Outcome.KL), (Outcome.K0BAR, Outcome.KL)], twins.s_kl[row]
-        ),
-        counts={
-            "strangeness": table_s.n_events,
-            "lifetime": table_m.n_events,
-            "discarded": n_in_bins - table_s.n_events - table_m.n_events,
-        },
-    )
+    k0, k0bar, ks, kl = Outcome.K0, Outcome.K0BAR, Outcome.KS, Outcome.KL
+    columns = {
+        "like": family(table_s, (k0, k0), (k0bar, k0bar)),
+        "unlike": family(table_s, (k0, k0bar), (k0bar, k0)),
+        "s_ks": family(table_m, (k0, ks), (k0bar, ks)),
+        "s_kl": family(table_m, (k0, kl), (k0bar, kl)),
+    }
+    n_s, n_m = (sum(n for _, _, n in table.values()) for table in (table_s, table_m))
+    n_in_bins = sum(_n_within(taus, lo, hi) for taus in cells.values())
+    counts = {"strangeness": n_s, "lifetime": n_m, "discarded": n_in_bins - n_s - n_m}
+    return columns, counts
+
+
+_COLUMN_BUILDERS = {
+    ExperimentKind.ACTIVE_ACTIVE: _columns_active_active,
+    ExperimentKind.PARTIALLY_ACTIVE: _columns_partially_active,
+    ExperimentKind.PASSIVE_METER: _columns_passive_meter,
+    ExperimentKind.PASSIVE_PASSIVE: _columns_passive_passive,
+}
 
 
 # --------------------------------------------------------------------------
@@ -656,50 +526,22 @@ def _row_passive_passive(
 # --------------------------------------------------------------------------
 
 
-def _passive_table(
-    cells: dict[tuple[DecayMode, DecayMode], np.ndarray],
-    n_pairs: int,
-    tau_l: float,
-    window_l: TimeWindow,
-    d: float,
-    amps: TransitionAmplitudes,
-    kind_l: Basis,
-    kind_r: Basis,
-    tau_r0: float,
-    min_count: int,
-) -> JointProbabilityTable:
-    """One table of :func:`sort_passive_events` from :func:`_window_cells`
-    of its meter window, the object bin ``window_l`` and ``d``, the
-    survival weight of the two bins."""
-    p: dict[tuple[Outcome, Outcome], float] = {}
-    sigma: dict[tuple[Outcome, Outcome], float] = {}
-    counts: dict[tuple[Outcome, Outcome], int] = {}
-    total = 0
+def _passive_cells(
+    cells, lo: np.ndarray, hi: np.ndarray, n_d: np.ndarray, params, kind_l: Basis, kind_r: Basis
+) -> dict[tuple[Outcome, Outcome], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per outcome pair of the observables: probability, Poisson error and
+    count in every object bin [lo, hi], from :func:`_window_cells` of the
+    meter window.  ``n_d`` is ``n_pairs * d``, with ``d`` the survival
+    weight of each pair of bins."""
+    amps = amplitudes(params)
+    estimates = {}
     for ol in _OUTCOMES[kind_l]:
         for outcome_r in _OUTCOMES[kind_r]:
             mode_l, mode_r = _MODE_OF[ol], _MODE_OF[outcome_r]
-            count = _n_within(cells[(mode_l, mode_r)], window_l.lo, window_l.hi)
-            total += count
-            counts[(ol, outcome_r)] = count
-            scale = n_pairs * d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
-            if scale > 0.0:
-                p[(ol, outcome_r)] = count / scale
-                sigma[(ol, outcome_r)] = np.sqrt(count) / scale
-            else:
-                p[(ol, outcome_r)] = 0.0
-                sigma[(ol, outcome_r)] = 0.0
-    return JointProbabilityTable(
-        obs_l_kind=kind_l,
-        obs_r_kind=kind_r,
-        tau_l=float(tau_l),
-        tau_r=tau_r0,
-        p=p,
-        sigma=sigma,
-        source=Source.MONTE_CARLO,
-        n_events=total,
-        flagged=total < min_count,
-        counts=counts,
-    )
+            count = _n_within(cells[(mode_l, mode_r)], lo, hi)
+            scale = n_d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
+            estimates[(ol, outcome_r)] = (*_divided(count, scale), count)
+    return estimates
 
 
 def sort_passive_events(
@@ -735,64 +577,67 @@ def sort_passive_events(
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):
         raise ValueError("grid spacing must be at least bin_width (bins must not overlap)")
-    width_r = bin_width if bin_width_r is None else bin_width_r
-    amps = amplitudes(params)
-    window_r = TimeWindow.centered(tau_r0, width_r)
-    cells = _window_cells(events, window_r)
-    windows_l = [TimeWindow.centered(float(tau_l), bin_width) for tau_l in grid_arr]
-    d = _survival(*_bounds(windows_l), window_r.lo, window_r.hi, params).d.tolist()
-    return [
-        _passive_table(
-            cells, events.n, tau_l, window_l, d_row, amps, kind_l, kind_r, tau_r0, min_count
-        )
-        for tau_l, window_l, d_row in zip(grid_arr, windows_l, d)
-    ]
+    window_r = TimeWindow.centered(tau_r0, bin_width if bin_width_r is None else bin_width_r)
+    lo, hi = _bounds([TimeWindow.centered(float(tau_l), bin_width) for tau_l in grid_arr])
+    n_d = events.n * _survival(lo, hi, window_r.lo, window_r.hi, params).d
+    cells = _passive_cells(_window_cells(events, window_r), lo, hi, n_d, params, kind_l, kind_r)
+    columns = [{key: cell[i].tolist() for key, cell in cells.items()} for i in range(3)]
+    tables = []
+    for row, tau_l in enumerate(grid_arr.tolist()):
+        p, sigma, counts = ({key: v[row] for key, v in column.items()} for column in columns)
+        total = sum(counts.values())
+        tables.append(JointProbabilityTable(
+            obs_l_kind=kind_l, obs_r_kind=kind_r, tau_l=tau_l, tau_r=tau_r0, p=p, sigma=sigma,
+            source=Source.MONTE_CARLO, n_events=total, flagged=total < min_count, counts=counts,
+        ))
+    return tables
 
 
 # --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
 
-_ROW_BUILDERS = {
-    ExperimentKind.ACTIVE_ACTIVE: _row_active_active,
-    ExperimentKind.PARTIALLY_ACTIVE: _row_partially_active,
-    ExperimentKind.PASSIVE_METER: _row_passive_meter,
-    ExperimentKind.PASSIVE_PASSIVE: _row_passive_passive,
-}
+
+def _rows(spec: ExperimentSpec, twins: dict, columns: dict, counts: dict) -> tuple[ScanRow, ...]:
+    """The scan's rows from every family's columns and twins and the count
+    columns.  An array that fills several columns, such as an analytic
+    value and its twin, is listed once, so the rows share its floats."""
+    lists = {}
+
+    def listed(column: np.ndarray) -> list:
+        if id(column) not in lists:
+            lists[id(column)] = column.tolist()
+        return lists[id(column)]
+
+    families = []
+    for fam in _FAMILIES:
+        value, sigma, n, flagged = map(listed, columns[fam])
+        families.append(map(Estimate, value, sigma, listed(twins[fam]), n, flagged))
+    keys = _COUNT_KEYS[spec.kind]
+    row_counts = (dict(zip(keys, row)) for row in zip(*(listed(counts[key]) for key in keys)))
+    return tuple(map(ScanRow, spec.tau_l_grid, *families, row_counts))
 
 
 def run_experiment(
-    spec: ExperimentSpec,
-    params: PhysicsParams,
-    events: Optional[EventSet] = None,
-    threads: int = 1,
+    spec: ExperimentSpec, params: PhysicsParams, events: Optional[EventSet] = None
 ) -> ScanResult:
     """Run one eraser protocol over the object-time grid.
 
-    ``events`` may be a pre-generated event set (reused as-is); otherwise
-    ``spec.n_pairs`` events are generated with ``spec.seed`` by
-    ``threads`` workers.  The result is independent of ``threads``.
-    Without events (``n_pairs == 0``) the columns are analytic.
+    ``events`` is the pre-generated event set the protocol sorts, reused
+    as is.  Without events the scan is analytic: ``spec.n_pairs`` must be
+    0 (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
-        events = generate(
-            GeneratorConfig(seed=spec.seed, n_pairs=spec.n_pairs), params, threads=threads
-        )
-    if events is None and spec.kind in (
-        ExperimentKind.PASSIVE_METER,
-        ExperimentKind.PASSIVE_PASSIVE,
-    ):
-        raise ValueError(f"kind {spec.kind.value!r} requires events")
-    twins = _scan_twins(spec, params)
+        raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
+    twins, d = _scan_twins(spec, params)
     if events is None:
-        return ScanResult(spec=spec, params=params, rows=_analytic_rows(spec, twins))
-    amps = amplitudes(params)
-    index = _count_index(spec, events)
-    builder = _ROW_BUILDERS[spec.kind]
-    rows = tuple(
-        builder(spec, params, amps, index, twins, i) for i in range(len(spec.tau_l_grid))
-    )
-    return ScanResult(spec=spec, params=params, rows=rows)
+        zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)
+        sigma, unflagged = np.zeros(zero.size), np.zeros(zero.size, dtype=bool)
+        columns = {fam: (twins[fam], sigma, zero, unflagged) for fam in _FAMILIES}
+        counts = dict.fromkeys(_COUNT_KEYS[spec.kind], zero)
+    else:
+        columns, counts = _COLUMN_BUILDERS[spec.kind](spec, params, events, d)
+    return ScanResult(spec=spec, params=params, rows=_rows(spec, twins, columns, counts))
 
 
 # --------------------------------------------------------------------------
@@ -802,12 +647,7 @@ def run_experiment(
 _FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 _COUNT_KEYS = {
     ExperimentKind.ACTIVE_ACTIVE: ("strangeness", "lifetime", "discarded"),
-    ExperimentKind.PARTIALLY_ACTIVE: (
-        "strangeness",
-        "lifetime",
-        "early_strangeness",
-        "discarded",
-    ),
+    ExperimentKind.PARTIALLY_ACTIVE: ("strangeness", "lifetime", "early_strangeness", "discarded"),
     ExperimentKind.PASSIVE_METER: ("strangeness", "lifetime", "discarded"),
     ExperimentKind.PASSIVE_PASSIVE: ("strangeness", "lifetime", "discarded"),
 }

@@ -430,6 +430,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, comm
         assert not path.exists()
     # and no temporary file is left behind
     assert {p.name for p in tmp_path.iterdir()} <= {"out.csv", "out.csv.manifest.json"}
+    # nor a data file beside a manifest of another run, whichever write failed
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_device_target_is_written_in_place(tmp_path, capsys):

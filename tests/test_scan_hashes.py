@@ -81,3 +81,25 @@ def test_monte_carlo_scan_bytes(tmp_path, rich_params, events_mc, kind):
     )
     result = run_experiment(spec, rich_params, events=events_mc)
     assert _scan_sha256(tmp_path, result) == MC_HASHES[kind]
+
+
+def test_scalar_square_in_passive_sigma(tmp_path, rich_params):
+    # d's family sigma is sqrt(s_a**2 + s_b**2) on Python floats, where **
+    # calls libm pow; the array form computes x * x, which differs in the
+    # last bit of s_kl_sigma in row tau_l = 3.25 of this scan
+    events = generate(GeneratorConfig(seed=1, n_pairs=60_000), rich_params)
+    spec = ExperimentSpec(
+        kind=ExperimentKind.PASSIVE_PASSIVE,
+        tau_r0=0.0,
+        tau_l_grid=tuple(0.25 * k for k in range(20)),
+        n_pairs=events.n,
+        seed=8,
+        bin_width_l=0.5,
+        bin_width_r=0.3,
+        min_count=3,
+    )
+    result = run_experiment(spec, rich_params, events=events)
+    assert result.rows[13].s_kl.sigma == 0.16099994417638597
+    assert _scan_sha256(tmp_path, result) == (
+        "c1b62779020bc1ad3c6ecc01cb5458939b6d51357730ab79ed5271de7fa71442"
+    )
