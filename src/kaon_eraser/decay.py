@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .kaon import Outcome
-from .params import PhysicsParams
+from .params import PhysicsParams, check_times
 
 
 class ConfigurationError(ValueError):
@@ -185,8 +185,7 @@ def normalization_factor(tau_l: float, tau_r: float, params: PhysicsParams) -> f
     N(tau_l, tau_r) = exp(-(gamma_l+gamma_s)(tau_l+tau_r)/2)
                       * cosh((gamma_l-gamma_s)(tau_l-tau_r)/2)
     """
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError(f"times must be >= 0, got ({tau_l}, {tau_r})")
+    check_times(tau_l, tau_r)
     return 0.5 * (
         math.exp(-params.gamma_s * tau_l - params.gamma_l * tau_r)
         + math.exp(-params.gamma_l * tau_l - params.gamma_s * tau_r)
@@ -210,8 +209,7 @@ def joint_rate_channels(
     amps: TransitionAmplitudes,
 ) -> float:
     """Joint decay rate density for internal channels (includes other-splits)."""
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError(f"times must be >= 0, got ({tau_l}, {tau_r})")
+    check_times(tau_l, tau_r)
     c_sl, c_ls = _pair_coefficients(tau_l, tau_r, amps.params)
     a = amps.a
     amp = complex(c_sl) * a[ch_l, 0] * a[ch_r, 1] + complex(c_ls) * a[ch_l, 1] * a[ch_r, 0]

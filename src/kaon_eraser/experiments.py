@@ -61,16 +61,27 @@ from .probabilities import (
     Source,
     TimeWindow,
     _L_OUTCOMES,
+    _OUTCOMES,
     _S_OUTCOMES,
     _bounds,
+    _cells,
     _check_analytic,
     _survival,
     _window_terms,
 )
 
-_OUTCOMES = {Basis.STRANGENESS: _S_OUTCOMES, Basis.LIFETIME: _L_OUTCOMES}
 _S_CELLS = tuple(itertools.product(_S_OUTCOMES, _S_OUTCOMES))
 _MIXED_CELLS = tuple(itertools.product(_S_OUTCOMES, _L_OUTCOMES))
+
+#: The two cells of the (strangeness, strangeness) or (strangeness,
+#: lifetime) table that each family of a scan sums, in the order added.
+_FAMILY_CELLS = {
+    "like": ((Outcome.K0, Outcome.K0), (Outcome.K0BAR, Outcome.K0BAR)),
+    "unlike": ((Outcome.K0, Outcome.K0BAR), (Outcome.K0BAR, Outcome.K0)),
+    "s_ks": ((Outcome.K0, Outcome.KS), (Outcome.K0BAR, Outcome.KS)),
+    "s_kl": ((Outcome.K0, Outcome.KL), (Outcome.K0BAR, Outcome.KL)),
+}
+_FAMILIES = tuple(_FAMILY_CELLS)
 
 #: The decay mode that identifies each outcome: ``decay.IDENTIFIES`` read
 #: backwards.
@@ -232,16 +243,17 @@ def _born_cell_probs(
     return p / p.sum()
 
 
-def _born_counts(spec, params, survivors, stream: int, *cell_sets) -> list[np.ndarray]:
-    """Born-rule draws of the survivors of every row, one ``(rows, cells)``
-    array per cell set.  Row i draws from its own generator, seeded
+def _born_counts(spec, params, survivors, stream: int, *cell_sets) -> dict[tuple, np.ndarray]:
+    """Born-rule draws of the survivors of every row: per cell, its count
+    in every row.  Row i draws from its own generator, seeded
     ``[seed, i, stream]``, one multinomial per cell set in the given order."""
     counts = [np.empty((survivors.size, len(cells)), dtype=np.int64) for cells in cell_sets]
     for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, survivors.tolist())):
         rng = np.random.default_rng([spec.seed, row, stream])
         for out, cells in zip(counts, cell_sets):
             out[row] = rng.multinomial(n, _born_cell_probs(tau_l, spec.tau_r0, params, cells))
-    return counts
+    return {cell: column
+            for out, cells in zip(counts, cell_sets) for cell, column in zip(cells, out.T)}
 
 
 # --------------------------------------------------------------------------
@@ -273,10 +285,9 @@ def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> tuple[dict, np.n
     """Per family, every row's twin; and ``d``, the survival weight that
     the width-scaled estimates of b, c and d divide by.
 
-    The like twin is the sum of the (K0, K0) and (K0bar, K0bar) cells of
-    the window table, and so on for the other families, added in that
-    order.  The strangeness (x) lifetime twins and ``d`` of b use the
-    early meter window, all other twins the meter window of the kind.
+    Each twin is the sum of its family's two cells of the window tables.
+    The strangeness (x) lifetime twins and ``d`` of b use the early meter
+    window, all other twins the meter window of the kind.
     """
     lo, hi = _object_bins(spec)
     meter = _meter_window(spec)
@@ -284,16 +295,12 @@ def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> tuple[dict, np.n
     if spec.kind is ExperimentKind.PARTIALLY_ACTIVE:
         early = _early_window(spec)
         mixed = _window_terms(lo, hi, early.lo, early.hi, params)
-    cell_ks, cell_kl = 0.5 * mixed.w_ks, 0.5 * mixed.w_kl
-    # the checks of the (S,S) and (S,L) window tables the twins come from
-    _check_analytic((fringe.like, fringe.unlike, fringe.unlike, fringe.like))
-    _check_analytic((cell_ks, cell_kl, cell_ks, cell_kl))
-    twins = {
-        "like": fringe.like + fringe.like,
-        "unlike": fringe.unlike + fringe.unlike,
-        "s_ks": cell_ks + cell_ks,
-        "s_kl": cell_kl + cell_kl,
-    }
+    cells = {}
+    for kind_r, terms in ((Basis.STRANGENESS, fringe), (Basis.LIFETIME, mixed)):
+        table = _cells(Basis.STRANGENESS, kind_r, terms[1:])
+        _check_analytic(tuple(table.values()))
+        cells.update(table)
+    twins = {fam: cells[a] + cells[b] for fam, (a, b) in _FAMILY_CELLS.items()}
     return twins, mixed.d
 
 
@@ -357,6 +364,12 @@ def _divided(count: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(live, count / safe, 0.0), np.where(live, np.sqrt(count) / safe, 0.0)
 
 
+def _born_columns(born: dict, survivors: np.ndarray, min_count: int) -> dict[str, _Column]:
+    """The count ratio of every family whose two cells were drawn."""
+    return {fam: _ratio(born[a] + born[b], survivors, min_count)
+            for fam, (a, b) in _FAMILY_CELLS.items() if a in born}
+
+
 def _lifetime_columns(n_window, n_pairs: int, params, d, min_count: int) -> dict[str, _Column]:
     """s_ks and s_kl of b and c: the meter's 2pi and 3pi decays inside its
     window (``n_window``, per mode) as width-scaled Poisson counts; a row
@@ -384,14 +397,8 @@ def _columns_active_active(spec, params, events: EventSet, d: np.ndarray) -> tup
     """
     grid = np.array(spec.tau_l_grid)
     survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
-    c_s, c_m = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
-    mc = spec.min_count
-    columns = {
-        "like": _ratio(c_s[:, 0] + c_s[:, 3], survivors, mc),
-        "unlike": _ratio(c_s[:, 1] + c_s[:, 2], survivors, mc),
-        "s_ks": _ratio(c_m[:, 0] + c_m[:, 2], survivors, mc),
-        "s_kl": _ratio(c_m[:, 1] + c_m[:, 3], survivors, mc),
-    }
+    born = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
+    columns = _born_columns(born, survivors, spec.min_count)
     counts = {"strangeness": survivors, "lifetime": survivors, "discarded": events.n - survivors}
     return columns, counts
 
@@ -409,14 +416,13 @@ def _columns_partially_active(spec, params, events: EventSet, d: np.ndarray) -> 
     """
     grid = np.array(spec.tau_l_grid)
     survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
-    (c_s,) = _born_counts(spec, params, survivors, 1, _S_CELLS)
+    born = _born_counts(spec, params, survivors, 1, _S_CELLS)
     early = events.tau_r < spec.tau_r0
     in_window = early & (events.tau_r >= _early_window(spec).lo)
     n_early = _above_by_mode(events.tau_l[early], events.mode_r[early], grid)
     n_window = _above_by_mode(events.tau_l[in_window], events.mode_r[in_window], grid)
     columns = {
-        "like": _ratio(c_s[:, 0] + c_s[:, 3], survivors, spec.min_count),
-        "unlike": _ratio(c_s[:, 1] + c_s[:, 2], survivors, spec.min_count),
+        **_born_columns(born, survivors, spec.min_count),
         **_lifetime_columns(n_window, events.n, params, d, spec.min_count),
     }
     counts = {
@@ -492,21 +498,17 @@ def _columns_passive_passive(spec, params, events: EventSet, d: np.ndarray) -> t
         for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
     )
 
-    def family(table, key_a, key_b) -> _Column:
-        (p_a, s_a, n_a), (p_b, s_b, n_b) = table[key_a], table[key_b]
+    by_cell = {**table_s, **table_m}
+
+    def family(key_a, key_b) -> _Column:
+        (p_a, s_a, n_a), (p_b, s_b, n_b) = by_cell[key_a], by_cell[key_b]
         # scalar ** is libm pow, an array's ** 2 is x * x: they can differ
         # in the last bit, and the scan bytes are pinned to the scalar form
         sigma = np.sqrt([a ** 2 + b ** 2 for a, b in zip(s_a.tolist(), s_b.tolist())])
         n = n_a + n_b
         return p_a + p_b, sigma, n, n < spec.min_count
 
-    k0, k0bar, ks, kl = Outcome.K0, Outcome.K0BAR, Outcome.KS, Outcome.KL
-    columns = {
-        "like": family(table_s, (k0, k0), (k0bar, k0bar)),
-        "unlike": family(table_s, (k0, k0bar), (k0bar, k0)),
-        "s_ks": family(table_m, (k0, ks), (k0bar, ks)),
-        "s_kl": family(table_m, (k0, kl), (k0bar, kl)),
-    }
+    columns = {fam: family(*keys) for fam, keys in _FAMILY_CELLS.items()}
     n_s, n_m = (sum(n for _, _, n in table.values()) for table in (table_s, table_m))
     n_in_bins = sum(_n_within(taus, lo, hi) for taus in cells.values())
     counts = {"strangeness": n_s, "lifetime": n_m, "discarded": n_in_bins - n_s - n_m}
@@ -624,11 +626,14 @@ def run_experiment(
     """Run one eraser protocol over the object-time grid.
 
     ``events`` is the pre-generated event set the protocol sorts, reused
-    as is.  Without events the scan is analytic: ``spec.n_pairs`` must be
+    as is; it must hold ``spec.n_pairs`` pairs, the size the scan header
+    states.  Without events the scan is analytic: ``spec.n_pairs`` must be
     0 (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
         raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
+    if events is not None and events.n != spec.n_pairs:
+        raise ValueError(f"the spec states n_pairs={spec.n_pairs} but the events hold {events.n}")
     twins, d = _scan_twins(spec, params)
     if events is None:
         zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)
@@ -644,7 +649,6 @@ def run_experiment(
 # Scan serialization (CSV with a documented comment header)
 # --------------------------------------------------------------------------
 
-_FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 _COUNT_KEYS = {
     ExperimentKind.ACTIVE_ACTIVE: ("strangeness", "lifetime", "discarded"),
     ExperimentKind.PARTIALLY_ACTIVE: ("strangeness", "lifetime", "early_strangeness", "discarded"),

@@ -81,6 +81,9 @@ class GeneratorConfig:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if not math.isfinite(self.tau_max):
+            # JSON, and so the manifest, cannot hold it
+            raise ValueError(f"tau_max must be finite, got {self.tau_max}")
 
     def validate_horizon(self, params: PhysicsParams) -> None:
         loss = math.exp(-params.gamma_s * self.tau_max)

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import PhysicsParams
+from .params import PhysicsParams, check_times
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -111,8 +111,7 @@ def evolve(state: KaonAmplitude, tau: float, params: PhysicsParams) -> KaonAmpli
     lambda = m - i*gamma/2, so the norm is non-increasing.  States given in
     the strangeness basis are converted, evolved and converted back.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    check_times(tau)
     lifetime = to_basis(state, Basis.LIFETIME)
     evolved = KaonAmplitude(
         Basis.LIFETIME,

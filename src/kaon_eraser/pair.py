@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .kaon import HADAMARD, Basis, Outcome
-from .params import PhysicsParams
+from .params import PhysicsParams, check_times
 
 
 class DegenerateStateError(ValueError):
@@ -92,8 +92,7 @@ def evolve_pair(
     Requires an un-normalized state (evolution after conditioning on
     survival would mix the two normalization conventions).
     """
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError(f"evolution times must be >= 0, got ({tau_l}, {tau_r})")
+    check_times(tau_l, tau_r)
     if state.normalized:
         raise ValueError("cannot evolve a survival-normalized state")
     lifetime = to_pair_basis(state, Basis.LIFETIME, Basis.LIFETIME)

@@ -126,6 +126,14 @@ class PhysicsParams:
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(PhysicsParams))
 
 
+def check_times(*times: float) -> None:
+    """Refuse proper times that are not finite and >= 0.  The check asks
+    for the good case, so a NaN, which compares false, fails it."""
+    for tau in times:
+        if not 0.0 <= tau < math.inf:
+            raise ValueError(f"each time tau must be finite and >= 0, got {times}")
+
+
 def lambda_eigenvalue(params: PhysicsParams, which: str) -> complex:
     """Propagation eigenvalue m - i*gamma/2 for eigenstate 'S' or 'L'."""
     if which == "S":

@@ -22,6 +22,9 @@ are the unbiased targets of the binned event-counting estimators in
 :mod:`kaon_eraser.experiments`.  One core, :func:`_window_terms`,
 evaluates them for one window or, on arrays, for a whole scan at once;
 :func:`survival_weight` and :func:`window_table` are its one-window forms.
+The point closed forms read :func:`_point_terms`, the same four terms at
+one time pair, written as the formulas above.  One layout, :func:`_cells`,
+makes the four cells of every table, point or window, out of those terms.
 
 The sech of the visibility, :func:`_sech`, is also the fringe envelope of
 the Monte Carlo kernel in :mod:`kaon_eraser.generator`.  Analytic tables
@@ -39,10 +42,11 @@ import numpy as np
 from scipy.special import expit
 
 from .kaon import Basis, Outcome
-from .params import PhysicsParams
+from .params import PhysicsParams, check_times
 
 _S_OUTCOMES = (Outcome.K0, Outcome.K0BAR)
 _L_OUTCOMES = (Outcome.KS, Outcome.KL)
+_OUTCOMES = {Basis.STRANGENESS: _S_OUTCOMES, Basis.LIFETIME: _L_OUTCOMES}
 
 #: Analytic tables must sum to 1 within this tolerance.
 TABLE_SUM_TOL = 1e-9
@@ -90,9 +94,43 @@ def visibility(delta_tau: float, params: PhysicsParams) -> float:
     return float(_sech(0.5 * params.delta_gamma * delta_tau))
 
 
-def _check_times(tau_l: float, tau_r: float) -> None:
-    if tau_l < 0 or tau_r < 0:
-        raise ValueError(f"measurement times must be >= 0, got ({tau_l}, {tau_r})")
+def _point_terms(tau_l: float, tau_r: float, params: PhysicsParams) -> tuple:
+    """The terms ``(like, unlike, w_ks, w_kl)`` of :func:`_cells` at the
+    time pair (tau_l, tau_r): what :func:`_window_terms` gives for point
+    windows, written as the formulas of the module docstring."""
+    check_times(tau_l, tau_r)
+    dt = tau_l - tau_r
+    fringe = visibility(dt, params) * math.cos(params.delta_m * dt)
+    x = params.delta_gamma * dt
+    # 1/(1+e^x) = expit(-x), numerically stable for any x
+    return 0.25 * (1.0 - fringe), 0.25 * (1.0 + fringe), float(expit(-x)), float(expit(x))
+
+
+def _cells(kind_l: Basis, kind_r: Basis, terms) -> dict[tuple[Outcome, Outcome], float]:
+    """The four cells of the (kind_l, kind_r) table, laid out from the terms
+    ``(like, unlike, w_ks, w_kl)`` of one time pair (floats) or of many
+    (arrays), keyed in the order the CLI prints them.
+
+    ``w_ks`` is the share of surviving pairs whose right kaon is K_S and
+    left kaon K_L, ``w_kl`` the share with a right K_L and a left K_S.  A
+    strangeness outcome opposite a lifetime outcome splits its share evenly.
+    """
+    like, unlike, w_ks, w_kl = terms
+    ks, kl = _L_OUTCOMES
+    if kind_l is kind_r is Basis.LIFETIME:
+        return {(ks, ks): 0.0, (kl, kl): 0.0, (ks, kl): w_kl, (kl, ks): w_ks}
+    if kind_l is kind_r is Basis.STRANGENESS:
+        return {(a, b): like if a is b else unlike for a in _S_OUTCOMES for b in _S_OUTCOMES}
+    left = kind_l is Basis.LIFETIME
+    half = {ks: 0.5 * (w_kl if left else w_ks), kl: 0.5 * (w_ks if left else w_kl)}
+    return {(a, b): half[a if left else b] for a in _OUTCOMES[kind_l] for b in _OUTCOMES[kind_r]}
+
+
+def _analytic_table(kind_l: Basis, kind_r: Basis, tau_l, tau_r, terms) -> JointProbabilityTable:
+    """The analytic table, checked on construction, of the cells of ``terms``."""
+    p = _cells(kind_l, kind_r, terms)
+    sigma = dict.fromkeys(p, 0.0)
+    return JointProbabilityTable(kind_l, kind_r, tau_l, tau_r, p, sigma, Source.ANALYTIC)
 
 
 def joint_strangeness(
@@ -103,13 +141,10 @@ def joint_strangeness(
     params: PhysicsParams,
 ) -> float:
     """Probability of a joint strangeness outcome, both sides measured."""
-    _check_times(tau_l, tau_r)
+    terms = _point_terms(tau_l, tau_r, params)
     if outcome_l.basis is not Basis.STRANGENESS or outcome_r.basis is not Basis.STRANGENESS:
         raise ValueError("joint_strangeness takes strangeness outcomes")
-    dt = tau_l - tau_r
-    fringe = visibility(dt, params) * math.cos(params.delta_m * dt)
-    like = outcome_l is outcome_r
-    return 0.25 * (1.0 - fringe) if like else 0.25 * (1.0 + fringe)
+    return _cells(Basis.STRANGENESS, Basis.STRANGENESS, terms)[(outcome_l, outcome_r)]
 
 
 def joint_strangeness_lifetime(
@@ -124,14 +159,10 @@ def joint_strangeness_lifetime(
     Independent of the strangeness outcome: the lifetime record on one
     side does not bias the strangeness result on the other.
     """
-    _check_times(tau_l, tau_r)
+    terms = _point_terms(tau_l, tau_r, params)
     if outcome_l.basis is not Basis.STRANGENESS or outcome_r.basis is not Basis.LIFETIME:
         raise ValueError("joint_strangeness_lifetime takes (strangeness, lifetime) outcomes")
-    x = params.delta_gamma * (tau_l - tau_r)
-    # 1/(1+e^x) = expit(-x), numerically stable for any x
-    if outcome_r is Outcome.KS:
-        return 0.5 * float(expit(-x))
-    return 0.5 * float(expit(x))
+    return _cells(Basis.STRANGENESS, Basis.LIFETIME, terms)[(outcome_l, outcome_r)]
 
 
 def full_table(
@@ -142,41 +173,7 @@ def full_table(
     params: PhysicsParams,
 ) -> JointProbabilityTable:
     """All four outcome probabilities for the chosen observable pair."""
-    _check_times(tau_l, tau_r)
-    p: dict[tuple[Outcome, Outcome], float] = {}
-    if kind_l is Basis.STRANGENESS and kind_r is Basis.STRANGENESS:
-        for ol in _S_OUTCOMES:
-            for outcome_r in _S_OUTCOMES:
-                p[(ol, outcome_r)] = joint_strangeness(tau_l, tau_r, ol, outcome_r, params)
-    elif kind_l is Basis.STRANGENESS and kind_r is Basis.LIFETIME:
-        for ol in _S_OUTCOMES:
-            for outcome_r in _L_OUTCOMES:
-                p[(ol, outcome_r)] = joint_strangeness_lifetime(
-                    tau_l, tau_r, ol, outcome_r, params
-                )
-    elif kind_l is Basis.LIFETIME and kind_r is Basis.STRANGENESS:
-        # exchange symmetry of the antisymmetric state: swap sides, negate dt
-        for ol in _L_OUTCOMES:
-            for outcome_r in _S_OUTCOMES:
-                p[(ol, outcome_r)] = joint_strangeness_lifetime(
-                    tau_r, tau_l, outcome_r, ol, params
-                )
-    else:
-        x = params.delta_gamma * (tau_l - tau_r)
-        p[(Outcome.KS, Outcome.KS)] = 0.0
-        p[(Outcome.KL, Outcome.KL)] = 0.0
-        p[(Outcome.KS, Outcome.KL)] = float(expit(x))
-        p[(Outcome.KL, Outcome.KS)] = float(expit(-x))
-    sigma = {key: 0.0 for key in p}
-    return JointProbabilityTable(
-        obs_l_kind=kind_l,
-        obs_r_kind=kind_r,
-        tau_l=tau_l,
-        tau_r=tau_r,
-        p=p,
-        sigma=sigma,
-        source=Source.ANALYTIC,
-    )
+    return _analytic_table(kind_l, kind_r, tau_l, tau_r, _point_terms(tau_l, tau_r, params))
 
 
 # --------------------------------------------------------------------------
@@ -286,11 +283,11 @@ def _survival(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _S
 class _WindowTerms(NamedTuple):
     """Closed forms of object windows against one meter window.
 
-    ``d`` is :func:`survival_weight`; ``like`` and ``unlike`` are the
+    ``d`` is :func:`survival_weight`; the other four fields are the terms
+    that :func:`_cells` lays out: ``like`` and ``unlike`` are the
     strangeness (x) strangeness cells of a like pair such as (K0, K0) and
     of an unlike pair; ``w_ks`` and ``w_kl`` are the shares of surviving
-    pairs whose meter is K_S and K_L, so the strangeness (x) lifetime
-    cells are ``0.5 * w_ks`` and ``0.5 * w_kl``.
+    pairs whose meter is K_S and K_L.
     """
 
     d: np.ndarray
@@ -353,32 +350,4 @@ def window_table(
     point windows it reduces to :func:`full_table`.
     """
     terms = _window_terms(window_l.lo, window_l.hi, window_r.lo, window_r.hi, params)
-    w_ks_r, w_kl_r = terms.w_ks, terms.w_kl
-    p: dict[tuple[Outcome, Outcome], float] = {}
-    if kind_l is Basis.STRANGENESS and kind_r is Basis.STRANGENESS:
-        for ol in _S_OUTCOMES:
-            for outcome_r in _S_OUTCOMES:
-                p[(ol, outcome_r)] = terms.like if ol is outcome_r else terms.unlike
-    elif kind_l is Basis.STRANGENESS and kind_r is Basis.LIFETIME:
-        for ol in _S_OUTCOMES:
-            p[(ol, Outcome.KS)] = 0.5 * w_ks_r
-            p[(ol, Outcome.KL)] = 0.5 * w_kl_r
-    elif kind_l is Basis.LIFETIME and kind_r is Basis.STRANGENESS:
-        for outcome_r in _S_OUTCOMES:
-            p[(Outcome.KS, outcome_r)] = 0.5 * w_kl_r
-            p[(Outcome.KL, outcome_r)] = 0.5 * w_ks_r
-    else:
-        p[(Outcome.KS, Outcome.KS)] = 0.0
-        p[(Outcome.KL, Outcome.KL)] = 0.0
-        p[(Outcome.KS, Outcome.KL)] = w_kl_r
-        p[(Outcome.KL, Outcome.KS)] = w_ks_r
-    sigma = {key: 0.0 for key in p}
-    return JointProbabilityTable(
-        obs_l_kind=kind_l,
-        obs_r_kind=kind_r,
-        tau_l=window_l.center,
-        tau_r=window_r.center,
-        p=p,
-        sigma=sigma,
-        source=Source.ANALYTIC,
-    )
+    return _analytic_table(kind_l, kind_r, window_l.center, window_r.center, terms[1:])

@@ -180,6 +180,19 @@ def test_generate_unwritable_path(tmp_path, capsys):
     assert "missing_dir" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_refuses_non_finite_tau_max(tmp_path, capsys, value):
+    # an infinite horizon truncates nothing, but JSON cannot hold it: the
+    # manifest would read "tau_max": Infinity
+    code, _, err = run_cli(
+        capsys, "generate", "--pairs", "10", "--tau-max", value,
+        "--out", str(tmp_path / "ev.csv"),
+    )
+    assert code == EXIT_USAGE
+    assert "tau_max must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_analytic_fringe_table(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(

@@ -159,6 +159,16 @@ def test_scan_of_pairs_without_events_is_refused(default_params, kind):
         run_experiment(spec, default_params)
 
 
+@pytest.mark.parametrize("kind, n_pairs", [("a", 0), ("b", 1), ("c", 7), ("d", 2001)])
+def test_scan_refuses_events_of_another_sample_size(rich_params, kind, n_pairs):
+    # the header states spec.n_pairs, so it must be the size of the sample
+    # sorted; n_pairs = 0 would also label a Monte Carlo scan analytic
+    events = generate(GeneratorConfig(seed=3, n_pairs=2_000), rich_params)
+    spec = ExperimentSpec(ExperimentKind(kind), 1.0, (0.0, 0.5), n_pairs)
+    with pytest.raises(ValueError, match="n_pairs=.* but the events hold 2000"):
+        run_experiment(spec, rich_params, events=events)
+
+
 def test_partially_active_analytic_only(default_params, grid_short):
     spec = ExperimentSpec(ExperimentKind.PARTIALLY_ACTIVE, 2.0, grid_short, 0)
     result = run_experiment(spec, default_params)
@@ -547,9 +557,9 @@ def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
     # edge), 0.5 makes neighbouring object bins overlap; all edges are
     # exact binary fractions, so shared edges coincide exactly
     grid = tuple(0.25 * k for k in range(9))
-    spec = ExperimentSpec(kind, 1.0, grid, n_pairs=1, seed=8,
+    events = _edge_events(grid, bin_width_l, 1.0, 0.5)
+    spec = ExperimentSpec(kind, 1.0, grid, n_pairs=events.n, seed=8,
                           bin_width_l=bin_width_l, bin_width_r=0.5, min_count=3)
-    events = _edge_events(grid, bin_width_l, spec.tau_r0, spec.bin_width_r)
     result = run_experiment(spec, rich_params, events=events)
     for row_index, row in enumerate(result.rows):
         estimates, counts = _mask_reference_row(spec, rich_params, events, row_index)

@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 
 from kaon_eraser import (
     Basis,
+    DecayMode,
     Outcome,
     PhysicsParams,
     TimeWindow,
+    evolve,
     evolve_pair,
     full_table,
     initial_state,
+    joint_decay_rate,
     joint_strangeness,
     joint_strangeness_lifetime,
+    ket,
     normalize_surviving,
+    passive_probability,
     project_pair,
     survival_weight,
     visibility,
@@ -96,6 +101,34 @@ def test_negative_times_rejected(default_params):
         joint_strangeness(-1.0, 0.0, Outcome.K0, Outcome.K0, default_params)
     with pytest.raises(ValueError):
         joint_strangeness_lifetime(0.0, -1.0, Outcome.K0, Outcome.KS, default_params)
+
+
+#: Every point closed form and amplitude evolution, called with one time ``t``.
+POINT_FORMS = {
+    "joint_strangeness": lambda t, p: joint_strangeness(t, 0.5, Outcome.K0, Outcome.K0, p),
+    "joint_strangeness_lifetime": lambda t, p: joint_strangeness_lifetime(
+        0.5, t, Outcome.K0, Outcome.KS, p
+    ),
+    "full_table": lambda t, p: full_table(Basis.STRANGENESS, Basis.LIFETIME, t, 1.0, p),
+    "passive_probability": lambda t, p: passive_probability(
+        DecayMode.SEMILEPTONIC_PLUS, 1.0, DecayMode.TWO_PI, t, p
+    ),
+    "normalization_factor": lambda t, p: normalization_factor(t, 0.5, p),
+    "joint_decay_rate": lambda t, p: joint_decay_rate(
+        DecayMode.TWO_PI, t, DecayMode.THREE_PI, 0.5, p
+    ),
+    "evolve_pair": lambda t, p: evolve_pair(initial_state(Basis.LIFETIME), 0.5, t, p),
+    "evolve": lambda t, p: evolve(ket(Outcome.K0), t, p),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(POINT_FORMS))
+def test_point_forms_refuse_non_finite_times(default_params, name, value):
+    # NaN passes a check written ``tau < 0``; one shared check asks for
+    # finite times >= 0
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        POINT_FORMS[name](value, default_params)
 
 
 def test_full_table_epr_point(default_params):
