@@ -15,7 +15,7 @@ All times are in units of the K_S lifetime; see :mod:`kaon_eraser.params`.
 
 __version__ = "0.1.0"
 
-from .params import ParamsError, PhysicsParams, lambda_eigenvalue, load_params
+from .params import ParamsError, PhysicsParams, load_params
 from .kaon import Basis, KaonAmplitude, Outcome, evolve, ket, project, to_basis
 from .pair import (
     DegenerateStateError,
@@ -72,7 +72,7 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "ParamsError", "PhysicsParams", "lambda_eigenvalue", "load_params",
+    "ParamsError", "PhysicsParams", "load_params",
     "Basis", "KaonAmplitude", "Outcome", "evolve", "ket", "project", "to_basis",
     "DegenerateStateError", "PairAmplitude", "evolve_pair", "initial_state",
     "normalize_surviving", "project_pair", "to_pair_basis",

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -142,9 +143,9 @@ class ExperimentSpec:
             raise ValueError("min_count must be >= 1")
 
 
-@dataclasses.dataclass(frozen=True)
-class Estimate:
-    """One probability estimate with its exact analytic twin."""
+class Estimate(NamedTuple):
+    """One probability estimate with its exact analytic twin; the fields
+    are the family's scan CSV columns, in order."""
 
     value: float
     sigma: float
@@ -153,9 +154,8 @@ class Estimate:
     flagged: bool
 
 
-@dataclasses.dataclass(frozen=True)
-class ScanRow:
-    """One grid point of a scan.
+class ScanRow(NamedTuple):
+    """One grid point of a scan, one line of the scan CSV.
 
     ``counts`` are the per-row classification tallies (events sorted as
     strangeness-measured, lifetime-measured, discarded; the partially
@@ -626,14 +626,17 @@ def run_experiment(
     """Run one eraser protocol over the object-time grid.
 
     ``events`` is the pre-generated event set the protocol sorts, reused
-    as is; it must hold ``spec.n_pairs`` pairs, the size the scan header
-    states.  Without events the scan is analytic: ``spec.n_pairs`` must be
-    0 (kinds a and b), and every column is its twin.
+    as is; it must hold ``spec.n_pairs >= 1`` pairs, the size the scan
+    header states.  Without events the scan is analytic: ``spec.n_pairs``
+    must be 0 (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
         raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
-    if events is not None and events.n != spec.n_pairs:
-        raise ValueError(f"the spec states n_pairs={spec.n_pairs} but the events hold {events.n}")
+    if events is not None and (spec.n_pairs == 0 or events.n != spec.n_pairs):
+        raise ValueError(
+            "a scan of events needs n_pairs >= 1, the size of its sample;"
+            f" the spec states n_pairs={spec.n_pairs} but the events hold {events.n}"
+        )
     twins, d = _scan_twins(spec, params)
     if events is None:
         zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)
@@ -668,14 +671,11 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
     line = ",".join(
         ["%.17g"] + ["%.17g,%.17g,%.17g,%d,%d"] * len(_FAMILIES) + ["%d"] * len(count_keys)
     ) + "\n"
-    lines = []
-    for row in result.rows:
-        fields = [row.tau_l]
-        for fam in _FAMILIES:
-            est = getattr(row, fam)
-            fields += (est.value, est.sigma, est.twin, est.n, est.flagged)
-        fields += [row.counts.get(key, 0) for key in count_keys]
-        lines.append(line % tuple(fields))
+    counts_of = operator.itemgetter(*count_keys)
+    lines = [
+        line % (row.tau_l, *row.like, *row.unlike, *row.s_ks, *row.s_kl, *counts_of(row.counts))
+        for row in result.rows
+    ]
     grid = spec.tau_l_grid
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")

@@ -92,6 +92,11 @@ class GeneratorConfig:
                 f"tau_max = {self.tau_max} leaves truncated probability mass"
                 f" {loss:.3e} >= {TRUNCATION_BOUND}; increase tau_max"
             )
+        # the longest horizon, of K_L, in the sampling kernel's order of operations
+        if not math.isfinite(self.tau_max * params.gamma_s / params.gamma_l):
+            raise ValueError(
+                f"tau_max = {self.tau_max} makes the horizon tau_max * gamma_s / gamma_l overflow"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -387,12 +392,14 @@ def read_events(path: Union[str, Path]) -> EventSet:
 # --------------------------------------------------------------------------
 
 
-def mode_pair_chi2(
-    events: EventSet, params: PhysicsParams, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+#: Expected count below which :func:`mode_pair_chi2` pools a cell.
+MIN_EXPECTED = 5.0
+
+
+def mode_pair_chi2(events: EventSet, params: PhysicsParams) -> tuple[float, int, float]:
     """Chi-square of observed (mode_l, mode_r) counts vs the exact rates.
 
-    Cells with expected counts below ``min_expected`` are pooled.  Returns
+    Cells with expected counts below ``MIN_EXPECTED`` are pooled.  Returns
     (statistic, dof, p_value); any event in a structurally forbidden cell
     (expected exactly 0) yields p_value 0.
     """
@@ -403,7 +410,7 @@ def mode_pair_chi2(
     expected = events.n * integrated_mode_pair_probabilities(params)
     if np.any(counts[expected == 0.0] > 0):
         return float("inf"), 0, 0.0
-    keep = expected >= min_expected
+    keep = expected >= MIN_EXPECTED
     obs_cells = list(counts[keep])
     exp_cells = list(expected[keep])
     pooled = (~keep) & (expected > 0.0)

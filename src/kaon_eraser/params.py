@@ -134,15 +134,6 @@ def check_times(*times: float) -> None:
             raise ValueError(f"each time tau must be finite and >= 0, got {times}")
 
 
-def lambda_eigenvalue(params: PhysicsParams, which: str) -> complex:
-    """Propagation eigenvalue m - i*gamma/2 for eigenstate 'S' or 'L'."""
-    if which == "S":
-        return params.lambda_s
-    if which == "L":
-        return params.lambda_l
-    raise ValueError(f"which must be 'S' or 'L', got {which!r}")
-
-
 def load_params(
     source: Union[None, str, Path, Mapping[str, float]] = None,
 ) -> PhysicsParams:

@@ -6,12 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kaon_eraser
+from kaon_eraser import EventSet, write_events
 from kaon_eraser.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -193,6 +195,20 @@ def test_generate_refuses_non_finite_tau_max(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_refuses_tau_max_whose_horizon_overflows(tmp_path, capsys):
+    # the longest horizon, tau_max * gamma_s / gamma_l, is inf at defaults
+    # for tau_max above about 3.1e305; drawing with it overflowed in divide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            capsys, "generate", "--pairs", "2000", "--tau-max", "1e306",
+            "--out", str(tmp_path / "ev.csv"),
+        )
+    assert code == EXIT_USAGE
+    assert "horizon" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_analytic_fringe_table(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(
@@ -276,6 +292,23 @@ def test_experiment_events_in_sets_pair_count(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["spec"]["n_pairs"] == 5000
+
+
+def test_experiment_refuses_empty_event_file(tmp_path, capsys, default_params):
+    # the scan would state n_pairs=0, the mark of an analytic scan, over
+    # flagged 0 +- 0 columns
+    events_path = tmp_path / "ev.csv"
+    empty = np.zeros(0)
+    no_modes = np.zeros(0, dtype=np.int8)
+    write_events(events_path, EventSet(empty, no_modes, empty, no_modes, 0, 50.0,
+                                       default_params.digest()))
+    code, _, err = run_cli(
+        capsys, "experiment", "a", "--tau-r0", "1", "--grid", "0:1:0.5",
+        "--events-in", str(events_path), "--out", str(tmp_path / "scan.csv"),
+    )
+    assert code == EXIT_USAGE
+    assert "n_pairs >= 1" in err
+    assert list(tmp_path.iterdir()) == [events_path]
 
 
 def test_experiment_refuses_events_from_other_params(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from kaon_eraser import (
     GeneratorConfig,
     Outcome,
     PhysicsParams,
+    ScanRow,
     TimeWindow,
     classify_event_lifetime,
     full_table,
@@ -167,6 +169,18 @@ def test_scan_refuses_events_of_another_sample_size(rich_params, kind, n_pairs):
     spec = ExperimentSpec(ExperimentKind(kind), 1.0, (0.0, 0.5), n_pairs)
     with pytest.raises(ValueError, match="n_pairs=.* but the events hold 2000"):
         run_experiment(spec, rich_params, events=events)
+
+
+@pytest.mark.parametrize("kind", ["a", "b"])
+def test_scan_refuses_empty_events(default_params, kind):
+    # n_pairs = 0 marks an analytic scan, whose columns are the twins; an
+    # empty sample would write flagged 0 +- 0 columns under that header
+    empty = np.zeros(0)
+    no_modes = np.zeros(0, dtype=np.int8)
+    events = EventSet(empty, no_modes, empty, no_modes, 0, 50.0, default_params.digest())
+    spec = ExperimentSpec(ExperimentKind(kind), 1.0, (0.0, 0.5), 0)
+    with pytest.raises(ValueError, match="n_pairs >= 1"):
+        run_experiment(spec, default_params, events=events)
 
 
 def test_partially_active_analytic_only(default_params, grid_short):
@@ -656,3 +670,16 @@ def test_scan_csv_layout(tmp_path, default_params, grid_short):
     assert header.split(",")[0] == "tau_l"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) == 4
+
+
+def test_scan_csv_refuses_a_row_without_a_count_key(tmp_path, default_params):
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5), 0)
+    result = run_experiment(spec, default_params)
+    first, second = result.rows
+    counts = dict(first.counts)
+    del counts["discarded"]
+    row = ScanRow(first.tau_l, first.like, first.unlike, first.s_ks, first.s_kl, counts)
+    broken = dataclasses.replace(result, rows=(row, second))
+    with pytest.raises(KeyError, match="discarded"):
+        write_scan_csv(tmp_path / "scan.csv", broken, "test")
+    assert list(tmp_path.iterdir()) == []

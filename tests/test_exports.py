@@ -1,12 +1,20 @@
-"""The package's public names: each export resolves, removed ones stay gone."""
+"""The package's public names: each export resolves, removed ones stay gone,
+and the benchmark's tracer still finds what it reads."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import kaon_eraser
-from kaon_eraser import experiments, generator, probabilities
+from kaon_eraser import decay, experiments, generator, params, probabilities
 
-#: The per-event object view and the outcome-kind pair, removed because
-#: no output depends on them.
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+#: The per-event object view, the outcome-kind pair and the string-keyed
+#: eigenvalue lookup, removed because no output depends on them.
 REMOVED = {
     generator: ("DecayEvent", "PairEvent", "Side"),
+    params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),
 }
 
@@ -26,3 +34,41 @@ def test_removed_names_are_gone():
     assert not hasattr(generator.EventSet, "pairs")
     assert not hasattr(experiments.ScanResult, "column")
     assert not hasattr(probabilities.JointProbabilityTable, "outcomes")
+
+
+def _patchable():
+    """Identity of every attribute that the tracer may patch: the names of
+    each loaded ``kaon_eraser`` module and of the one traced class."""
+    owners = [mod for key, mod in sys.modules.items()
+              if key == "kaon_eraser" or key.startswith("kaon_eraser.")]
+    owners.append(decay.TransitionAmplitudes)
+    return {(id(owner), key): id(value) for owner in owners for key, value in vars(owner).items()}
+
+
+def test_bench_tracer_reads_the_library(monkeypatch, tmp_path):
+    # bench/run.py patches library functions by name and counts unflagged
+    # estimates through row.<family>.flagged: a rename breaks it here first
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_DIR / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    from tracer import summarize
+
+    tracer = run.build_tracer()
+    before = _patchable()
+    original = experiments.run_experiment
+    tracer.install()
+    try:
+        assert experiments.run_experiment is not original
+        scan = experiments.ExperimentSpec(
+            kind="a", tau_r0=1.0, tau_l_grid=(0.0, 0.5, 1.0), n_pairs=0
+        )
+        result = experiments.run_experiment(scan, params.PhysicsParams())
+        experiments.write_scan_csv(tmp_path / "scan.csv", result, "test")
+    finally:
+        tracer.uninstall()
+    assert _patchable() == before
+    summary = summarize(tracer, 0, len(tracer))
+    assert summary["experiments.run_experiment.a"]["calls"] == 1
+    assert summary["experiments.write_scan_csv"]["calls"] == 1
+    assert tracer.extra["unflagged.a"] == 12

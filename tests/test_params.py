@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kaon_eraser import ParamsError, PhysicsParams, lambda_eigenvalue, load_params
+from kaon_eraser import ParamsError, PhysicsParams, load_params
 
 
 def test_empty_document_gives_defaults(tmp_path):
@@ -69,12 +69,10 @@ def test_delta_gamma_negative(default_params):
 
 
 def test_lambda_eigenvalues(default_params):
-    assert lambda_eigenvalue(default_params, "S") == complex(0.0, -0.5)
-    lam_l = lambda_eigenvalue(default_params, "L")
+    assert default_params.lambda_s == complex(0.0, -0.5)
+    lam_l = default_params.lambda_l
     assert lam_l.real == 0.47
     assert lam_l.imag == pytest.approx(-1.0 / 1158.0, abs=1e-18)
-    with pytest.raises(ValueError):
-        lambda_eigenvalue(default_params, "X")
 
 
 def test_near_degenerate_widths_give_near_equal_eigenvalues():
