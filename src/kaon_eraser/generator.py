@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 from scipy.special import expit
@@ -250,7 +251,14 @@ def generate(
 # Serialization: one record per line, times with 17 significant digits
 # --------------------------------------------------------------------------
 
-_HEADER_COLUMNS = "id,tau_l,mode_l,tau_r,mode_r"
+#: One record as the reader parses it.  A mode field holds one byte more
+#: than the longest name, so a longer name is cut to one that is no name.
+_MODE_FIELD = f"S{max(len(mode.value) for mode in MODE_ORDER) + 1}"
+_RECORD = np.dtype(
+    [("id", np.int64), ("tau_l", np.float64), ("mode_l", _MODE_FIELD),
+     ("tau_r", np.float64), ("mode_r", _MODE_FIELD)]
+)
+_HEADER_COLUMNS = ",".join(_RECORD.names)
 # %.17g prints what f"{x:.17g}" prints
 _EVENT_LINE = "%d,%.17g,%s,%.17g,%s\n"
 
@@ -304,87 +312,156 @@ def write_events(path: Union[str, Path], events: EventSet) -> None:
             fh.write("".join([_EVENT_LINE % row for row in rows]))
 
 
-def read_events(path: Union[str, Path]) -> EventSet:
-    """Parse an event file; schema violations name the offending line.
+def _parse_records(lines: Iterable[str]) -> np.ndarray:
+    """Records from CSV lines, through NumPy's C tokenizer.
 
-    Decay times must be finite and the number of records must equal the
-    header's ``n_pairs``; both are checked once all lines are parsed.
+    Empty lines are skipped and ``#`` is data.  Raises ``ValueError`` on a
+    wrong field count, a field that does not parse, or a NUL byte: a bytes
+    field drops trailing NULs, so ``TwoPi\\0`` would read as ``TwoPi``.
     """
-    name_to_code = {mode.value: code for mode, code in MODE_CODES.items()}
-    seed, n_pairs, tau_max, digest = 0, None, float("nan"), ""
-    tau_l, mode_l, tau_r, mode_r = [], [], [], []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# kaon-eraser events v"):
-        raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
-    version = lines[0].rsplit("v", 1)[-1]
-    if version != str(EVENT_SCHEMA_VERSION):
-        raise EventFormatError(f"line 1: unsupported schema version {version!r}")
-    body_start = None
-    for idx, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, _, value = token.partition("=")
-                try:
-                    if key == "seed":
-                        seed = int(value)
-                    elif key == "n_pairs":
-                        n_pairs = int(value)
-                    elif key == "tau_max":
-                        tau_max = float(value)
-                except ValueError as exc:
-                    raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
-                if key == "params_digest":
-                    digest = value
-            continue
-        if line == _HEADER_COLUMNS:
-            body_start = idx + 1
+
+    def refuse_nul(lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            if "\0" in line:
+                raise ValueError("NUL byte in a record")
+            yield line
+
+    lines = iter(lines)
+    for line in lines:
+        if line != "\n":
             break
-        raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
-    if body_start is None:
-        raise EventFormatError("missing column header line")
-    for idx, line in enumerate(lines[body_start - 1 :], start=body_start):
-        if not line:
+    else:
+        # an empty body: loadtxt would warn that its input holds no data
+        return np.zeros(0, _RECORD)
+    return np.loadtxt(
+        refuse_nul(itertools.chain([line], lines)),
+        dtype=_RECORD, delimiter=",", comments=None, ndmin=1,
+    )
+
+
+def _parses(lines: Iterable[str]) -> bool:
+    try:
+        _parse_records(lines)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_line_error(fh: TextIO, first_line: int) -> EventFormatError:
+    """The error naming the first body line that :func:`_parse_records` refuses.
+
+    Called only once the whole body has failed to parse.  The file is read
+    again from the start: blocks of lines go through the same parser, then
+    the lines of the first block that fails one by one, so the line named is
+    one the parser itself refuses.  A pipe cannot be read again.
+    """
+    if fh.seekable():
+        fh.seek(0)
+        body = [(idx, line) for idx, line in enumerate(fh, start=1) if idx >= first_line]
+    else:
+        body = []
+    for start in range(0, len(body), _BATCH):
+        block = body[start : start + _BATCH]
+        if _parses(line for _, line in block):
             continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise EventFormatError(f"line {idx}: expected 5 fields, got {len(fields)}")
+        for idx, line in block:
+            if _parses([line]):
+                continue
+            record = line.rstrip("\n")
+            n_fields = len(record.split(","))
+            if n_fields != len(_RECORD):
+                return EventFormatError(
+                    f"line {idx}: expected {len(_RECORD)} fields, got {n_fields}"
+                )
+            return EventFormatError(f"line {idx}: {record!r} does not parse")
+    return EventFormatError("a record does not parse; the input cannot be reread to name its line")
+
+
+def read_events(path: Union[str, Path]) -> EventSet:
+    """Parse an event file, then check the parsed arrays.
+
+    The header and metadata lines are read one by one and the records in one
+    ``np.loadtxt`` call.  A record that does not parse is named by its line;
+    the checks on the arrays (ids sequential from 0, decay times finite and
+    >= 0, known mode names, as many records as the header's ``n_pairs``)
+    name the record id.
+    """
+    seed, n_pairs, tau_max, digest = 0, None, float("nan"), ""
+    with open(path) as fh:
+        schema = fh.readline().rstrip("\n")
+        if not schema.startswith("# kaon-eraser events v"):
+            raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
+        version = schema.rsplit("v", 1)[-1]
+        if version != str(EVENT_SCHEMA_VERSION):
+            raise EventFormatError(f"line 1: unsupported schema version {version!r}")
+        for idx, line in enumerate(iter(fh.readline, ""), start=2):
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    key, _, value = token.partition("=")
+                    try:
+                        if key == "seed":
+                            seed = int(value)
+                        elif key == "n_pairs":
+                            n_pairs = int(value)
+                        elif key == "tau_max":
+                            tau_max = float(value)
+                    except ValueError as exc:
+                        raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
+                    if key == "params_digest":
+                        digest = value
+                continue
+            if line == _HEADER_COLUMNS:
+                break
+            raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
+        else:
+            raise EventFormatError("missing column header line")
+        if n_pairs is None:
+            raise EventFormatError("metadata has no n_pairs")
         try:
-            record_id = int(fields[0])
-            tl, tr = float(fields[1]), float(fields[3])
+            records = _parse_records(fh)
         except ValueError as exc:
-            raise EventFormatError(f"line {idx}: {exc}") from exc
-        if record_id != len(tau_l):
-            raise EventFormatError(f"line {idx}: ids must be sequential from 0")
-        if tl < 0 or tr < 0:
-            raise EventFormatError(f"line {idx}: decay times must be >= 0")
-        if fields[2] not in name_to_code or fields[4] not in name_to_code:
-            raise EventFormatError(f"line {idx}: unknown decay mode name")
-        tau_l.append(tl)
-        mode_l.append(name_to_code[fields[2]])
-        tau_r.append(tr)
-        mode_r.append(name_to_code[fields[4]])
-    tau_l_arr = np.asarray(tau_l, dtype=float)
-    tau_r_arr = np.asarray(tau_r, dtype=float)
-    finite = np.isfinite(tau_l_arr) & np.isfinite(tau_r_arr)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise EventFormatError(f"record id {bad}: decay times must be finite")
-    if n_pairs is None:
-        raise EventFormatError("metadata has no n_pairs")
-    if tau_l_arr.size != n_pairs:
+            raise _bad_line_error(fh, idx + 1) from exc
+
+    ids = records["id"]
+    if not np.array_equal(ids, np.arange(ids.size)):
+        bad = int(np.argmax(ids != np.arange(ids.size)))
         raise EventFormatError(
-            f"header says n_pairs={n_pairs} but the file holds {tau_l_arr.size} records"
+            f"record id {ids[bad]} at position {bad}: ids must be sequential from 0"
+        )
+    tau_l = np.ascontiguousarray(records["tau_l"])
+    tau_r = np.ascontiguousarray(records["tau_r"])
+    valid = np.isfinite(tau_l) & np.isfinite(tau_r) & (tau_l >= 0) & (tau_r >= 0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise EventFormatError(f"record id {bad}: decay times must be finite and >= 0")
+    mode_l = _mode_codes(records["mode_l"])
+    mode_r = _mode_codes(records["mode_r"])
+    known = (mode_l >= 0) & (mode_r >= 0)
+    if not known.all():
+        bad = int(np.argmin(known))
+        raise EventFormatError(f"record id {bad}: unknown decay mode name")
+    if records.size != n_pairs:
+        raise EventFormatError(
+            f"header says n_pairs={n_pairs} but the file holds {records.size} records"
         )
     return EventSet(
-        tau_l=tau_l_arr,
-        mode_l=np.asarray(mode_l, dtype=np.int8),
-        tau_r=tau_r_arr,
-        mode_r=np.asarray(mode_r, dtype=np.int8),
+        tau_l=tau_l,
+        mode_l=mode_l,
+        tau_r=tau_r,
+        mode_r=mode_r,
         seed=seed,
         tau_max=tau_max,
         params_digest=digest,
     )
+
+
+def _mode_codes(names: np.ndarray) -> np.ndarray:
+    """int8 codes of the mode names; -1 where a name is not a mode."""
+    codes = np.full(names.shape, -1, dtype=np.int8)
+    for mode, code in MODE_CODES.items():
+        codes[names == mode.value.encode()] = code
+    return codes
 
 
 # --------------------------------------------------------------------------

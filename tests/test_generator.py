@@ -1,4 +1,7 @@
 import hashlib
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.special import expit
 from kaon_eraser import (
     sampling_kernel,
     EventFormatError,
+    EventSet,
     GeneratorConfig,
     PhysicsParams,
     generate,
@@ -338,3 +342,93 @@ def test_read_rejects_malformed_metadata_value(tmp_path):
     path.write_text(path.read_text().replace("seed=0", "seed=abc"))
     with pytest.raises(EventFormatError, match="line 2: seed"):
         read_events(path)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        # one byte longer than the longest name: a 17-byte field would cut it to a name
+        (["0,1.0,SemileptonicMinusX,1.0,TwoPi"], "unknown decay mode"),
+        # '#' inside a record is data, not the start of a comment
+        (["0,1.0,TwoPi # c,1.0,TwoPi"], "unknown decay mode"),
+        (["0,1.0,TwoPi,1.0,TwoPi # c"], "unknown decay mode"),
+        (["0,1.0, TwoPi,1.0,TwoPi"], "unknown decay mode"),
+        (["0,1.0,TwoPi,1.0,TwoPi "], "unknown decay mode"),
+        # a bytes field drops trailing NULs, which must not turn this into TwoPi
+        (["0,1.0,TwoPi\0,1.0,TwoPi"], "line 4"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0"], "line 5"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0,TwoPi,"], "line 5"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,x,TwoPi"], "line 5"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0,TwoPi", "z,1.0,TwoPi,1.0,TwoPi"],
+         "line 6"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "", "1,,TwoPi,1.0,TwoPi"], "line 6"),
+        (["0,1.0,TwoPi,1.0,ThreePi", "   "], "line 5"),
+    ],
+)
+def test_read_refuses_malformed_records(tmp_path, rows, match):
+    path = tmp_path / "bad.csv"
+    _write_small_event_file(path, len(rows), rows)
+    with pytest.raises(EventFormatError, match=match):
+        read_events(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_refuses_bad_record_from_a_pipe(tmp_path):
+    # the body cannot be read a second time to find the bad line
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    errors = []
+
+    def read():
+        try:
+            read_events(fifo)
+        except EventFormatError as exc:
+            errors.append(str(exc))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    fifo.write_text(
+        "# kaon-eraser events v1\n# seed=0 n_pairs=2 tau_max=50 params_digest=x\n"
+        "id,tau_l,mode_l,tau_r,mode_r\n0,1.0,TwoPi,1.0,ThreePi\n1,x,TwoPi,1.0,TwoPi\n"
+    )
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert len(errors) == 1
+
+
+def test_read_skips_blank_lines_in_body(tmp_path):
+    path = tmp_path / "blank.csv"
+    _write_small_event_file(path, 2, ["", "0,1.0,TwoPi,2.0,ThreePi", "", "1,3.0,Other,4.0,TwoPi", ""])
+    back = read_events(path)
+    np.testing.assert_array_equal(back.tau_l, [1.0, 3.0])
+    np.testing.assert_array_equal(back.tau_r, [2.0, 4.0])
+    assert back.mode_l.tolist() == [0, 4]
+    assert back.mode_r.tolist() == [1, 0]
+
+
+def test_round_trip_is_bitwise_at_extreme_times(tmp_path):
+    times = np.array(
+        [0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0 - 2.0**-53, 0.1 + 0.2]
+    )
+    modes = np.arange(times.size, dtype=np.int8) % 5
+    events = EventSet(times, modes, times[::-1].copy(), modes[::-1].copy(), 3, 50.0, "x")
+    path = tmp_path / "extreme.csv"
+    write_events(path, events)
+    back = read_events(path)
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        assert getattr(back, name).tobytes() == getattr(events, name).tobytes(), name
+    for name, dtype in (("tau_l", np.float64), ("tau_r", np.float64),
+                        ("mode_l", np.int8), ("mode_r", np.int8)):
+        array = getattr(back, name)
+        assert array.dtype == dtype and array.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("rows", [[], ["", ""]])
+def test_read_empty_body_without_warning(tmp_path, rows):
+    path = tmp_path / "empty.csv"
+    _write_small_event_file(path, 0, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_events(path)
+    assert back.n == 0
+    assert back.tau_l.dtype == np.float64 and back.mode_l.dtype == np.int8
