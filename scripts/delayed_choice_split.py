@@ -10,8 +10,6 @@ ordering should not matter; only the sorting of joint events does.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from kaon_eraser import (
     ExperimentKind,
     ExperimentSpec,
@@ -22,8 +20,7 @@ from kaon_eraser import (
     run_experiment,
     write_scan_csv,
 )
-
-FAMILIES = ("like", "unlike", "s_ks", "s_kl")
+from run_eraser_scan import FAMILIES, parse_grid
 
 
 def main() -> int:
@@ -38,8 +35,7 @@ def main() -> int:
     args = ap.parse_args()
 
     params = load_params(args.params)
-    start, stop, step = (float(x) for x in args.grid.split(":"))
-    grid = tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
+    grid = parse_grid(args.grid)
     events = generate(GeneratorConfig(seed=args.seed, n_pairs=args.pairs), params)
     spec = ExperimentSpec(
         kind=ExperimentKind.PASSIVE_PASSIVE,

@@ -3,7 +3,7 @@
 A small research library around one physical system: the antisymmetric
 two-kaon state produced in phi decays.  It provides
 
-* exact single-kaon and pair amplitudes with free-space propagation,
+* exact pair amplitudes with free-space propagation,
 * closed-form joint detection probabilities for all observable pairs,
 * the joint decay-rate model linking spontaneous decays to those same
   probabilities (passive measurements),
@@ -16,7 +16,7 @@ All times are in units of the K_S lifetime; see :mod:`kaon_eraser.params`.
 __version__ = "0.1.0"
 
 from .params import ParamsError, PhysicsParams, load_params
-from .kaon import Basis, KaonAmplitude, Outcome, evolve, ket, project, to_basis
+from .kaon import Basis, Outcome
 from .pair import (
     DegenerateStateError,
     PairAmplitude,
@@ -63,7 +63,6 @@ from .experiments import (
     ExperimentSpec,
     ScanResult,
     ScanRow,
-    classify_event_lifetime,
     misidentification_rates,
     run_experiment,
     sort_passive_events,
@@ -73,7 +72,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     "ParamsError", "PhysicsParams", "load_params",
-    "Basis", "KaonAmplitude", "Outcome", "evolve", "ket", "project", "to_basis",
+    "Basis", "Outcome",
     "DegenerateStateError", "PairAmplitude", "evolve_pair", "initial_state",
     "normalize_surviving", "project_pair", "to_pair_basis",
     "JointProbabilityTable", "Source", "TimeWindow", "full_table",
@@ -85,6 +84,5 @@ __all__ = [
     "EventFormatError", "EventSet", "GeneratorConfig",
     "generate", "mode_pair_chi2", "read_events", "sampling_kernel", "write_events",
     "Estimate", "ExperimentKind", "ExperimentSpec", "ScanResult", "ScanRow",
-    "classify_event_lifetime", "misidentification_rates", "run_experiment",
-    "sort_passive_events", "write_scan_csv",
+    "misidentification_rates", "run_experiment", "sort_passive_events", "write_scan_csv",
 ]

@@ -64,7 +64,6 @@ from .probabilities import (
     _L_OUTCOMES,
     _OUTCOMES,
     _S_OUTCOMES,
-    _bounds,
     _cells,
     _check_analytic,
     _survival,
@@ -198,36 +197,6 @@ def misidentification_rates(params: PhysicsParams) -> tuple[float, float]:
     return float(p_kl_as_ks), float(p_ks_as_kl)
 
 
-def classify_event_lifetime(
-    tau: float,
-    mode: DecayMode,
-    measurement_time: float,
-    params: PhysicsParams,
-    method: str = "window",
-) -> Optional[Outcome]:
-    """Lifetime identification of one decay record, at time ``tau`` in ``mode``.
-
-    ``method="window"``: active-style rule anchored at ``measurement_time``;
-    decay at or before measurement_time + lifetime_window means K_S (closed
-    upper boundary), later means K_L.  Decays before the measurement time
-    are unclassifiable (the kaon never reached the measurement point).
-
-    ``method="mode"``: passive rule; the lifetime outcome the mode
-    identifies (``decay.IDENTIFIES``: 2pi tags K_S, 3pi tags K_L), any other
-    mode is unclassifiable for lifetime.
-    """
-    if method == "mode":
-        outcome = IDENTIFIES[mode]
-        return outcome if outcome is not None and outcome.basis is Basis.LIFETIME else None
-    if method != "window":
-        raise ValueError(f"method must be 'window' or 'mode', got {method!r}")
-    if tau < measurement_time:
-        return None
-    if tau <= measurement_time + params.lifetime_window:
-        return Outcome.KS
-    return Outcome.KL
-
-
 # --------------------------------------------------------------------------
 # Born-rule draws from the evolved pair state (amplitude path)
 # --------------------------------------------------------------------------
@@ -273,11 +242,17 @@ def _early_window(spec: ExperimentSpec) -> TimeWindow:
     return TimeWindow(max(0.0, spec.tau_r0 - spec.bin_width_r), spec.tau_r0)
 
 
+def _centered_bins(grid: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` of the bins of ``width`` centered on the grid points,
+    clipped at 0: :meth:`TimeWindow.centered` of every point."""
+    return np.maximum(0.0, grid - 0.5 * width), grid + 0.5 * width
+
+
 def _object_bins(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     """``lo`` and ``hi`` of every row's object window: a bin for d, a point otherwise."""
-    if spec.kind is ExperimentKind.PASSIVE_PASSIVE:
-        return _bounds([TimeWindow.centered(tau_l, spec.bin_width_l) for tau_l in spec.tau_l_grid])
     grid = np.array(spec.tau_l_grid)
+    if spec.kind is ExperimentKind.PASSIVE_PASSIVE:
+        return _centered_bins(grid, spec.bin_width_l)
     return grid, grid
 
 
@@ -580,7 +555,7 @@ def sort_passive_events(
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):
         raise ValueError("grid spacing must be at least bin_width (bins must not overlap)")
     window_r = TimeWindow.centered(tau_r0, bin_width if bin_width_r is None else bin_width_r)
-    lo, hi = _bounds([TimeWindow.centered(float(tau_l), bin_width) for tau_l in grid_arr])
+    lo, hi = _centered_bins(grid_arr, bin_width)
     n_d = events.n * _survival(lo, hi, window_r.lo, window_r.hi, params).d
     cells = _passive_cells(_window_cells(events, window_r), lo, hi, n_d, params, kind_l, kind_r)
     columns = [{key: cell[i].tolist() for key, cell in cells.items()} for i in range(3)]

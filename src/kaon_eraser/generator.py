@@ -38,17 +38,17 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit
 
 from .decay import (
     CHANNEL_TO_MODE_CODE,
@@ -123,8 +123,10 @@ def _truncated_exp(u: np.ndarray, gamma: np.ndarray, horizon: np.ndarray) -> np.
     return -np.log1p(-u * mass) / gamma
 
 
+@functools.lru_cache(maxsize=16)
 def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The live mode cells and their three weights, once per parameter set.
+    """The live mode cells and their three weights, built once per parameter
+    set and read-only, as :func:`decay.amplitudes` is.
 
     Returns (live, m_sl, m_ls, m_x): the flat indices ``6 * ch_l + ch_r``
     of the cells with some weight, and for each of them the weight of the
@@ -138,14 +140,14 @@ def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.nda
     m_ls = np.outer(amps.w_l, amps.w_s).ravel() / gs_gl
     m_x = np.outer(amps.interference, amps.interference).ravel() / gs_gl
     live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
-    return live, m_sl[live], m_ls[live], m_x[live]
+    weights = live, m_sl[live], m_ls[live], m_x[live]
+    for a in weights:
+        a.setflags(write=False)
+    return weights
 
 
 def sampling_kernel(
-    u: np.ndarray,
-    params: PhysicsParams,
-    tau_max: float = 50.0,
-    cell_weights: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+    u: np.ndarray, params: PhysicsParams, tau_max: float = 50.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Map uniform variates to exact joint decay draws.
 
@@ -164,8 +166,6 @@ def sampling_kernel(
     matmul, einsum or reordered sum: those round differently (fused
     multiply-add, pairwise sums) and would move the last bit of a total.
     """
-    if cell_weights is None:
-        cell_weights = _cell_weights(params)
     gs = params.gamma_s
 
     s_paced_left = u[0] < 0.5
@@ -177,7 +177,7 @@ def sampling_kernel(
     dt = tau_l - tau_r
     r = expit(params.delta_gamma * dt)
     fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
-    live, m_sl, m_ls, m_x = cell_weights
+    live, m_sl, m_ls, m_x = _cell_weights(params)
     # Rows are views of p; ``out=row`` writes in place, where ``p[j] += x``
     # would also copy the row onto itself.
     p = np.multiply.outer(m_sl, r)
@@ -201,18 +201,6 @@ def sampling_kernel(
     )
 
 
-def _generate_batch(
-    batch_index: int,
-    size: int,
-    seed: int,
-    tau_max: float,
-    params: PhysicsParams,
-    cell_weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
-    return sampling_kernel(rng.random((4, size)), params, tau_max, cell_weights)
-
-
 def generate(
     config: GeneratorConfig, params: PhysicsParams, threads: int = 1
 ) -> EventSet:
@@ -222,13 +210,13 @@ def generate(
     regardless of ``threads``.
     """
     config.validate_horizon(params)
-    cell_weights = _cell_weights(params)
     n = config.n_pairs
     sizes = [(k, min(_BATCH, n - k * _BATCH)) for k in range((n + _BATCH - 1) // _BATCH)]
 
     def run(item: tuple[int, int]):
         k, size = item
-        return _generate_batch(k, size, config.seed, config.tau_max, params, cell_weights)
+        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(k))
+        return sampling_kernel(rng.random((4, size)), params, config.tau_max)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -384,44 +372,50 @@ def read_events(path: Union[str, Path]) -> EventSet:
     ``np.loadtxt`` call.  A record that does not parse is named by its line;
     the checks on the arrays (ids sequential from 0, decay times finite and
     >= 0, known mode names, as many records as the header's ``n_pairs``)
-    name the record id.
+    name the record id.  A file that is not UTF-8 text is refused too.
     """
     seed, n_pairs, tau_max, digest = 0, None, float("nan"), ""
-    with open(path) as fh:
-        schema = fh.readline().rstrip("\n")
-        if not schema.startswith("# kaon-eraser events v"):
-            raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
-        version = schema.rsplit("v", 1)[-1]
-        if version != str(EVENT_SCHEMA_VERSION):
-            raise EventFormatError(f"line 1: unsupported schema version {version!r}")
-        for idx, line in enumerate(iter(fh.readline, ""), start=2):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    try:
-                        if key == "seed":
-                            seed = int(value)
-                        elif key == "n_pairs":
-                            n_pairs = int(value)
-                        elif key == "tau_max":
-                            tau_max = float(value)
-                    except ValueError as exc:
-                        raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
-                    if key == "params_digest":
-                        digest = value
-                continue
-            if line == _HEADER_COLUMNS:
-                break
-            raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
-        else:
-            raise EventFormatError("missing column header line")
-        if n_pairs is None:
-            raise EventFormatError("metadata has no n_pairs")
-        try:
-            records = _parse_records(fh)
-        except ValueError as exc:
-            raise _bad_line_error(fh, idx + 1) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            schema = fh.readline().rstrip("\n")
+            if not schema.startswith("# kaon-eraser events v"):
+                raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
+            version = schema.rsplit("v", 1)[-1]
+            if version != str(EVENT_SCHEMA_VERSION):
+                raise EventFormatError(f"line 1: unsupported schema version {version!r}")
+            for idx, line in enumerate(iter(fh.readline, ""), start=2):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        key, _, value = token.partition("=")
+                        try:
+                            if key == "seed":
+                                seed = int(value)
+                            elif key == "n_pairs":
+                                n_pairs = int(value)
+                            elif key == "tau_max":
+                                tau_max = float(value)
+                        except ValueError as exc:
+                            raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
+                        if key == "params_digest":
+                            digest = value
+                    continue
+                if line == _HEADER_COLUMNS:
+                    break
+                raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
+            else:
+                raise EventFormatError("missing column header line")
+            if n_pairs is None:
+                raise EventFormatError("metadata has no n_pairs")
+            try:
+                records = _parse_records(fh)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _bad_line_error(fh, idx + 1) from exc
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead of the parser, so no line can be named
+        raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
 
     ids = records["id"]
     if not np.array_equal(ids, np.arange(ids.size)):
@@ -478,7 +472,8 @@ def mode_pair_chi2(events: EventSet, params: PhysicsParams) -> tuple[float, int,
 
     Cells with expected counts below ``MIN_EXPECTED`` are pooled.  Returns
     (statistic, dof, p_value); any event in a structurally forbidden cell
-    (expected exactly 0) yields p_value 0.
+    (expected exactly 0) yields p_value 0, and fewer than two cells (dof 0)
+    p_value NaN.
     """
     n_modes = len(MODE_ORDER)
     counts = np.bincount(
@@ -498,4 +493,6 @@ def mode_pair_chi2(events: EventSet, params: PhysicsParams) -> tuple[float, int,
     exp = np.asarray(exp_cells)
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = len(obs) - 1
-    return stat, dof, float(chi2.sf(stat, dof))
+    # the chi-square tail; chdtrc reads 0 where it is undefined, at dof < 1
+    p_value = float(chdtrc(dof, stat)) if dof >= 1 else math.nan
+    return stat, dof, p_value

@@ -211,11 +211,6 @@ class TimeWindow:
         return 0.5 * (self.lo + self.hi)
 
 
-def _bounds(windows: Sequence[TimeWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``lo`` and the ``hi`` of the windows, as two arrays."""
-    return np.array([w.lo for w in windows]), np.array([w.hi for w in windows])
-
-
 def _all(flags) -> bool:
     """Whether one flag, or every flag of an array of them, is set."""
     return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
@@ -267,8 +262,9 @@ class _Survival(NamedTuple):
 def _survival(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _Survival:
     """:func:`survival_weight` of the object windows ``[lo_l, hi_l]`` (floats,
     or arrays of one window per element) against the meter window
-    ``[lo_r, hi_r]``."""
-    valid = (lo_l >= 0) & (hi_l >= lo_l)
+    ``[lo_r, hi_r]``.  The object windows get the check of
+    :class:`TimeWindow`: finite and ``0 <= lo <= hi``, so a NaN fails it."""
+    valid = (lo_l >= 0) & (hi_l >= lo_l) & (hi_l < math.inf)
     if not _all(valid):
         i = int(np.argmin(valid))
         raise ValueError(f"invalid time window [{np.ravel(lo_l)[i]}, {np.ravel(hi_l)[i]}]")

@@ -356,6 +356,20 @@ def test_experiment_rejects_malformed_event_file(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_experiment_refuses_event_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(
+        b"# kaon-eraser events v1\n# seed=0 n_pairs=2 tau_max=50 params_digest=x\n"
+        b"id,tau_l,mode_l,tau_r,mode_r\n0,1.0,TwoPi,1.0,ThreePi\n1,1.0,Two\xffPi,1.0,TwoPi\n"
+    )
+    code, _, err = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5",
+        "--pairs", "10", "--events-in", str(bad), "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == EXIT_FORMAT
+    assert "not UTF-8" in err
+
+
 def test_experiment_scan_manifest(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(

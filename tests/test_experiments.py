@@ -17,7 +17,6 @@ from kaon_eraser import (
     PhysicsParams,
     ScanRow,
     TimeWindow,
-    classify_event_lifetime,
     full_table,
     generate,
     misidentification_rates,
@@ -27,6 +26,7 @@ from kaon_eraser import (
     visibility,
     write_scan_csv,
 )
+from kaon_eraser.decay import IDENTIFIES
 
 FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 
@@ -60,27 +60,17 @@ def _pass_stats(result):
 # ---------------------------------------------------------------------------
 
 
-def test_window_rule_boundary_is_ks(default_params):
-    tau = 2.0 + default_params.lifetime_window
-    assert classify_event_lifetime(tau, DecayMode.OTHER, 2.0, default_params) is Outcome.KS
-    later = tau + 1e-9
-    assert classify_event_lifetime(later, DecayMode.OTHER, 2.0, default_params) is Outcome.KL
-
-
-def test_window_rule_needs_survival(default_params):
-    assert classify_event_lifetime(1.0, DecayMode.TWO_PI, 2.0, default_params) is None
-
-
 def test_mode_rule(default_params):
+    # the passive protocols read a lifetime off 2pi and 3pi, a strangeness
+    # off the semileptonic modes, and nothing off any other mode
     expected = {
         DecayMode.TWO_PI: Outcome.KS,
         DecayMode.THREE_PI: Outcome.KL,
-        DecayMode.SEMILEPTONIC_PLUS: None,
-        DecayMode.SEMILEPTONIC_MINUS: None,
+        DecayMode.SEMILEPTONIC_PLUS: Outcome.K0,
+        DecayMode.SEMILEPTONIC_MINUS: Outcome.K0BAR,
         DecayMode.OTHER: None,
     }
-    for mode, outcome in expected.items():
-        assert classify_event_lifetime(1.0, mode, 0.0, default_params, method="mode") is outcome
+    assert IDENTIFIES == expected
 
 
 def test_misidentification_rates(default_params):
@@ -374,6 +364,13 @@ def test_sort_passive_synthetic_factorized_oracle(rich_params):
 def test_sort_passive_rejects_overlapping_bins(default_params, events_1m):
     with pytest.raises(ValueError, match="overlap"):
         sort_passive_events(events_1m, [1.0, 1.1], 0.5, 1.0, default_params)
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+def test_sort_passive_refuses_grid_points_outside_time(default_params, events_1m, bad):
+    # a bin at an infinite time would read 0 +- 0 instead of failing
+    with pytest.raises(ValueError, match="invalid time window"):
+        sort_passive_events(events_1m, [bad], 0.5, 1.0, default_params)
 
 
 def test_sort_passive_accepts_one_pass_grid(default_params, events_1m):

@@ -6,14 +6,17 @@ import sys
 from pathlib import Path
 
 import kaon_eraser
-from kaon_eraser import decay, experiments, generator, params, probabilities
+from kaon_eraser import decay, experiments, generator, kaon, params, probabilities
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
-#: The per-event object view, the outcome-kind pair and the string-keyed
-#: eigenvalue lookup, removed because no output depends on them.
+#: The per-event object view, the outcome-kind pair, the string-keyed
+#: eigenvalue lookup, the single-kaon state API and the one-record lifetime
+#: classifier, removed because no output depends on them.
 REMOVED = {
+    experiments: ("classify_event_lifetime",),
     generator: ("DecayEvent", "PairEvent", "Side"),
+    kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),
 }

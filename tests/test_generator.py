@@ -1,5 +1,8 @@
 import hashlib
+import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -131,6 +134,25 @@ def test_mode_pair_chi2_passes(events_1m, default_params):
     assert pvalue > 1e-3
 
 
+@pytest.mark.parametrize("n_pairs", [1, 3, 50, 100_000])
+def test_mode_pair_chi2_p_value_is_the_chi2_tail(default_params, n_pairs):
+    # one or three pairs pool into one cell: no degree of freedom, p is NaN
+    events = generate(GeneratorConfig(seed=11, n_pairs=n_pairs), default_params)
+    stat, dof, pvalue = mode_pair_chi2(events, default_params)
+    expected = float(stats.chi2.sf(stat, dof))
+    assert (dof >= 1) == (n_pairs > 3)
+    assert pvalue == expected or (math.isnan(pvalue) and math.isnan(expected))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, kaon_eraser; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_mode_pair_counts_match_expectations(events_1m, default_params):
     counts = np.zeros((5, 5))
     np.add.at(counts, (events_1m.mode_l.astype(int), events_1m.mode_r.astype(int)), 1.0)
@@ -211,7 +233,6 @@ def test_kernel_is_bitwise_broadcast_reference(default_params, rich_params):
     rng = np.random.default_rng(2024)
     param_sets = [default_params, rich_params] + [random_params(rng) for _ in range(5)]
     for n_set, params in enumerate(param_sets):
-        weights = _cell_weights(params)
         for k in range(8):
             u = np.random.Generator(np.random.Philox(key=n_set).jumped(k)).random((4, _BATCH))
             _, cum = _broadcast_kernel(u, params)
@@ -220,10 +241,17 @@ def test_kernel_is_bitwise_broadcast_reference(default_params, rich_params):
             u[3, cols] = cum[cols, edge] / cum[cols, -1]
             u[3, k::509] = 0.0
             expected, _ = _broadcast_kernel(u, params)
-            for got in (sampling_kernel(u, params, 50.0, weights), sampling_kernel(u, params)):
-                for a, b in zip(got, expected):
-                    assert a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes(), (n_set, k)
+            for a, b in zip(sampling_kernel(u, params), expected):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), (n_set, k)
+
+
+def test_cell_weights_are_cached_and_read_only(default_params):
+    weights = _cell_weights(default_params)
+    assert _cell_weights(PhysicsParams()) is weights
+    for a in weights:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_factorizing_degenerate_case_kolmogorov_smirnov():
@@ -432,3 +460,36 @@ def test_read_empty_body_without_warning(tmp_path, rows):
         back = read_events(path)
     assert back.n == 0
     assert back.tau_l.dtype == np.float64 and back.mode_l.dtype == np.int8
+
+
+def _event_bytes(rows, meta=b""):
+    """An event file of the given ``rows`` (bytes) with ``meta`` appended to the metadata line."""
+    return (
+        b"# kaon-eraser events v1\n# seed=0 n_pairs=%d tau_max=50 params_digest=x%s\n"
+        b"id,tau_l,mode_l,tau_r,mode_r\n" % (len(rows), meta)
+        + b"".join(row + b"\n" for row in rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "where", ["metadata", "second record", "late record", "after a bad record"]
+)
+def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
+    # a decoding error is a ValueError, which the CLI reports as a usage error;
+    # a late one is met by NumPy's reader, or by the reread that names a bad
+    # line: 60,000 rows put it past the 50,000 lines NumPy reads at a time
+    n = 60_000 if where in ("late record", "after a bad record") else 3
+    rows = [b"%d,1.0,TwoPi,2.0,ThreePi" % i for i in range(n)]
+    meta = b""
+    if where == "metadata":
+        meta = b" note=\xff"
+    elif where == "second record":
+        rows[1] = b"1,1.0,Two\xffPi,2.0,ThreePi"
+    else:
+        rows[-1] = b"%d,1.0,Two\xffPi,2.0,ThreePi" % (n - 1)
+    if where == "after a bad record":
+        rows[1] = b"1,x,TwoPi,2.0,ThreePi"
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(_event_bytes(rows, meta))
+    with pytest.raises(EventFormatError, match="not UTF-8"):
+        read_events(path)

@@ -1,156 +1,56 @@
+"""The strangeness <-> lifetime change of basis, on which the signs of the
+pair state in :mod:`kaon_eraser.pair` rest."""
+
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from kaon_eraser import (
-    Basis,
-    KaonAmplitude,
-    Outcome,
-    PhysicsParams,
-    evolve,
-    ket,
-    project,
-    to_basis,
-)
+from kaon_eraser import Basis, Outcome
 from kaon_eraser.kaon import HADAMARD
 
 SQRT_HALF = math.sqrt(0.5)
 
-amplitudes = st.complex_numbers(max_magnitude=SQRT_HALF, allow_nan=False, allow_infinity=False)
-states = st.builds(
-    KaonAmplitude,
-    st.sampled_from(list(Basis)),
-    amplitudes,
-    amplitudes,
-)
-times = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
+components = st.complex_numbers(max_magnitude=SQRT_HALF, allow_nan=False, allow_infinity=False)
+vectors = st.builds(lambda c1, c2: np.array([c1, c2]), components, components)
+
+
+def _ket(outcome):
+    """The unit vector of ``outcome`` in its own basis."""
+    return np.eye(2)[outcome.index]
 
 
 def test_k0_is_equal_superposition_of_lifetime_states():
-    lt = to_basis(ket(Outcome.K0), Basis.LIFETIME)
-    assert lt.c1 == pytest.approx(SQRT_HALF, abs=1e-15)
-    assert lt.c2 == pytest.approx(SQRT_HALF, abs=1e-15)
+    np.testing.assert_allclose(HADAMARD @ _ket(Outcome.K0), [SQRT_HALF, SQRT_HALF], atol=1e-15)
 
 
 def test_ks_in_strangeness_basis():
     # the transform matrix is its own inverse, so this pins the convention
-    st_basis = to_basis(ket(Outcome.KS), Basis.STRANGENESS)
-    inverse = np.linalg.inv(HADAMARD)
-    expected = inverse @ np.array([1.0, 0.0])
-    assert st_basis.c1 == pytest.approx(expected[0], abs=1e-15)
-    assert st_basis.c2 == pytest.approx(expected[1], abs=1e-15)
-    assert st_basis.c1 == pytest.approx(SQRT_HALF, abs=1e-15)
-    assert st_basis.c2 == pytest.approx(SQRT_HALF, abs=1e-15)
+    expected = np.linalg.inv(HADAMARD) @ _ket(Outcome.KS)
+    np.testing.assert_allclose(HADAMARD @ _ket(Outcome.KS), expected, atol=1e-15)
+    np.testing.assert_allclose(expected, [SQRT_HALF, SQRT_HALF], atol=1e-15)
 
 
 def test_k0bar_in_lifetime_basis_has_relative_minus_sign():
-    lt = to_basis(ket(Outcome.K0BAR), Basis.LIFETIME)
-    assert lt.c1 == pytest.approx(SQRT_HALF, abs=1e-15)
-    assert lt.c2 == pytest.approx(-SQRT_HALF, abs=1e-15)
+    lifetime = HADAMARD @ _ket(Outcome.K0BAR)
+    np.testing.assert_allclose(lifetime, [SQRT_HALF, -SQRT_HALF], atol=1e-15)
 
 
-@given(states)
-def test_round_trip_is_identity(state):
-    other = Basis.LIFETIME if state.basis is Basis.STRANGENESS else Basis.STRANGENESS
-    back = to_basis(to_basis(state, other), state.basis)
-    assert abs(back.c1 - state.c1) < 1e-12
-    assert abs(back.c2 - state.c2) < 1e-12
+@given(vectors)
+def test_round_trip_is_identity(vector):
+    np.testing.assert_allclose(HADAMARD @ (HADAMARD @ vector), vector, rtol=0, atol=1e-12)
 
 
-@given(states)
-def test_basis_change_preserves_norm(state):
-    other = Basis.LIFETIME if state.basis is Basis.STRANGENESS else Basis.STRANGENESS
-    assert to_basis(state, other).norm2 == pytest.approx(state.norm2, abs=1e-12)
+@given(vectors)
+def test_basis_change_preserves_norm(vector):
+    assert math.isclose(np.linalg.norm(HADAMARD @ vector), np.linalg.norm(vector), abs_tol=1e-12)
 
 
 def test_projections_orthonormal():
-    assert project(ket(Outcome.K0), Outcome.K0) == 1.0
-    assert project(ket(Outcome.K0), Outcome.K0BAR) == 0.0
-    assert project(ket(Outcome.K0), Outcome.KS) == pytest.approx(0.5, abs=1e-15)
-    assert project(ket(Outcome.KS), Outcome.KL) == 0.0
-
-
-def test_ks_survival(default_params):
-    evolved = evolve(ket(Outcome.KS), 1.0, default_params)
-    assert evolved.norm2 == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-
-def test_zero_time_is_identity(default_params):
-    state = to_basis(ket(Outcome.K0), Basis.LIFETIME)
-    same = evolve(state, 0.0, default_params)
-    assert same.c1 == state.c1 and same.c2 == state.c2
-
-
-def test_negative_time_rejected(default_params):
-    with pytest.raises(ValueError, match="tau"):
-        evolve(ket(Outcome.K0), -0.5, default_params)
-
-
-def test_k0_survival_and_flip_probability(default_params):
-    # survival: (e^{-gs t} + e^{-gl t})/2; flip to K0bar:
-    # (e^{-gs t} + e^{-gl t} - 2 e^{-(gs+gl)t/2} cos(dm t))/4
-    gs, gl, dm = (
-        default_params.gamma_s,
-        default_params.gamma_l,
-        default_params.delta_m,
-    )
-    for tau in (0.3, 1.0, 2.7, 9.0):
-        evolved = evolve(ket(Outcome.K0), tau, default_params)
-        survival = 0.5 * (math.exp(-gs * tau) + math.exp(-gl * tau))
-        flip = 0.25 * (
-            math.exp(-gs * tau)
-            + math.exp(-gl * tau)
-            - 2.0 * math.exp(-0.5 * (gs + gl) * tau) * math.cos(dm * tau)
-        )
-        assert evolved.norm2 == pytest.approx(survival, abs=1e-12)
-        assert project(evolved, Outcome.K0BAR) == pytest.approx(flip, abs=1e-12)
-
-
-@given(states, times, times)
-@settings(max_examples=60)
-def test_evolution_semigroup(state, t1, t2):
-    params = PhysicsParams()
-    a = evolve(evolve(state, t1, params), t2, params)
-    b = evolve(state, t1 + t2, params)
-    assert abs(a.c1 - b.c1) < 1e-12
-    assert abs(a.c2 - b.c2) < 1e-12
-
-
-@given(states, times)
-@settings(max_examples=60)
-def test_norm_non_increasing(state, tau):
-    params = PhysicsParams()
-    assert evolve(state, tau, params).norm2 <= state.norm2 + 1e-12
-
-
-def test_vanishing_widths_make_evolution_unitary():
-    p = PhysicsParams(
-        gamma_s=2e-15, gamma_l=1e-15, delta_m=0.7,
-        br_s_2pi=0.5, br_l_3pi=0.5,
-        br_semileptonic_s=0.2, br_semileptonic_l=0.2,
-    )
-    state = to_basis(ket(Outcome.K0), Basis.LIFETIME)
-    for tau in (1.0, 17.0, 60.0):
-        assert evolve(state, tau, p).norm2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_flip_probability_peaks_at_pi_over_delta_m():
-    # equal widths: flip probability (1 - cos(dm*t))/2 * decay envelope is
-    # maximal where the oscillation phase hits pi
-    p = PhysicsParams(
-        gamma_s=1.0, gamma_l=1.0 - 1e-12, delta_m=0.9,
-        br_s_2pi=0.0, br_l_3pi=0.0,
-        br_semileptonic_s=1.0 - 1e-12, br_semileptonic_l=1.0,
-    )
-    taus = np.linspace(0.0, 2.0 * math.pi / p.delta_m, 4001)
-    k0 = ket(Outcome.K0)
-    flips = np.array(
-        [project(evolve(k0, t, p), Outcome.K0BAR) / max(evolve(k0, t, p).norm2, 1e-300)
-         for t in taus]
-    )
-    t_peak = taus[np.argmax(flips)]
-    grid_step = taus[1] - taus[0]
-    assert abs(t_peak - math.pi / p.delta_m) <= grid_step
+    # each basis is orthonormal, and every strangeness outcome splits evenly
+    # between the two lifetime outcomes
+    assert [o.basis for o in Outcome] == [Basis.STRANGENESS] * 2 + [Basis.LIFETIME] * 2
+    assert [o.index for o in Outcome] == [0, 1, 0, 1]
+    np.testing.assert_allclose(HADAMARD.T @ HADAMARD, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(np.abs(HADAMARD) ** 2, 0.5, atol=1e-15)

@@ -12,14 +12,12 @@ from kaon_eraser import (
     Outcome,
     PhysicsParams,
     TimeWindow,
-    evolve,
     evolve_pair,
     full_table,
     initial_state,
     joint_decay_rate,
     joint_strangeness,
     joint_strangeness_lifetime,
-    ket,
     normalize_surviving,
     passive_probability,
     project_pair,
@@ -103,7 +101,7 @@ def test_negative_times_rejected(default_params):
         joint_strangeness_lifetime(0.0, -1.0, Outcome.K0, Outcome.KS, default_params)
 
 
-#: Every point closed form and amplitude evolution, called with one time ``t``.
+#: Every point closed form and the pair evolution, called with one time ``t``.
 POINT_FORMS = {
     "joint_strangeness": lambda t, p: joint_strangeness(t, 0.5, Outcome.K0, Outcome.K0, p),
     "joint_strangeness_lifetime": lambda t, p: joint_strangeness_lifetime(
@@ -118,7 +116,6 @@ POINT_FORMS = {
         DecayMode.TWO_PI, t, DecayMode.THREE_PI, 0.5, p
     ),
     "evolve_pair": lambda t, p: evolve_pair(initial_state(Basis.LIFETIME), 0.5, t, p),
-    "evolve": lambda t, p: evolve(ket(Outcome.K0), t, p),
 }
 
 
