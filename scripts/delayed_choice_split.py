@@ -28,19 +28,18 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("out/delayed_choice.csv"))
     ap.add_argument("--pairs", type=int, default=1_000_000)
     ap.add_argument("--tau-r0", type=float, default=2.0)
-    ap.add_argument("--grid", type=str, default="0:8:0.2")
+    ap.add_argument("--grid", type=parse_grid, default="0:8:0.2")
     ap.add_argument("--seed", type=int, default=708)
     ap.add_argument("--bin-width-r", type=float, default=2.0)
     ap.add_argument("--params", type=Path, default=None)
     args = ap.parse_args()
 
     params = load_params(args.params)
-    grid = parse_grid(args.grid)
     events = generate(GeneratorConfig(seed=args.seed, n_pairs=args.pairs), params)
     spec = ExperimentSpec(
         kind=ExperimentKind.PASSIVE_PASSIVE,
         tau_r0=args.tau_r0,
-        tau_l_grid=grid,
+        tau_l_grid=args.grid,
         n_pairs=args.pairs,
         seed=args.seed,
         bin_width_r=args.bin_width_r,

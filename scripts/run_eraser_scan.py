@@ -27,12 +27,17 @@ from kaon_eraser import (
     run_experiment,
     write_scan_csv,
 )
+from kaon_eraser.cli import _grid_fields
 
 FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    start, stop, step = (float(x) for x in text.split(":"))
+    """``--grid`` with the CLI's checks, as points rounded to 12 decimals."""
+    try:
+        start, stop, step = _grid_fields(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
 
 
@@ -41,7 +46,7 @@ def main() -> int:
     ap.add_argument("--out-dir", type=Path, default=Path("out"))
     ap.add_argument("--pairs", type=int, default=1_000_000)
     ap.add_argument("--tau-r0", type=float, default=2.0)
-    ap.add_argument("--grid", type=str, default="0:8:0.2")
+    ap.add_argument("--grid", type=parse_grid, default="0:8:0.2")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--bin-width", type=float, default=0.2)
     ap.add_argument("--bin-width-r", type=float, default=1.0)
@@ -50,7 +55,6 @@ def main() -> int:
     args = ap.parse_args()
 
     params = load_params(args.params)
-    grid = parse_grid(args.grid)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = {}
@@ -63,7 +67,7 @@ def main() -> int:
         spec = ExperimentSpec(
             kind=kind,
             tau_r0=args.tau_r0,
-            tau_l_grid=grid,
+            tau_l_grid=args.grid,
             n_pairs=args.pairs,
             seed=args.seed + 100 + offset,
             bin_width_l=args.bin_width,

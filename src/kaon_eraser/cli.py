@@ -50,8 +50,8 @@ _BASIS_NAMES = {"strangeness": Basis.STRANGENESS, "lifetime": Basis.LIFETIME}
 _MAX_GRID_POINTS = 1_000_000
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    """'start:stop:step' inclusive of stop (up to half a step of slack)."""
+def _grid_fields(text: str) -> tuple[float, float, float]:
+    """(start, stop, step) of a 'start:stop:step' grid, or ``ValueError``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
@@ -63,6 +63,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ValueError("grid requires 0 <= start <= stop and step > 0")
     if (stop - start) / step > _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} spans more than {_MAX_GRID_POINTS} steps")
+    return start, stop, step
+
+
+def _parse_grid(text: str) -> tuple[float, ...]:
+    """'start:stop:step' inclusive of stop (up to half a step of slack)."""
+    start, stop, step = _grid_fields(text)
     values = []
     k = 0
     while True:

@@ -27,7 +27,10 @@ that summing over all modes and integrating over both times gives exactly
 
 ``IDENTIFIES`` and ``MODE_CODES`` are the package's one decay-mode table:
 event files carry its codes and names, and the protocols of
-:mod:`kaon_eraser.experiments` read passive records through it.  The
+:mod:`kaon_eraser.experiments` read passive records through it.
+:func:`_mode_cells` is its one mode-cell table: the live (channel_l,
+channel_r) cells with their public codes and weights, which the sampler
+draws among and the integrated mode-pair table sums.  The
 lifetime-basis pair coefficients (:func:`_pair_coefficients`) serve both
 the joint decay rate and protocol c's draw conditioned on a meter record.
 """
@@ -263,23 +266,40 @@ def passive_probability(
     return rate / (normalization_factor(tau_l, tau_r, params) * width_l * width_r)
 
 
+@functools.lru_cache(maxsize=16)
+def _mode_cells(params: PhysicsParams) -> tuple[np.ndarray, ...]:
+    """(code_l, code_r, m_sl, m_ls, m_x) of the live (channel_l, channel_r)
+    cells in flat channel order: their public mode codes and their weights
+    over gamma_s * gamma_l of the S-left/L-right pacing, of the
+    L-left/S-right pacing and of the fringe.  The other cells are
+    structurally forbidden.  Built once per parameter set and read-only, as
+    :func:`amplitudes` is."""
+    amps = amplitudes(params)
+    gs_gl = params.gamma_s * params.gamma_l
+    m_sl = np.outer(amps.w_s, amps.w_l).ravel() / gs_gl
+    m_ls = np.outer(amps.w_l, amps.w_s).ravel() / gs_gl
+    m_x = np.outer(amps.interference, amps.interference).ravel() / gs_gl
+    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
+    ch_l, ch_r = np.divmod(live, N_CHANNELS)
+    cells = (CHANNEL_TO_MODE_CODE[ch_l], CHANNEL_TO_MODE_CODE[ch_r],
+             m_sl[live], m_ls[live], m_x[live])
+    for a in cells:
+        a.setflags(write=False)
+    return cells
+
+
 def integrated_mode_pair_probabilities(params: PhysicsParams) -> np.ndarray:
     """Total probability of each public (mode_l, mode_r) pair, 5x5.
 
     Integrates the joint decay rate over both decay times; rows/columns
-    follow ``MODE_ORDER``.  The whole table sums to 1.
+    follow ``MODE_ORDER``.  The whole table sums to 1; its zeros are the
+    cells that :func:`_mode_cells` leaves out, which the sampler never draws.
     """
-    amps = amplitudes(params)
-    w_s, w_l, s = amps.w_s, amps.w_l, amps.interference
+    code_l, code_r, m_sl, m_ls, m_x = _mode_cells(params)
     gs, gl = params.gamma_s, params.gamma_l
     gbar = 0.5 * (gs + gl)
-    direct = (np.outer(w_s, w_l) + np.outer(w_l, w_s)) / (2.0 * gs * gl)
-    cross = np.outer(s, s) / (gbar**2 + params.delta_m**2)
-    table6 = direct - cross
-    # fold the two orthogonal "other" sub-channels into the public OTHER slot
-    table5 = np.zeros((len(MODE_ORDER), len(MODE_ORDER)))
-    codes = CHANNEL_TO_MODE_CODE
-    for i in range(N_CHANNELS):
-        for j in range(N_CHANNELS):
-            table5[codes[i], codes[j]] += table6[i, j]
-    return table5
+    table = np.zeros((len(MODE_ORDER), len(MODE_ORDER)))
+    # the two orthogonal "other" sub-channels add into the public OTHER slot
+    np.add.at(table, (code_l, code_r),
+              0.5 * (m_sl + m_ls) - m_x * (gs * gl) / (gbar**2 + params.delta_m**2))
+    return table

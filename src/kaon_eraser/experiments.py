@@ -131,6 +131,8 @@ class ExperimentSpec:
             raise ValueError("tau_l_grid must be strictly increasing and nonnegative")
         if self.n_pairs < 0:
             raise ValueError("n_pairs must be >= 0")
+        if not 0 <= self.seed < 2**64:  # GeneratorConfig's rule, for the row draws
+            raise ValueError("seed must fit in 64 bits")
         if self.n_pairs == 0 and self.kind in (
             ExperimentKind.PASSIVE_METER,
             ExperimentKind.PASSIVE_PASSIVE,

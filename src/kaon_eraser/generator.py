@@ -18,7 +18,9 @@ the exact conditional distribution at (t_l, t_r),
 
 with r = expit((gamma_l-gamma_s)*dt), V the oscillation visibility and
 s(f) the per-mode interference weight (nonzero only for semileptonic
-modes).  Every event consumes exactly four uniform variates.
+modes).  The cells and their weights come from :func:`decay._mode_cells`,
+so the sampler draws only cells of nonzero integrated probability.  Every
+event consumes exactly four uniform variates.
 
 Determinism
 -----------
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -50,13 +51,7 @@ from typing import Iterable, Iterator, TextIO, Union
 import numpy as np
 from scipy.special import chdtrc, expit
 
-from .decay import (
-    CHANNEL_TO_MODE_CODE,
-    MODE_CODES,
-    MODE_ORDER,
-    amplitudes,
-    integrated_mode_pair_probabilities,
-)
+from .decay import MODE_CODES, MODE_ORDER, _mode_cells, integrated_mode_pair_probabilities
 from .params import PhysicsParams
 from .probabilities import _sech
 
@@ -123,29 +118,6 @@ def _truncated_exp(u: np.ndarray, gamma: np.ndarray, horizon: np.ndarray) -> np.
     return -np.log1p(-u * mass) / gamma
 
 
-@functools.lru_cache(maxsize=16)
-def _cell_weights(params: PhysicsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The live mode cells and their three weights, built once per parameter
-    set and read-only, as :func:`decay.amplitudes` is.
-
-    Returns (live, m_sl, m_ls, m_x): the flat indices ``6 * ch_l + ch_r``
-    of the cells with some weight, and for each of them the weight of the
-    S-left/L-right pacing, of the L-left/S-right pacing and of the fringe.
-    The other cells are structurally forbidden, and a target of exactly 0
-    would pick the first of them, so the kernel draws among the live ones.
-    """
-    amps = amplitudes(params)
-    gs_gl = params.gamma_s * params.gamma_l
-    m_sl = np.outer(amps.w_s, amps.w_l).ravel() / gs_gl
-    m_ls = np.outer(amps.w_l, amps.w_s).ravel() / gs_gl
-    m_x = np.outer(amps.interference, amps.interference).ravel() / gs_gl
-    live = np.flatnonzero((m_sl != 0.0) | (m_ls != 0.0) | (m_x != 0.0))
-    weights = live, m_sl[live], m_ls[live], m_x[live]
-    for a in weights:
-        a.setflags(write=False)
-    return weights
-
-
 def sampling_kernel(
     u: np.ndarray, params: PhysicsParams, tau_max: float = 50.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +149,7 @@ def sampling_kernel(
     dt = tau_l - tau_r
     r = expit(params.delta_gamma * dt)
     fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
-    live, m_sl, m_ls, m_x = _cell_weights(params)
+    code_l, code_r, m_sl, m_ls, m_x = _mode_cells(params)
     # Rows are views of p; ``out=row`` writes in place, where ``p[j] += x``
     # would also copy the row onto itself.
     p = np.multiply.outer(m_sl, r)
@@ -192,13 +164,9 @@ def sampling_kernel(
     for prev, row in zip(p, p[1:]):
         np.add(row, prev, out=row)
     target = u[3] * p[-1]
-    pick = np.minimum((p < target).sum(axis=0), live.size - 1)  # position in live
-    return (
-        tau_l,
-        CHANNEL_TO_MODE_CODE[live // 6][pick],
-        tau_r,
-        CHANNEL_TO_MODE_CODE[live % 6][pick],
-    )
+    # among the live cells only: a target of exactly 0 picks the first one
+    pick = np.minimum((p < target).sum(axis=0), m_sl.size - 1)
+    return tau_l, code_l[pick], tau_r, code_r[pick]
 
 
 def generate(
@@ -492,7 +460,7 @@ def mode_pair_chi2(events: EventSet, params: PhysicsParams) -> tuple[float, int,
     obs = np.asarray(obs_cells)
     exp = np.asarray(exp_cells)
     stat = float(((obs - exp) ** 2 / exp).sum())
-    dof = len(obs) - 1
+    dof = max(len(obs) - 1, 0)  # no events: no cell
     # the chi-square tail; chdtrc reads 0 where it is undefined, at dof < 1
     p_value = float(chdtrc(dof, stat)) if dof >= 1 else math.nan
     return stat, dof, p_value

@@ -311,6 +311,26 @@ def test_experiment_refuses_empty_event_file(tmp_path, capsys, default_params):
     assert list(tmp_path.iterdir()) == [events_path]
 
 
+@pytest.mark.parametrize("kind, source", [
+    ("a", "analytic"), ("a", "events"), ("b", "events"), ("c", "events"), ("d", "events"),
+])
+def test_experiment_refuses_negative_seed(tmp_path, capsys, kind, source):
+    # c draws only in rows that hold a semileptonic record, and a and b
+    # only with events, so the seed is checked before any scan
+    argv = ["experiment", kind, "--tau-r0", "1", "--grid", "0:2:0.5", "--seed", "-1",
+            "--out", str(tmp_path / "scan.csv")]
+    if source == "events":
+        events_path = tmp_path / "ev.csv"
+        assert run_cli(
+            capsys, "generate", "--pairs", "2000", "--seed", "4", "--out", str(events_path)
+        )[0] == 0
+        argv += ["--events-in", str(events_path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "seed must fit in 64 bits" in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_experiment_refuses_events_from_other_params(tmp_path, capsys):
     events_path = tmp_path / "ev.csv"
     assert run_cli(

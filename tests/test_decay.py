@@ -17,7 +17,14 @@ from kaon_eraser import (
     normalization_factor,
     passive_probability,
 )
-from kaon_eraser.decay import CH_3PI, CH_SL_MINUS, CH_SL_PLUS, N_CHANNELS, amplitudes
+from kaon_eraser.decay import (
+    CH_3PI,
+    CH_SL_MINUS,
+    CH_SL_PLUS,
+    N_CHANNELS,
+    _mode_cells,
+    amplitudes,
+)
 from tests.conftest import random_params
 
 
@@ -245,6 +252,16 @@ def test_integrated_mode_pair_table(default_params):
     assert table[0, 0] == 0.0  # (2pi, 2pi) is forbidden by antisymmetry
     assert table[1, 1] == 0.0  # (3pi, 3pi) likewise
     assert np.all(table >= 0.0)
+
+
+def test_integrated_table_lives_on_the_sampler_cells(default_params, rich_params):
+    # the cells the chi-square treats as forbidden are those the sampler
+    # never draws: the table's nonzero cells are the live cells' codes
+    rng = np.random.default_rng(13)
+    for params in [default_params, rich_params] + [random_params(rng) for _ in range(5)]:
+        code_l, code_r = _mode_cells(params)[:2]
+        table = integrated_mode_pair_probabilities(params)
+        assert set(zip(*np.nonzero(table))) == set(zip(code_l, code_r))
 
 
 def test_integrated_table_matches_quadrature(rich_params):

@@ -109,6 +109,11 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError, match="finite"):
             ExperimentSpec(**{**fields, field: value})
+    # the generator's rule and message: the row draws seed NumPy with it
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            ExperimentSpec(**{**fields, "seed": seed})
+    assert ExperimentSpec(**{**fields, "seed": 2**64 - 1}).seed == 2**64 - 1
     spec = ExperimentSpec("a", 1.0, (0.0, 1.0), 0)
     assert spec.kind is ExperimentKind.ACTIVE_ACTIVE
 

@@ -12,10 +12,11 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 #: The per-event object view, the outcome-kind pair, the string-keyed
 #: eigenvalue lookup, the single-kaon state API and the one-record lifetime
-#: classifier, removed because no output depends on them.
+#: classifier, removed because no output depends on them; the generator's
+#: own mode-cell table, which ``decay._mode_cells`` replaces.
 REMOVED = {
     experiments: ("classify_event_lifetime",),
-    generator: ("DecayEvent", "PairEvent", "Side"),
+    generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),

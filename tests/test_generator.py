@@ -23,8 +23,8 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
-from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, amplitudes
-from kaon_eraser.generator import _BATCH, _cell_weights, _truncated_exp
+from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, _mode_cells, amplitudes
+from kaon_eraser.generator import _BATCH, _truncated_exp
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
 
@@ -144,6 +144,16 @@ def test_mode_pair_chi2_p_value_is_the_chi2_tail(default_params, n_pairs):
     assert pvalue == expected or (math.isnan(pvalue) and math.isnan(expected))
 
 
+def test_mode_pair_chi2_of_no_events(default_params):
+    # an event file with an empty body reads as such a set: no cell, dof 0
+    empty = EventSet(
+        tau_l=np.zeros(0), mode_l=np.zeros(0, np.int8), tau_r=np.zeros(0),
+        mode_r=np.zeros(0, np.int8), seed=0, tau_max=50.0, params_digest="",
+    )
+    stat, dof, pvalue = mode_pair_chi2(empty, default_params)
+    assert (stat, dof) == (0.0, 0) and math.isnan(pvalue)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, kaon_eraser; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
@@ -247,8 +257,8 @@ def test_kernel_is_bitwise_broadcast_reference(default_params, rich_params):
 
 
 def test_cell_weights_are_cached_and_read_only(default_params):
-    weights = _cell_weights(default_params)
-    assert _cell_weights(PhysicsParams()) is weights
+    weights = _mode_cells(default_params)
+    assert _mode_cells(PhysicsParams()) is weights
     for a in weights:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

@@ -2,7 +2,8 @@
 
 The scripts read the scan families and the ``Estimate`` fields of
 :mod:`kaon_eraser.experiments`; these runs check that they still do so
-end to end: exit 0, the scan files written and the report printed.
+end to end: exit 0, the scan files written and the report printed.  A
+malformed ``--grid`` is refused with exit 2 before any event is drawn.
 """
 
 import os
@@ -10,17 +11,53 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from tests.test_cli import _cap_memory
+
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *argv: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run(
+def _proc(script: str, *argv: str, **kwargs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, **kwargs,
     )
+
+
+def _run(script: str, *argv: str) -> str:
+    proc = _proc(script, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+_OUT_FLAG = {"run_eraser_scan.py": "--out-dir", "delayed_choice_split.py": "--out"}
+
+
+@pytest.mark.parametrize("script", sorted(_OUT_FLAG))
+@pytest.mark.parametrize("grid, message", [
+    ("0:8:0", "step > 0"),
+    ("2:1:0.5", "start <= stop"),
+    ("0:nan:0.1", "finite"),
+    ("0:8", "start:stop:step"),
+])
+def test_script_refuses_malformed_grid(tmp_path, script, grid, message):
+    out = tmp_path / "out"
+    proc = _proc(script, _OUT_FLAG[script], str(out), "--pairs", "20000", "--grid", grid)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "--grid" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("script", sorted(_OUT_FLAG))
+def test_script_bounds_grid_point_count(tmp_path, script):
+    # an unbounded grid would fill memory: the child's address space is capped
+    proc = _proc(script, _OUT_FLAG[script], str(tmp_path / "out"), "--grid", "0:1e12:1",
+                 preexec_fn=_cap_memory)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "more than 1000000 steps" in proc.stderr
 
 
 def test_run_eraser_scan(tmp_path):
