@@ -20,16 +20,16 @@ from kaon_eraser import (
     run_experiment,
     write_scan_csv,
 )
-from run_eraser_scan import FAMILIES, parse_grid
+from run_eraser_scan import FAMILIES, int_in, parse_grid
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/delayed_choice.csv"))
-    ap.add_argument("--pairs", type=int, default=1_000_000)
+    ap.add_argument("--pairs", type=int_in(1), default=1_000_000)
     ap.add_argument("--tau-r0", type=float, default=2.0)
     ap.add_argument("--grid", type=parse_grid, default="0:8:0.2")
-    ap.add_argument("--seed", type=int, default=708)
+    ap.add_argument("--seed", type=int_in(0, 2**64 - 1), default=708)
     ap.add_argument("--bin-width-r", type=float, default=2.0)
     ap.add_argument("--params", type=Path, default=None)
     args = ap.parse_args()

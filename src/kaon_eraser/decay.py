@@ -41,7 +41,8 @@ import dataclasses
 import functools
 import math
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class UnsupportedModeError(ValueError):
 
 class DecayMode(Enum):
     """Observable decay classes; values are the serialization names."""
+
+    __hash__ = object.__hash__  # as in kaon.Basis
 
     TWO_PI = "TwoPi"
     THREE_PI = "ThreePi"
@@ -112,15 +115,32 @@ class TransitionAmplitudes:
 
     Parameter sets violating this tie cannot be represented and are
     rejected.
+
+    ``rows`` holds the same amplitudes as Python floats and ``widths`` the
+    partial width of the state each identifying mode identifies: the
+    per-call closed forms read these, not NumPy scalars of ``a``.
     """
 
     params: PhysicsParams
     a: np.ndarray  # (N_CHANNELS, 2)
+    rows: tuple[tuple[float, float], ...] = dataclasses.field(
+        init=False, repr=False, compare=False)
+    widths: Mapping[DecayMode, float] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.a, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "rows", tuple(map(tuple, a.tolist())))
+        p = self.params
+        # |<f|T|K0>|^2 = 2 * (g/sqrt(2))^2
+        w_sl = float(2.0 * a[CH_SL_PLUS, 0] ** 2)
+        object.__setattr__(self, "widths", MappingProxyType({
+            DecayMode.TWO_PI: p.br_s_2pi * p.gamma_s,
+            DecayMode.THREE_PI: p.br_l_3pi * p.gamma_l,
+            DecayMode.SEMILEPTONIC_PLUS: w_sl,
+            DecayMode.SEMILEPTONIC_MINUS: w_sl,
+        }))
 
     @classmethod
     def from_params(cls, params: PhysicsParams) -> "TransitionAmplitudes":
@@ -162,14 +182,10 @@ class TransitionAmplitudes:
 
     def identified_width(self, mode: DecayMode) -> float:
         """Partial width gamma(K_f -> f) of the state the mode identifies."""
-        if mode is DecayMode.TWO_PI:
-            return self.params.br_s_2pi * self.params.gamma_s
-        if mode is DecayMode.THREE_PI:
-            return self.params.br_l_3pi * self.params.gamma_l
-        if mode in (DecayMode.SEMILEPTONIC_PLUS, DecayMode.SEMILEPTONIC_MINUS):
-            # |<f|T|K0>|^2 = 2 * (g/sqrt(2))^2
-            return 2.0 * self.a[CH_SL_PLUS, 0] ** 2
-        raise UnsupportedModeError(f"mode {mode} does not identify a kaon state")
+        try:
+            return self.widths[mode]
+        except KeyError:
+            raise UnsupportedModeError(f"mode {mode} does not identify a kaon state") from None
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,8 +230,8 @@ def joint_rate_channels(
     """Joint decay rate density for internal channels (includes other-splits)."""
     check_times(tau_l, tau_r)
     c_sl, c_ls = _pair_coefficients(tau_l, tau_r, amps.params)
-    a = amps.a
-    amp = complex(c_sl) * a[ch_l, 0] * a[ch_r, 1] + complex(c_ls) * a[ch_l, 1] * a[ch_r, 0]
+    (s_l, l_l), (s_r, l_r) = amps.rows[ch_l], amps.rows[ch_r]
+    amp = complex(c_sl) * s_l * l_r + complex(c_ls) * l_l * s_r
     return abs(amp) ** 2
 
 

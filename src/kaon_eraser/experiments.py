@@ -580,7 +580,11 @@ def sort_passive_events(
 def _rows(spec: ExperimentSpec, twins: dict, columns: dict, counts: dict) -> tuple[ScanRow, ...]:
     """The scan's rows from every family's columns and twins and the count
     columns.  An array that fills several columns, such as an analytic
-    value and its twin, is listed once, so the rows share its floats."""
+    value and its twin, is listed once, so the rows share its floats.
+
+    The rows are built by ``tuple.__new__`` over zipped columns, which
+    makes the same named tuples as calling the classes without running
+    their Python-level ``__new__`` once per row."""
     lists = {}
 
     def listed(column: np.ndarray) -> list:
@@ -591,10 +595,13 @@ def _rows(spec: ExperimentSpec, twins: dict, columns: dict, counts: dict) -> tup
     families = []
     for fam in _FAMILIES:
         value, sigma, n, flagged = map(listed, columns[fam])
-        families.append(map(Estimate, value, sigma, listed(twins[fam]), n, flagged))
+        fields = zip(value, sigma, listed(twins[fam]), n, flagged)
+        families.append(map(tuple.__new__, itertools.repeat(Estimate), fields))
     keys = _COUNT_KEYS[spec.kind]
-    row_counts = (dict(zip(keys, row)) for row in zip(*(listed(counts[key]) for key in keys)))
-    return tuple(map(ScanRow, spec.tau_l_grid, *families, row_counts))
+    count_rows = zip(*(listed(counts[key]) for key in keys))
+    row_counts = map(dict, map(zip, itertools.repeat(keys), count_rows))
+    fields = zip(spec.tau_l_grid, *families, row_counts)
+    return tuple(map(tuple.__new__, itertools.repeat(ScanRow), fields))
 
 
 def run_experiment(
@@ -637,6 +644,31 @@ _COUNT_KEYS = {
 }
 
 
+#: The dtype whose bytes tell two columns of a ``%``-format apart: columns
+#: with the same bytes print the same.
+_FORMAT_DTYPES = {"%.17g": np.float64, "%d": np.int64}
+
+
+def _transpose(rows, width: int) -> list[tuple]:
+    """The ``width`` columns of equal-length ``rows``, also when there are none."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _format_columns(columns, formats) -> list[list[str]]:
+    """Each column printed with its format, one string per row.  A column
+    whose values have the bytes of one already printed in the same format
+    reuses its strings.  Bytes, not ``==``: 0.0 and -0.0 are equal but
+    print differently, and a NaN is equal to nothing, itself included."""
+    printed = {}
+    out = []
+    for column, fmt in zip(columns, formats):
+        key = fmt, np.array(column, dtype=_FORMAT_DTYPES[fmt]).tobytes()
+        if key not in printed:
+            printed[key] = list(map(fmt.__mod__, column))
+        out.append(printed[key])
+    return out
+
+
 def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str) -> None:
     spec = result.spec
     count_keys = _COUNT_KEYS[spec.kind]
@@ -644,15 +676,16 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
     for fam in _FAMILIES:
         columns += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
     columns += [f"count_{key}" for key in count_keys]
-    # one line per row; %.17g and %d print what f"{x:.17g}" and str(n) print
-    line = ",".join(
-        ["%.17g"] + ["%.17g,%.17g,%.17g,%d,%d"] * len(_FAMILIES) + ["%d"] * len(count_keys)
-    ) + "\n"
-    counts_of = operator.itemgetter(*count_keys)
-    lines = [
-        line % (row.tau_l, *row.like, *row.unlike, *row.s_ks, *row.s_kl, *counts_of(row.counts))
-        for row in result.rows
-    ]
+    # printed column by column; %.17g and %d print what f"{x:.17g}" and str(n) print
+    formats = (["%.17g"] + ["%.17g", "%.17g", "%.17g", "%d", "%d"] * len(_FAMILIES)
+               + ["%d"] * len(count_keys))
+    tau_l, *families, row_counts = _transpose(result.rows, len(ScanRow._fields))
+    values = [tau_l]
+    for family in families:
+        values += _transpose(family, len(Estimate._fields))
+    for key in count_keys:  # a row without the key raises KeyError
+        values.append(list(map(operator.itemgetter(key), row_counts)))
+    lines = [*map(",".join, zip(*_format_columns(values, formats))), ""]
     grid = spec.tau_l_grid
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")
@@ -669,4 +702,4 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
             "# analytic expectation of the estimator; *_flag=1 marks low statistics\n"
         )
         fh.write(",".join(columns) + "\n")
-        fh.write("".join(lines))
+        fh.write("\n".join(lines))

@@ -33,12 +33,18 @@ HADAMARD = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
 class Basis(Enum):
     """The two neutral-kaon measurement bases / observable kinds."""
 
+    # members are singletons that compare by identity, so identity hashing
+    # agrees with equality and is a C slot, not Enum's Python-level hash
+    __hash__ = object.__hash__
+
     STRANGENESS = "strangeness"
     LIFETIME = "lifetime"
 
 
 class Outcome(Enum):
     """Single-kaon measurement outcomes across both bases."""
+
+    __hash__ = object.__hash__  # as in Basis
 
     K0 = "K0"
     K0BAR = "K0bar"

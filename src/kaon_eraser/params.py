@@ -15,6 +15,7 @@ unknown keys are a hard error (this catches typos early).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -99,12 +100,14 @@ class PhysicsParams:
         """Residual K_L branching fraction not used for identification."""
         return max(0.0, 1.0 - self.br_l_3pi - self.br_semileptonic_l)
 
-    @property
+    # cached in the instance dict, which the frozen dataclass leaves writable
+    # to cached_property: the pair coefficients read these on every call
+    @functools.cached_property
     def lambda_s(self) -> complex:
         """Complex propagation eigenvalue of K_S: m_S - i*gamma_s/2, m_S = 0."""
         return complex(0.0, -0.5 * self.gamma_s)
 
-    @property
+    @functools.cached_property
     def lambda_l(self) -> complex:
         """Complex propagation eigenvalue of K_L: delta_m - i*gamma_l/2."""
         return complex(self.delta_m, -0.5 * self.gamma_l)

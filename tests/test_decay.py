@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaon_eraser import (
     Basis,
@@ -82,6 +84,64 @@ def test_amplitudes_built_once_per_params(default_params, rich_params):
     assert amplitudes(PhysicsParams()) is amps
     assert amplitudes(rich_params) is not amps
     assert amps.a.tobytes() == TransitionAmplitudes.from_params(default_params).a.tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _reference_width(mode, params, a):
+    """The identified width as written on NumPy scalars of ``a``."""
+    if mode is DecayMode.TWO_PI:
+        return params.br_s_2pi * params.gamma_s
+    if mode is DecayMode.THREE_PI:
+        return params.br_l_3pi * params.gamma_l
+    return 2.0 * a[CH_SL_PLUS, 0] ** 2
+
+
+def _reference_rate(ch_l, tau_l, ch_r, tau_r, params, a):
+    """The joint rate as written on NumPy scalars of ``a`` and NumPy's exp."""
+    lambda_s = complex(0.0, -0.5 * params.gamma_s)
+    lambda_l = complex(params.delta_m, -0.5 * params.gamma_l)
+    c_sl = -math.sqrt(0.5) * np.exp(-1j * (lambda_s * tau_l + lambda_l * tau_r))
+    c_ls = math.sqrt(0.5) * np.exp(-1j * (lambda_l * tau_l + lambda_s * tau_r))
+    amp = complex(c_sl) * a[ch_l, 0] * a[ch_r, 1] + complex(c_ls) * a[ch_l, 1] * a[ch_r, 0]
+    return abs(amp) ** 2
+
+
+_IDENTIFYING = [m for m in DecayMode if m is not DecayMode.OTHER]
+_CHANNEL = {DecayMode.TWO_PI: 0, DecayMode.THREE_PI: 1,
+            DecayMode.SEMILEPTONIC_PLUS: CH_SL_PLUS, DecayMode.SEMILEPTONIC_MINUS: CH_SL_MINUS}
+
+
+def test_float_tables_are_the_amplitudes_bit_for_bit(default_params, rich_params):
+    rng = np.random.default_rng(29)
+    for p in (default_params, rich_params, *(random_params(rng) for _ in range(20))):
+        amps = TransitionAmplitudes.from_params(p)
+        assert all(type(x) is float for row in amps.rows for x in row)
+        assert np.array(amps.rows).tobytes() == amps.a.tobytes()
+        assert list(amps.widths) == _IDENTIFYING
+        for mode in _IDENTIFYING:
+            width = amps.identified_width(mode)
+            assert type(width) is float and width is amps.widths[mode]
+            assert _bits(width) == _bits(_reference_width(mode, p, amps.a))
+        with pytest.raises(UnsupportedModeError):
+            amps.identified_width(DecayMode.OTHER)
+
+
+@given(st.floats(0.0, 200.0), st.floats(0.0, 200.0), st.sampled_from(_IDENTIFYING),
+       st.sampled_from(_IDENTIFYING), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_passive_probability_bit_identical_to_numpy_scalar_reference(
+    default_params, rich_params, tau_l, tau_r, mode_l, mode_r, seed
+):
+    for p in (default_params, rich_params, random_params(np.random.default_rng(seed))):
+        a = amplitudes(p).a
+        rate = _reference_rate(_CHANNEL[mode_l], tau_l, _CHANNEL[mode_r], tau_r, p, a)
+        width_l, width_r = _reference_width(mode_l, p, a), _reference_width(mode_r, p, a)
+        passive = rate / (normalization_factor(tau_l, tau_r, p) * width_l * width_r)
+        assert _bits(joint_decay_rate(mode_l, tau_l, mode_r, tau_r, p)) == _bits(rate)
+        assert _bits(passive_probability(mode_l, tau_l, mode_r, tau_r, p)) == _bits(passive)
 
 
 def test_normalization_factor_basics(default_params):

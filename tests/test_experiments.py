@@ -15,6 +15,7 @@ from kaon_eraser import (
     GeneratorConfig,
     Outcome,
     PhysicsParams,
+    ScanResult,
     ScanRow,
     TimeWindow,
     full_table,
@@ -672,6 +673,32 @@ def test_scan_csv_layout(tmp_path, default_params, grid_short):
     assert header.split(",")[0] == "tau_l"
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) == 4
+
+
+def test_scan_csv_tells_columns_apart_by_their_bits(tmp_path, default_params):
+    # like's value and twin columns are equal under == but not bit for bit
+    # (0.0 against -0.0), unlike's value column has like's bits, and a sigma
+    # column holds NaN; the file must read as printed one row at a time
+    nan = float("nan")
+    rows = (
+        ScanRow(0.0, Estimate(0.0, 0.0, -0.0, 0, False), Estimate(0.0, 0.0, 0.5, 0, False),
+                Estimate(0.5, nan, 0.5, 2, True), Estimate(0.1, 0.0, 0.1, 0, False),
+                {"strangeness": 0, "lifetime": 7, "discarded": 0}),
+        ScanRow(0.5, Estimate(0.1, 0.0, 0.1, 0, False), Estimate(0.1, 0.0, 0.5, 0, False),
+                Estimate(-0.0, nan, 0.0, 2, True), Estimate(0.1, 0.0, 0.1, 0, False),
+                {"strangeness": 0, "lifetime": 7, "discarded": 1}),
+    )
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5), 0)
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, ScanResult(spec, default_params, rows), "test")
+    line = ",".join(["%.17g"] + ["%.17g,%.17g,%.17g,%d,%d"] * 4 + ["%d"] * 3)
+    expected = [
+        line % (row.tau_l, *row.like, *row.unlike, *row.s_ks, *row.s_kl,
+                *(row.counts[key] for key in ("strangeness", "lifetime", "discarded")))
+        for row in rows
+    ]
+    assert expected[0].startswith("0,0,0,-0,0,0,0,0,0.5,0,0,0.5,nan,0.5,2,1,")
+    assert path.read_text().splitlines()[-2:] == expected
 
 
 def test_scan_csv_refuses_a_row_without_a_count_key(tmp_path, default_params):

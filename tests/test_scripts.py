@@ -3,7 +3,8 @@
 The scripts read the scan families and the ``Estimate`` fields of
 :mod:`kaon_eraser.experiments`; these runs check that they still do so
 end to end: exit 0, the scan files written and the report printed.  A
-malformed ``--grid`` is refused with exit 2 before any event is drawn.
+malformed ``--grid``, ``--pairs``, ``--threads`` or ``--seed`` is refused
+with exit 2 before any event is drawn or any output path made.
 """
 
 import os
@@ -34,19 +35,45 @@ def _run(script: str, *argv: str) -> str:
 
 _OUT_FLAG = {"run_eraser_scan.py": "--out-dir", "delayed_choice_split.py": "--out"}
 
-
-@pytest.mark.parametrize("script", sorted(_OUT_FLAG))
-@pytest.mark.parametrize("grid, message", [
+_BAD_GRIDS = [
     ("0:8:0", "step > 0"),
     ("2:1:0.5", "start <= stop"),
     ("0:nan:0.1", "finite"),
     ("0:8", "start:stop:step"),
-])
-def test_script_refuses_malformed_grid(tmp_path, script, grid, message):
+]
+#: Per script, other flags it refuses: (flag, value, message).  The largest
+#: seed of run_eraser_scan.py leaves room for its derived seeds, up to + 103.
+_BAD_FLAGS = {
+    "run_eraser_scan.py": [
+        ("--pairs", "0", "must be >= 1"),
+        ("--threads", "0", "must be >= 1"),
+        ("--seed", "-1", "must be in [0, "),
+        ("--seed", str(2**64 - 103), f"must be in [0, {2**64 - 104}]"),
+        ("--seed", "1.5", "expected an integer"),
+    ],
+    "delayed_choice_split.py": [
+        ("--pairs", "0", "must be >= 1"),
+        ("--seed", "-1", "must be in [0, "),
+        ("--seed", str(2**64), f"must be in [0, {2**64 - 1}]"),
+    ],
+}
+
+
+def _refusals():
+    for script in sorted(_OUT_FLAG):
+        for grid, message in _BAD_GRIDS:
+            yield pytest.param(script, "--grid", grid, message, id=f"{grid}-{message}-{script}")
+        for flag, value, message in _BAD_FLAGS[script]:
+            yield pytest.param(script, flag, value, message, id=f"{flag}={value}-{script}")
+
+
+@pytest.mark.parametrize("script, flag, value, message", _refusals())
+def test_script_refuses_malformed_grid(tmp_path, script, flag, value, message):
+    # also every other malformed flag: each is refused before anything is written
     out = tmp_path / "out"
-    proc = _proc(script, _OUT_FLAG[script], str(out), "--pairs", "20000", "--grid", grid)
+    proc = _proc(script, _OUT_FLAG[script], str(out), "--pairs", "20000", flag, value)
     assert proc.returncode == 2, proc.stderr[-2000:]
-    assert "--grid" in proc.stderr and message in proc.stderr
+    assert f"argument {flag}" in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "" and not out.exists()
 
@@ -70,7 +97,17 @@ def test_run_eraser_scan(tmp_path):
         assert len(data) == 1 + 5  # header and the grid 0, 0.5, ..., 2
     report = [ln for ln in out.splitlines() if " vs " in ln]
     assert len(report) == 6
-    assert all("bins agree" in ln for ln in report)
+    assert all(("bins agree" in ln) != ln.endswith("no mutually unflagged bins") for ln in report)
+    assert "nan" not in out
+
+
+def test_run_eraser_scan_reports_pairs_without_common_bins(tmp_path):
+    # at 100 pairs protocol d flags every row, so no bin of it is compared
+    out = _run("run_eraser_scan.py", "--out-dir", str(tmp_path), "--pairs", "100",
+               "--grid", "0:2:0.5")
+    report = [ln for ln in out.splitlines() if " vs " in ln]
+    assert "  (a) vs (d): no mutually unflagged bins" in report
+    assert "nan" not in out
 
 
 def test_delayed_choice_split(tmp_path):
