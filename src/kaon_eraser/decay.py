@@ -266,7 +266,8 @@ def passive_probability(
     """Joint detection probability from purely passive records.
 
     rate / (N(tau_l, tau_r) * gamma(K_{f_l} -> f_l) * gamma(K_{f_r} -> f_r));
-    equals the corresponding active-measurement probability.
+    equals the corresponding active-measurement probability.  Raises
+    ``ValueError`` where that denominator underflows to 0.
     """
     amps = amplitudes(params)
     width_l = amps.identified_width(mode_l)
@@ -279,7 +280,13 @@ def passive_probability(
     rate = joint_rate_channels(
         _MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps
     )
-    return rate / (normalization_factor(tau_l, tau_r, params) * width_l * width_r)
+    surviving = normalization_factor(tau_l, tau_r, params) * width_l * width_r
+    if surviving == 0.0:
+        raise ValueError(
+            f"at tau_l = {tau_l!r}, tau_r = {tau_r!r} the extinction factor"
+            " N(tau_l, tau_r) underflows to 0: no pair survives to both times"
+        )
+    return rate / surviving
 
 
 @functools.lru_cache(maxsize=16)

@@ -25,8 +25,10 @@ event consumes exactly four uniform variates.
 Determinism
 -----------
 Events are produced in fixed batches; batch k draws from an independent
-counter-based substream ``Philox(key=seed).jumped(k)``.  The output is
-bit-identical for any number of worker threads and across runs.
+counter-based substream ``Philox(key=seed).jumped(k)``.  A worker task
+takes ``_TASK`` consecutive batches and makes one kernel call on them.
+The output is bit-identical for any number of worker threads and across
+runs.
 
 Truncation
 ----------
@@ -57,6 +59,10 @@ from .probabilities import _sech
 
 EVENT_SCHEMA_VERSION = 1
 _BATCH = 1 << 13
+#: Consecutive batches that one worker task draws and passes to one kernel
+#: call: fewer, longer calls let two threads overlap (README, "The sampling
+#: kernel").
+_TASK = 4
 
 #: Residual survival probability allowed beyond the truncation horizon.
 TRUNCATION_BOUND = 1e-12
@@ -112,10 +118,32 @@ class EventSet:
         return self.tau_l.shape[0]
 
 
-def _truncated_exp(u: np.ndarray, gamma: np.ndarray, horizon: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the exponential truncated at ``horizon``."""
-    mass = -np.expm1(-gamma * horizon)
-    return -np.log1p(-u * mass) / gamma
+def _truncated_exp(u: np.ndarray, gamma: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the exponential of width ``gamma`` truncated where its
+    CDF reaches ``mass``, computed in place."""
+    tau = np.negative(u)
+    tau *= mass
+    np.log1p(tau, out=tau)
+    np.negative(tau, out=tau)
+    tau /= gamma
+    return tau
+
+
+def _fringe_reach(m_sl: Iterable[float], m_ls: Iterable[float], m_x: Iterable[float],
+                  delta_gamma: float) -> float:
+    """``T = max (2 / |delta_gamma|) ln(64 |m_x| / h)`` over the cells with
+    ``m_x != 0``, ``h`` half an ulp of ``0.99 * min(m_sl, m_ls)``: from
+    ``|dt| = T`` on no fringe term moves a bit of its row (see
+    :func:`sampling_kernel`).  Infinite where ``h`` is 0, a subnormal row."""
+    reach = 0.0
+    for sl, ls, x in zip(m_sl, m_ls, m_x):
+        if x == 0.0:
+            continue
+        half_ulp = 0.5 * math.ulp(0.99 * min(sl, ls))
+        if half_ulp == 0.0:
+            return math.inf
+        reach = max(reach, 2.0 / abs(delta_gamma) * math.log(64.0 * abs(x) / half_ulp))
+    return reach
 
 
 def sampling_kernel(
@@ -126,46 +154,83 @@ def sampling_kernel(
     ``u`` has shape (4, n): pacing branch, left time, right time, mode
     cell.  Returns (tau_l, mode_l, tau_r, mode_r) with public mode codes.
     One call is one exact draw per column from the truncated joint decay
-    density; no rejection, no grids.
+    density; no rejection, no grids.  Each column's draw depends on that
+    column alone, so one call on concatenated batches gives the bytes of
+    one call per batch.
 
-    The mode cell is drawn from one C-contiguous (live cells, n) array,
-    filled and summed in place one cell row at a time.  Each cell gets
-    the IEEE operations of ``r*m_sl + (1-r)*m_ls - fringe*m_x``, a clip at
-    0 and a running sum over the live cells, in that order, so the draws
-    are bit for bit those of the broadcast (n, cells) form with
-    ``np.cumsum(axis=1)``.  Where ``m_x == 0`` the fringe term is ±0 and
-    the clip changes nothing, so only the SL×SL rows take them.  No
-    matmul, einsum or reordered sum: those round differently (fused
-    multiply-add, pairwise sums) and would move the last bit of a total.
+    The mode cell is drawn one cell row at a time.  Each cell gets the
+    IEEE operations of ``r*m_sl + (1-r)*m_ls - fringe*m_x``, a clip at 0
+    and a running sum over the live cells, in that order, so the draws are
+    bit for bit those of the broadcast (n, cells) form with
+    ``np.cumsum(axis=1)``; a matmul, einsum or reordered sum would round
+    differently.  The running sum is taken twice, for the total and then
+    for the count of totals below ``u3 * total``; only the rows of two
+    products are kept between the passes.  Work that cannot change a bit
+    is skipped (README, "The sampling kernel"):
+
+    * a product with a weight of exactly 0 is ``+0``, and ``x + 0.0`` is
+      ``x`` for ``x >= +0``; where ``m_x == 0`` the fringe is ±0 and the
+      clip of non-negative products returns them;
+    * the inert fringe: an SL×SL row is above ``0.99 * min(m_sl, m_ls)``
+      and the fringe term is at most ``2 |m_x| exp(-|delta_gamma| |dt| /
+      2)``, so from ``|dt| = T`` of :func:`_fringe_reach` on it is below
+      a thirty-second of ``h``, half an ulp of that bound, and rounds away:
+      the fringe runs only where ``|dt| < T``.  ``exp`` and ``cos`` give
+      an element the same bits on a subset as on the whole array;
+    * horizons and truncation masses are computed on the two widths;
+    * the last total is never below ``u3 * total`` (``u3 < 1``), so the
+      count over all but the last cell is the count clipped to the cells.
     """
     gs = params.gamma_s
+    # the left kaon's width and mass, at 1 where it is the S-paced one
+    gammas = np.array([params.gamma_l, gs])
+    masses = -np.expm1(-gammas * (tau_max * gs / gammas))
+    s_paced_left = (u[0] < 0.5).astype(np.intp)
+    tau_l = _truncated_exp(u[1], gammas.take(s_paced_left), masses.take(s_paced_left))
+    tau_r = _truncated_exp(u[2], gammas[::-1].take(s_paced_left), masses[::-1].take(s_paced_left))
 
-    s_paced_left = u[0] < 0.5
-    gamma_left = np.where(s_paced_left, gs, params.gamma_l)
-    gamma_right = np.where(s_paced_left, params.gamma_l, gs)
-    tau_l = _truncated_exp(u[1], gamma_left, tau_max * gs / gamma_left)
-    tau_r = _truncated_exp(u[2], gamma_right, tau_max * gs / gamma_right)
-
-    dt = tau_l - tau_r
-    r = expit(params.delta_gamma * dt)
-    fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
     code_l, code_r, m_sl, m_ls, m_x = _mode_cells(params)
-    # Rows are views of p; ``out=row`` writes in place, where ``p[j] += x``
-    # would also copy the row onto itself.
-    p = np.multiply.outer(m_sl, r)
+    w_sl, w_ls, w_x = m_sl.tolist(), m_ls.tolist(), m_x.tolist()
+    dt = tau_l - tau_r
+    near = np.flatnonzero(np.abs(dt) < _fringe_reach(w_sl, w_ls, w_x, params.delta_gamma))
+    dt_near = dt[near]
+    fringe = _sech(0.5 * params.delta_gamma * dt_near) * np.cos(params.delta_m * dt_near)
+    r = expit(np.multiply(params.delta_gamma, dt, out=dt), out=dt)
     one_minus_r = 1.0 - r
+
+    # every product goes to ``term``: no row allocates a temporary
     term = np.empty_like(r)
-    for row, w in zip(p, m_ls):
-        np.add(row, np.multiply(w, one_minus_r, out=term), out=row)
-    for j in np.flatnonzero(m_x):
-        row = p[j]
-        np.subtract(row, np.multiply(m_x[j], fringe, out=term), out=row)
-        np.maximum(row, 0.0, out=row)  # what np.clip(row, 0.0, None) calls
-    for prev, row in zip(p, p[1:]):
-        np.add(row, prev, out=row)
-    target = u[3] * p[-1]
+    kept = {}
+    for j in range(len(w_sl)):
+        if w_x[j] != 0.0 or (w_sl[j] != 0.0 and w_ls[j] != 0.0):
+            row = kept[j] = np.multiply(w_sl[j], r)
+            np.add(row, np.multiply(w_ls[j], one_minus_r, out=term), out=row)
+        if w_x[j] != 0.0:
+            row = kept[j][near]
+            np.subtract(row, np.multiply(w_x[j], fringe, out=dt_near), out=row)
+            np.maximum(row, 0.0, out=row)  # what np.clip(row, 0.0, None) calls
+            kept[j][near] = row
+
+    def cell_rows() -> Iterator[np.ndarray]:
+        for j in range(len(w_sl)):
+            if j in kept:
+                yield kept[j]
+            elif w_ls[j] == 0.0:
+                yield np.multiply(w_sl[j], r, out=term)
+            else:
+                yield np.multiply(w_ls[j], one_minus_r, out=term)
+
+    # The totals start at +0: +0 + p is p for every row, as rows are >= +0.
+    target = np.zeros_like(r)
+    for row in cell_rows():
+        np.add(target, row, out=target)
+    np.multiply(u[3], target, out=target)
     # among the live cells only: a target of exactly 0 picks the first one
-    pick = np.minimum((p < target).sum(axis=0), m_sl.size - 1)
+    pick = np.zeros(r.size, np.uint8)
+    below = np.empty(r.size, bool)
+    running = np.zeros_like(r)
+    for _, row in zip(range(len(w_sl) - 1), cell_rows()):
+        pick += np.less(np.add(running, row, out=running), target, out=below)
     return tau_l, code_l[pick], tau_r, code_r[pick]
 
 
@@ -175,28 +240,41 @@ def generate(
     """Produce exactly ``config.n_pairs`` joint decay events.
 
     The event stream is a pure function of (seed, n_pairs, tau_max, params)
-    regardless of ``threads``.
+    regardless of ``threads``.  Batch k of ``_BATCH`` pairs draws its
+    uniforms from its own substream; a task concatenates ``_TASK``
+    consecutive batches, calls the kernel once and writes its slice of the
+    four output columns, which are allocated once.
     """
     config.validate_horizon(params)
     n = config.n_pairs
-    sizes = [(k, min(_BATCH, n - k * _BATCH)) for k in range((n + _BATCH - 1) // _BATCH)]
+    tau_l, tau_r = np.empty(n), np.empty(n)
+    mode_l, mode_r = np.empty(n, np.int8), np.empty(n, np.int8)
+    span = _TASK * _BATCH
 
-    def run(item: tuple[int, int]):
-        k, size = item
-        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(k))
-        return sampling_kernel(rng.random((4, size)), params, config.tau_max)
+    def run(start: int) -> None:
+        stop = min(start + span, n)
+        u = np.empty((4, stop - start))
+        for lo in range(0, stop - start, _BATCH):
+            hi = min(lo + _BATCH, stop - start)
+            batch = (start + lo) // _BATCH
+            rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(batch))
+            u[:, lo:hi] = rng.random((4, hi - lo))
+        (tau_l[start:stop], mode_l[start:stop], tau_r[start:stop],
+         mode_r[start:stop]) = sampling_kernel(u, params, config.tau_max)
 
+    starts = range(0, n, span)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, sizes))
+            list(pool.map(run, starts))
     else:
-        results = [run(item) for item in sizes]
+        for start in starts:
+            run(start)
 
     return EventSet(
-        tau_l=np.concatenate([r[0] for r in results]),
-        mode_l=np.concatenate([r[1] for r in results]),
-        tau_r=np.concatenate([r[2] for r in results]),
-        mode_r=np.concatenate([r[3] for r in results]),
+        tau_l=tau_l,
+        mode_l=mode_l,
+        tau_r=tau_r,
+        mode_r=mode_r,
         seed=config.seed,
         tau_max=config.tau_max,
         params_digest=params.digest(),

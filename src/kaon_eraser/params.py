@@ -82,6 +82,12 @@ class PhysicsParams:
                     f"branching fractions of {label} sum to {total!r} > 1; the"
                     " residual 'other' channel cannot absorb a negative remainder"
                 )
+        # the lru_caches keyed on a parameter set hash it on every lookup
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, n) for n in _FIELD_NAMES)))
+
+    def __hash__(self) -> int:
+        """The hash of the field tuple, computed once at construction."""
+        return self._hash
 
     # Derived accessors -------------------------------------------------
 

@@ -261,6 +261,18 @@ def test_zero_partial_width_is_configuration_error():
         passive_probability(DecayMode.TWO_PI, 1.0, DecayMode.THREE_PI, 1.0, p)
 
 
+@pytest.mark.parametrize(
+    "mode_r, tau",
+    [(DecayMode.SEMILEPTONIC_MINUS, 800.0), (DecayMode.TWO_PI, 1e6)],
+)
+def test_underflowing_extinction_factor_is_named(default_params, mode_r, tau):
+    # N(tau, tau) is below the smallest double: the quotient would divide by 0
+    assert normalization_factor(tau, tau, default_params) == 0.0
+    match = rf"tau_l = {tau!r}, tau_r = {tau!r} .*N\(tau_l, tau_r\) underflows to 0"
+    with pytest.raises(ValueError, match=match):
+        passive_probability(DecayMode.SEMILEPTONIC_PLUS, tau, mode_r, tau, default_params)
+
+
 def _gauss_time_mesh(params, nodes_per_segment=24):
     """Composite Gauss-Legendre nodes covering all decay time scales."""
     horizon = 45.0 / params.gamma_l

@@ -24,7 +24,7 @@ from kaon_eraser import (
     write_events,
 )
 from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, _mode_cells, amplitudes
-from kaon_eraser.generator import _BATCH, _truncated_exp
+from kaon_eraser.generator import _BATCH, _TASK, _fringe_reach
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
 
@@ -52,11 +52,17 @@ def test_identical_seeds_identical_streams(default_params):
 
 
 def test_thread_count_does_not_change_stream(default_params):
-    serial = generate(GeneratorConfig(seed=3, n_pairs=50_000), default_params, threads=1)
+    # ten tasks on more workers than cores, switching threads as often as
+    # the interpreter allows: each task writes its own slice of the outputs
+    config = GeneratorConfig(seed=3, n_pairs=9 * _TASK * _BATCH + 5)
+    serial = generate(config, default_params, threads=1)
+    interval = sys.getswitchinterval()
     for threads in (2, 8):
-        parallel = generate(
-            GeneratorConfig(seed=3, n_pairs=50_000), default_params, threads=threads
-        )
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = generate(config, default_params, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
         np.testing.assert_array_equal(serial.tau_l, parallel.tau_l)
         np.testing.assert_array_equal(serial.mode_l, parallel.mode_l)
         np.testing.assert_array_equal(serial.tau_r, parallel.tau_r)
@@ -201,19 +207,141 @@ def test_sampling_kernel_zero_target_avoids_forbidden_cells(default_params):
     assert np.all(allowed[mode_l, mode_r])
 
 
+def _oracle_columns(u, params, tau_max):
+    """Per-column decay times, horizons and masses, ``r`` and the fringe on
+    every column, as the kernel computed them before it skipped any."""
+    gs = params.gamma_s
+    s_paced_left = u[0] < 0.5
+    times = []
+    for u_side, gamma in ((u[1], np.where(s_paced_left, gs, params.gamma_l)),
+                          (u[2], np.where(s_paced_left, params.gamma_l, gs))):
+        mass = -np.expm1(-gamma * (tau_max * gs / gamma))
+        times.append(-np.log1p(-u_side * mass) / gamma)
+    dt = times[0] - times[1]
+    r = expit(params.delta_gamma * dt)
+    fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
+    return times[0], times[1], r, fringe
+
+
+def _oracle_kernel(u, params, tau_max=50.0):
+    """Oracle: the sampling kernel that computes every term on every draw,
+    with its per-column horizons, the fringe on every SL×SL row and column
+    and a clipped count over all running totals.  Returns the four event
+    columns and the (cells, n) running totals."""
+    tau_l, tau_r, r, fringe = _oracle_columns(u, params, tau_max)
+    code_l, code_r, m_sl, m_ls, m_x = _mode_cells(params)
+    p = np.multiply.outer(m_sl, r)
+    one_minus_r = 1.0 - r
+    term = np.empty_like(r)
+    for row, w in zip(p, m_ls):
+        np.add(row, np.multiply(w, one_minus_r, out=term), out=row)
+    for j in np.flatnonzero(m_x):
+        row = p[j]
+        np.subtract(row, np.multiply(m_x[j], fringe, out=term), out=row)
+        np.maximum(row, 0.0, out=row)
+    for prev, row in zip(p, p[1:]):
+        np.add(row, prev, out=row)
+    target = u[3] * p[-1]
+    pick = np.minimum((p < target).sum(axis=0), m_sl.size - 1)
+    return (tau_l, code_l[pick], tau_r, code_r[pick]), p
+
+
+def _oracle_generate(config, params):
+    """Oracle: one kernel call per batch, joined by a final concatenate."""
+    n = config.n_pairs
+    parts = [
+        _oracle_kernel(
+            np.random.Generator(np.random.Philox(key=config.seed).jumped(k))
+            .random((4, min(_BATCH, n - k * _BATCH))),
+            params, config.tau_max,
+        )[0]
+        for k in range((n + _BATCH - 1) // _BATCH)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _assert_same_bytes(got, expected, label):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape, label
+        assert a.tobytes() == b.tobytes(), label
+
+
+def _edge_params():
+    """No oscillation; semileptonic widths tiny and so tiny that the SL×SL
+    weights are subnormal; and widths so close that the fringe reach
+    covers every draw."""
+    gl = 1.0 / 579.0
+    return {
+        "delta_m_0": PhysicsParams(delta_m=0.0),
+        "tiny_semileptonic": PhysicsParams(br_semileptonic_s=1e-9 * gl, br_semileptonic_l=1e-9),
+        "subnormal_semileptonic": PhysicsParams(
+            br_semileptonic_s=1e-157 * gl, br_semileptonic_l=1e-157),
+        "near_equal_widths": PhysicsParams(
+            gamma_l=1.0 - 1e-9, br_s_2pi=0.3, br_l_3pi=0.3,
+            br_semileptonic_s=0.5 * (1.0 - 1e-9), br_semileptonic_l=0.5),
+    }
+
+
+def _oracle_param_sets(default_params, rich_params):
+    rng = np.random.default_rng(15)
+    sets = {"default": default_params, "rich": rich_params}
+    sets.update({f"random_{i}": random_params(rng) for i in range(6)})
+    sets.update(_edge_params())
+    return sets
+
+
+def test_edge_params_reach_the_fringe_rule_limits(default_params):
+    # the reach is finite at defaults and covers every draw, or none, at the edges
+    def reach(params):
+        _, _, m_sl, m_ls, m_x = _mode_cells(params)
+        return _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma)
+
+    edges = _edge_params()
+    assert 80.0 < reach(default_params) < 90.0
+    assert reach(edges["subnormal_semileptonic"]) == math.inf
+    horizon = 50.0 / edges["near_equal_widths"].gamma_l
+    assert reach(edges["near_equal_widths"]) > horizon
+    # a fringe term below a thirty-second of half an ulp everywhere: no draw needs it
+    assert reach(edges["tiny_semileptonic"]) < reach(default_params)
+
+
+@pytest.mark.parametrize("width", [1, 7, _BATCH - 1, _BATCH, _TASK * _BATCH])
+def test_kernel_matches_oracle_bytes(default_params, rich_params, width):
+    for n_set, (name, params) in enumerate(_oracle_param_sets(default_params, rich_params).items()):
+        u = np.random.Generator(np.random.Philox(key=width).jumped(n_set)).random((4, width))
+        # targets on running totals, where a last-bit change of a total
+        # moves the draw (see test_kernel_is_bitwise_broadcast_reference)
+        _, cum = _oracle_kernel(u, params)
+        cols = np.arange(0, width, 2)
+        edge = np.random.default_rng(n_set).integers(0, cum.shape[0] - 1, size=cols.size)
+        u[3, cols] = cum[edge, cols] / cum[-1, cols]
+        u[3, 1::97] = 0.0
+        u[0, 1::89] = 0.5
+        _assert_same_bytes(sampling_kernel(u, params), _oracle_kernel(u, params)[0], (name, width))
+        if width > 1:
+            # a strided view of the uniforms, as a caller may pass
+            wide = np.repeat(u, 2, axis=1)[:, ::2]
+            _assert_same_bytes(sampling_kernel(wide, params, 60.0),
+                               _oracle_kernel(u, params, 60.0)[0], (name, width, "strided"))
+
+
+@pytest.mark.parametrize("n_pairs", [1, _BATCH, 3 * _BATCH + 17, 2 * _TASK * _BATCH + 1])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_generate_matches_oracle_bytes(default_params, rich_params, n_pairs, threads):
+    sets = {"default": default_params, "rich": rich_params,
+            "near_equal_widths": _edge_params()["near_equal_widths"]}
+    for name, params in sets.items():
+        config = GeneratorConfig(seed=n_pairs, n_pairs=n_pairs)
+        events = generate(config, params, threads=threads)
+        got = (events.tau_l, events.mode_l, events.tau_r, events.mode_r)
+        _assert_same_bytes(got, _oracle_generate(config, params), (name, n_pairs, threads))
+
+
 def _broadcast_kernel(u, params, tau_max=50.0):
     """Reference: the mode cell drawn from broadcast (n, cells) products and
     ``np.cumsum(axis=1)``; same truncated exponentials, r and fringe.
     Returns the four event columns and the running cell totals."""
-    gs = params.gamma_s
-    s_paced_left = u[0] < 0.5
-    gamma_left = np.where(s_paced_left, gs, params.gamma_l)
-    gamma_right = np.where(s_paced_left, params.gamma_l, gs)
-    tau_l = _truncated_exp(u[1], gamma_left, tau_max * gs / gamma_left)
-    tau_r = _truncated_exp(u[2], gamma_right, tau_max * gs / gamma_right)
-    dt = tau_l - tau_r
-    r = expit(params.delta_gamma * dt)
-    fringe = _sech(0.5 * params.delta_gamma * dt) * np.cos(params.delta_m * dt)
+    tau_l, tau_r, r, fringe = _oracle_columns(u, params, tau_max)
     amps = amplitudes(params)
     gs_gl = params.gamma_s * params.gamma_l
     m_sl = np.outer(amps.w_s, amps.w_l).ravel() / gs_gl

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from kaon_eraser import ParamsError, PhysicsParams, load_params
+from kaon_eraser.decay import amplitudes
 
 
 def test_empty_document_gives_defaults(tmp_path):
@@ -95,3 +97,13 @@ def test_round_trip_serialization(tmp_path, default_params):
 def test_digest_changes_with_params(default_params):
     other = load_params({"delta_m": 0.5})
     assert other.digest() != default_params.digest()
+
+
+def test_hash_is_the_field_tuple_hash_and_follows_replace(default_params):
+    equal = PhysicsParams()
+    assert equal is not default_params
+    assert hash(equal) == hash(default_params) == hash(tuple(default_params.to_dict().values()))
+    changed = dataclasses.replace(default_params, delta_m=0.5)
+    assert hash(changed) == hash(tuple(changed.to_dict().values())) != hash(default_params)
+    # the caches keyed on a parameter set find equal sets under one entry
+    assert amplitudes(equal) is amplitudes(default_params)
