@@ -33,17 +33,20 @@ def main() -> int:
     ap.add_argument("--bin-width-r", type=float, default=2.0)
     ap.add_argument("--params", type=Path, default=None)
     args = ap.parse_args()
+    try:  # the spec's checks refuse a bad --tau-r0 or --bin-width-r before any work
+        spec = ExperimentSpec(
+            kind=ExperimentKind.PASSIVE_PASSIVE,
+            tau_r0=args.tau_r0,
+            tau_l_grid=args.grid,
+            n_pairs=args.pairs,
+            seed=args.seed,
+            bin_width_r=args.bin_width_r,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
     params = load_params(args.params)
     events = generate(GeneratorConfig(seed=args.seed, n_pairs=args.pairs), params)
-    spec = ExperimentSpec(
-        kind=ExperimentKind.PASSIVE_PASSIVE,
-        tau_r0=args.tau_r0,
-        tau_l_grid=args.grid,
-        n_pairs=args.pairs,
-        seed=args.seed,
-        bin_width_r=args.bin_width_r,
-    )
     result = run_experiment(spec, params, events=events)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_scan_csv(args.out, result, __version__)

@@ -74,29 +74,35 @@ def main() -> int:
     ap.add_argument("--params", type=Path, default=None)
     ap.add_argument("--threads", type=int_in(1), default=1)
     args = ap.parse_args()
+    try:  # the spec's checks refuse a bad --tau-r0 or bin width before any work
+        specs = [
+            ExperimentSpec(
+                kind=kind,
+                tau_r0=args.tau_r0,
+                tau_l_grid=args.grid,
+                n_pairs=args.pairs,
+                seed=args.seed + SPEC_SEED_OFFSET + offset,
+                bin_width_l=args.bin_width,
+                bin_width_r=args.bin_width_r,
+            )
+            for offset, kind in enumerate(ExperimentKind)
+        ]
+    except ValueError as exc:
+        ap.error(str(exc))
 
     params = load_params(args.params)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = {}
-    for offset, kind in enumerate(ExperimentKind):
+    for offset, spec in enumerate(specs):
         events = generate(
             GeneratorConfig(seed=args.seed + offset, n_pairs=args.pairs),
             params,
             threads=args.threads,
         )
-        spec = ExperimentSpec(
-            kind=kind,
-            tau_r0=args.tau_r0,
-            tau_l_grid=args.grid,
-            n_pairs=args.pairs,
-            seed=args.seed + SPEC_SEED_OFFSET + offset,
-            bin_width_l=args.bin_width,
-            bin_width_r=args.bin_width_r,
-        )
-        results[kind] = run_experiment(spec, params, events=events)
-        out = args.out_dir / f"scan_{kind.value}.csv"
-        write_scan_csv(out, results[kind], __version__)
+        results[spec.kind] = run_experiment(spec, params, events=events)
+        out = args.out_dir / f"scan_{spec.kind.value}.csv"
+        write_scan_csv(out, results[spec.kind], __version__)
         print(f"wrote {out}")
 
     print("\npairwise agreement (twin-referenced residuals within 3 sigma):")

@@ -38,8 +38,8 @@ twins.  Passive records are read through the decay-mode table of
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-import operator
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -173,11 +173,53 @@ class ScanRow(NamedTuple):
     counts: dict[str, int]
 
 
-@dataclasses.dataclass(frozen=True)
+def _once_per_array(convert):
+    """``convert(column, *args)``, run once per array object and ``args``:
+    every column that the same array fills reuses its result."""
+    done = {}
+
+    def once(column: np.ndarray, *args):
+        key = id(column), *args
+        if key not in done:
+            done[key] = convert(column, *args)
+        return done[key]
+
+    return once
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
+    """One scan by column: per family its ``(value, sigma, twin, n,
+    flagged)`` arrays in :class:`Estimate` field order, per count key of
+    the kind its array.  One array may fill several columns, such as an
+    analytic value and its twin.  The arrays are made read-only here, so
+    the rows built from them and a later write cannot disagree."""
+
     spec: ExperimentSpec
     params: PhysicsParams
-    rows: tuple[ScanRow, ...]
+    families: dict[str, tuple[np.ndarray, ...]]
+    counts: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        for column in itertools.chain(*self.families.values(), self.counts.values()):
+            column.setflags(write=False)
+
+    @functools.cached_property
+    def rows(self) -> tuple[ScanRow, ...]:
+        """The scan's rows, built on first use by ``tuple.__new__`` over
+        zipped columns, which skips the named tuples' Python-level
+        ``__new__`` per row.  Each array is listed once, so its columns
+        share its floats."""
+        listed = _once_per_array(np.ndarray.tolist)
+        families = [
+            map(tuple.__new__, itertools.repeat(Estimate), zip(*map(listed, self.families[fam])))
+            for fam in _FAMILIES
+        ]
+        keys = _COUNT_KEYS[self.spec.kind]
+        count_rows = zip(*(listed(self.counts[key]) for key in keys))
+        row_counts = map(dict, map(zip, itertools.repeat(keys), count_rows))
+        fields = zip(self.spec.tau_l_grid, *families, row_counts)
+        return tuple(map(tuple.__new__, itertools.repeat(ScanRow), fields))
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +340,11 @@ def _n_within(sorted_tau: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left")
 
 
+def _survivors(spec: ExperimentSpec, events: EventSet, grid: np.ndarray) -> np.ndarray:
+    """Per grid point, the pairs alive at (tau_l, tau_r0) that a and b project."""
+    return _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
+
+
 def _above_by_mode(tau_l, codes, grid: np.ndarray) -> dict[DecayMode, np.ndarray]:
     """Per decay mode, :func:`_n_above` of the ``tau_l`` of the events whose mode code it is."""
     return {m: _n_above(np.sort(tau_l[codes == c]), grid) for m, c in MODE_CODES.items()}
@@ -373,7 +420,7 @@ def _columns_active_active(spec, params, events: EventSet, d: np.ndarray) -> tup
     meter matter removed (strangeness-lifetime setup).
     """
     grid = np.array(spec.tau_l_grid)
-    survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
+    survivors = _survivors(spec, events, grid)
     born = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
     columns = _born_columns(born, survivors, spec.min_count)
     counts = {"strangeness": survivors, "lifetime": survivors, "discarded": events.n - survivors}
@@ -392,7 +439,7 @@ def _columns_partially_active(spec, params, events: EventSet, d: np.ndarray) -> 
     are discarded.  The lifetime/early tallies cover all early decays.
     """
     grid = np.array(spec.tau_l_grid)
-    survivors = _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
+    survivors = _survivors(spec, events, grid)
     born = _born_counts(spec, params, survivors, 1, _S_CELLS)
     early = events.tau_r < spec.tau_r0
     in_window = early & (events.tau_r >= _early_window(spec).lo)
@@ -577,33 +624,6 @@ def sort_passive_events(
 # --------------------------------------------------------------------------
 
 
-def _rows(spec: ExperimentSpec, twins: dict, columns: dict, counts: dict) -> tuple[ScanRow, ...]:
-    """The scan's rows from every family's columns and twins and the count
-    columns.  An array that fills several columns, such as an analytic
-    value and its twin, is listed once, so the rows share its floats.
-
-    The rows are built by ``tuple.__new__`` over zipped columns, which
-    makes the same named tuples as calling the classes without running
-    their Python-level ``__new__`` once per row."""
-    lists = {}
-
-    def listed(column: np.ndarray) -> list:
-        if id(column) not in lists:
-            lists[id(column)] = column.tolist()
-        return lists[id(column)]
-
-    families = []
-    for fam in _FAMILIES:
-        value, sigma, n, flagged = map(listed, columns[fam])
-        fields = zip(value, sigma, listed(twins[fam]), n, flagged)
-        families.append(map(tuple.__new__, itertools.repeat(Estimate), fields))
-    keys = _COUNT_KEYS[spec.kind]
-    count_rows = zip(*(listed(counts[key]) for key in keys))
-    row_counts = map(dict, map(zip, itertools.repeat(keys), count_rows))
-    fields = zip(spec.tau_l_grid, *families, row_counts)
-    return tuple(map(tuple.__new__, itertools.repeat(ScanRow), fields))
-
-
 def run_experiment(
     spec: ExperimentSpec, params: PhysicsParams, events: Optional[EventSet] = None
 ) -> ScanResult:
@@ -629,7 +649,9 @@ def run_experiment(
         counts = dict.fromkeys(_COUNT_KEYS[spec.kind], zero)
     else:
         columns, counts = _COLUMN_BUILDERS[spec.kind](spec, params, events, d)
-    return ScanResult(spec=spec, params=params, rows=_rows(spec, twins, columns, counts))
+    families = {fam: (value, sigma, twins[fam], n, flagged)
+                for fam, (value, sigma, n, flagged) in columns.items()}
+    return ScanResult(spec=spec, params=params, families=families, counts=counts)
 
 
 # --------------------------------------------------------------------------
@@ -644,48 +666,25 @@ _COUNT_KEYS = {
 }
 
 
-#: The dtype whose bytes tell two columns of a ``%``-format apart: columns
-#: with the same bytes print the same.
-_FORMAT_DTYPES = {"%.17g": np.float64, "%d": np.int64}
-
-
-def _transpose(rows, width: int) -> list[tuple]:
-    """The ``width`` columns of equal-length ``rows``, also when there are none."""
-    return list(zip(*rows)) or [()] * width
-
-
-def _format_columns(columns, formats) -> list[list[str]]:
-    """Each column printed with its format, one string per row.  A column
-    whose values have the bytes of one already printed in the same format
-    reuses its strings.  Bytes, not ``==``: 0.0 and -0.0 are equal but
-    print differently, and a NaN is equal to nothing, itself included."""
-    printed = {}
-    out = []
-    for column, fmt in zip(columns, formats):
-        key = fmt, np.array(column, dtype=_FORMAT_DTYPES[fmt]).tobytes()
-        if key not in printed:
-            printed[key] = list(map(fmt.__mod__, column))
-        out.append(printed[key])
-    return out
+#: The formats of a family's columns, in :class:`Estimate` field order.
+#: ``%.17g`` and ``%d`` print what ``f"{x:.17g}"`` and ``str(n)`` print.
+_ESTIMATE_FORMATS = ("%.17g", "%.17g", "%.17g", "%d", "%d")
 
 
 def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str) -> None:
     spec = result.spec
     count_keys = _COUNT_KEYS[spec.kind]
-    columns = ["tau_l"]
+    # printed column by column, each array once: an analytic value and its
+    # twin are one array, and so are its zero columns
+    strings = _once_per_array(lambda column, fmt: list(map(fmt.__mod__, column.tolist())))
+    columns, values = ["tau_l"], [list(map("%.17g".__mod__, spec.tau_l_grid))]
     for fam in _FAMILIES:
         columns += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
-    columns += [f"count_{key}" for key in count_keys]
-    # printed column by column; %.17g and %d print what f"{x:.17g}" and str(n) print
-    formats = (["%.17g"] + ["%.17g", "%.17g", "%.17g", "%d", "%d"] * len(_FAMILIES)
-               + ["%d"] * len(count_keys))
-    tau_l, *families, row_counts = _transpose(result.rows, len(ScanRow._fields))
-    values = [tau_l]
-    for family in families:
-        values += _transpose(family, len(Estimate._fields))
-    for key in count_keys:  # a row without the key raises KeyError
-        values.append(list(map(operator.itemgetter(key), row_counts)))
-    lines = [*map(",".join, zip(*_format_columns(values, formats))), ""]
+        values += map(strings, result.families[fam], _ESTIMATE_FORMATS)
+    for key in count_keys:  # a result without the key raises KeyError
+        columns.append(f"count_{key}")
+        values.append(strings(result.counts[key], "%d"))
+    lines = [*map(",".join, zip(*values)), ""]
     grid = spec.tau_l_grid
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")

@@ -16,7 +16,6 @@ from kaon_eraser import (
     Outcome,
     PhysicsParams,
     ScanResult,
-    ScanRow,
     TimeWindow,
     full_table,
     generate,
@@ -677,25 +676,28 @@ def test_scan_csv_layout(tmp_path, default_params, grid_short):
 
 def test_scan_csv_tells_columns_apart_by_their_bits(tmp_path, default_params):
     # like's value and twin columns are equal under == but not bit for bit
-    # (0.0 against -0.0), unlike's value column has like's bits, and a sigma
-    # column holds NaN; the file must read as printed one row at a time
+    # (0.0 against -0.0), unlike's value is like's value array itself, s_kl's
+    # value is its twin, one zero array fills most n and count columns, and a
+    # sigma column holds NaN; the file must read as printed one row at a time
     nan = float("nan")
-    rows = (
-        ScanRow(0.0, Estimate(0.0, 0.0, -0.0, 0, False), Estimate(0.0, 0.0, 0.5, 0, False),
-                Estimate(0.5, nan, 0.5, 2, True), Estimate(0.1, 0.0, 0.1, 0, False),
-                {"strangeness": 0, "lifetime": 7, "discarded": 0}),
-        ScanRow(0.5, Estimate(0.1, 0.0, 0.1, 0, False), Estimate(0.1, 0.0, 0.5, 0, False),
-                Estimate(-0.0, nan, 0.0, 2, True), Estimate(0.1, 0.0, 0.1, 0, False),
-                {"strangeness": 0, "lifetime": 7, "discarded": 1}),
-    )
+    value, sigma, tenth = np.array([0.0, 0.1]), np.zeros(2), np.array([0.1, 0.1])
+    zero, unflagged = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=bool)
+    families = {
+        "like": (value, sigma, np.array([-0.0, 0.1]), zero, unflagged),
+        "unlike": (value, sigma, np.array([0.5, 0.5]), zero, unflagged),
+        "s_ks": (np.array([0.5, -0.0]), np.array([nan, nan]), np.array([0.5, 0.0]),
+                 np.array([2, 2]), np.ones(2, dtype=bool)),
+        "s_kl": (tenth, sigma, tenth, zero, unflagged),
+    }
+    counts = {"strangeness": zero, "lifetime": np.array([7, 7]), "discarded": np.array([0, 1])}
     spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5), 0)
     path = tmp_path / "scan.csv"
-    write_scan_csv(path, ScanResult(spec, default_params, rows), "test")
+    write_scan_csv(path, ScanResult(spec, default_params, families, counts), "test")
     line = ",".join(["%.17g"] + ["%.17g,%.17g,%.17g,%d,%d"] * 4 + ["%d"] * 3)
     expected = [
-        line % (row.tau_l, *row.like, *row.unlike, *row.s_ks, *row.s_kl,
-                *(row.counts[key] for key in ("strangeness", "lifetime", "discarded")))
-        for row in rows
+        line % (tau_l, *(column[row].item() for fam in FAMILIES for column in families[fam]),
+                *(counts[key][row].item() for key in ("strangeness", "lifetime", "discarded")))
+        for row, tau_l in enumerate(spec.tau_l_grid)
     ]
     assert expected[0].startswith("0,0,0,-0,0,0,0,0,0.5,0,0,0.5,nan,0.5,2,1,")
     assert path.read_text().splitlines()[-2:] == expected
@@ -704,11 +706,64 @@ def test_scan_csv_tells_columns_apart_by_their_bits(tmp_path, default_params):
 def test_scan_csv_refuses_a_row_without_a_count_key(tmp_path, default_params):
     spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5), 0)
     result = run_experiment(spec, default_params)
-    first, second = result.rows
-    counts = dict(first.counts)
+    counts = dict(result.counts)
     del counts["discarded"]
-    row = ScanRow(first.tau_l, first.like, first.unlike, first.s_ks, first.s_kl, counts)
-    broken = dataclasses.replace(result, rows=(row, second))
+    broken = dataclasses.replace(result, counts=counts)
     with pytest.raises(KeyError, match="discarded"):
         write_scan_csv(tmp_path / "scan.csv", broken, "test")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def scans_by_kind(default_params, grid_short):
+    """One small Monte Carlo scan of every kind, on one event set."""
+    events = generate(GeneratorConfig(seed=16, n_pairs=20_000), default_params)
+    return {
+        kind: run_experiment(
+            ExperimentSpec(kind, 2.0, grid_short, 20_000, seed=16, bin_width_r=1.0),
+            default_params, events=events,
+        )
+        for kind in ExperimentKind
+    }
+
+
+def test_scan_csv_builds_no_rows(tmp_path, default_params, scans_by_kind):
+    analytic = run_experiment(ExperimentSpec(ExperimentKind.PARTIALLY_ACTIVE, 2.0, (0.0, 1.0), 0),
+                              default_params)
+    # replace() gives fresh results: other tests may have read the fixture's rows
+    for result in (analytic, *map(dataclasses.replace, scans_by_kind.values())):
+        write_scan_csv(tmp_path / "scan.csv", result, "test")
+        assert "rows" not in vars(result)
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind))
+def test_scan_rows_match_the_written_csv(tmp_path, scans_by_kind, kind):
+    result = scans_by_kind[kind]
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, result, "test")
+    header, *lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert len(lines) == len(result.rows)
+    for row, line in zip(result.rows, lines):
+        fields = iter(line.split(","))
+        assert float.hex(float(next(fields))) == float.hex(row.tau_l)
+        for fam in FAMILIES:
+            est = getattr(row, fam)
+            for value in (est.value, est.sigma, est.twin):
+                assert float.hex(float(next(fields))) == float.hex(value)
+            assert (int(next(fields)), int(next(fields))) == (est.n, est.flagged)
+        assert [int(text) for text in fields] == list(row.counts.values())
+    assert header.split(",")[-len(row.counts):] == [f"count_{key}" for key in row.counts]
+
+
+def test_scan_result_rows_are_cached_and_its_columns_read_only(default_params, scans_by_kind):
+    analytic = run_experiment(ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 2.0, (0.0, 1.0), 0),
+                              default_params)
+    assert analytic.families["like"][0] is analytic.families["like"][2]  # value is the twin
+    for result in (analytic, *scans_by_kind.values()):
+        assert result.rows is result.rows
+        columns = [*(c for family in result.families.values() for c in family),
+                   *result.counts.values()]
+        assert len(columns) == 5 * len(FAMILIES) + len(result.rows[0].counts)
+        assert not any(column.flags.writeable for column in columns)
+        with pytest.raises(ValueError, match="read-only"):
+            result.families["s_kl"][0][0] = 0.5

@@ -3,8 +3,9 @@
 The scripts read the scan families and the ``Estimate`` fields of
 :mod:`kaon_eraser.experiments`; these runs check that they still do so
 end to end: exit 0, the scan files written and the report printed.  A
-malformed ``--grid``, ``--pairs``, ``--threads`` or ``--seed`` is refused
-with exit 2 before any event is drawn or any output path made.
+malformed ``--grid``, ``--pairs``, ``--threads`` or ``--seed``, and a
+``--tau-r0`` or bin width that the scan spec refuses, is refused with
+exit 2 before any event is drawn or any output path made.
 """
 
 import os
@@ -58,22 +59,43 @@ _BAD_FLAGS = {
     ],
 }
 
+#: Per script, values that parse but that ``ExperimentSpec`` refuses:
+#: (flag, value, the spec's message).  argparse reports them without naming
+#: the flag.
+_BAD_SPEC_FLAGS = {
+    "run_eraser_scan.py": [
+        ("--bin-width", "0", "bin widths must be > 0"),
+        ("--tau-r0", "-1", "tau_r0 must be >= 0, got -1.0"),
+        ("--bin-width-r", "nan", "tau_r0, tau_l_grid and bin widths must be finite"),
+    ],
+    "delayed_choice_split.py": [
+        ("--tau-r0", "nan", "tau_r0, tau_l_grid and bin widths must be finite"),
+        ("--bin-width-r", "inf", "tau_r0, tau_l_grid and bin widths must be finite"),
+        ("--bin-width-r", "0", "bin widths must be > 0"),
+    ],
+}
+
 
 def _refusals():
     for script in sorted(_OUT_FLAG):
         for grid, message in _BAD_GRIDS:
-            yield pytest.param(script, "--grid", grid, message, id=f"{grid}-{message}-{script}")
+            yield pytest.param(script, "--grid", grid, ("argument --grid", message),
+                               id=f"{grid}-{message}-{script}")
         for flag, value, message in _BAD_FLAGS[script]:
-            yield pytest.param(script, flag, value, message, id=f"{flag}={value}-{script}")
+            yield pytest.param(script, flag, value, (f"argument {flag}", message),
+                               id=f"{flag}={value}-{script}")
+        for flag, value, message in _BAD_SPEC_FLAGS[script]:
+            yield pytest.param(script, flag, value, (f"error: {message}",),
+                               id=f"{flag}={value}-{script}")
 
 
-@pytest.mark.parametrize("script, flag, value, message", _refusals())
-def test_script_refuses_malformed_grid(tmp_path, script, flag, value, message):
+@pytest.mark.parametrize("script, flag, value, expected", _refusals())
+def test_script_refuses_malformed_grid(tmp_path, script, flag, value, expected):
     # also every other malformed flag: each is refused before anything is written
     out = tmp_path / "out"
     proc = _proc(script, _OUT_FLAG[script], str(out), "--pairs", "20000", flag, value)
     assert proc.returncode == 2, proc.stderr[-2000:]
-    assert f"argument {flag}" in proc.stderr and message in proc.stderr
+    assert all(text in proc.stderr for text in expected), proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "" and not out.exists()
 
