@@ -53,7 +53,7 @@ from .decay import (
     _pair_coefficients,
     amplitudes,
 )
-from .generator import EventSet, _atomic_write
+from .generator import EventSet, _atomic_write, _csv_text, _d_bytes, _g17_bytes
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
 from .params import PhysicsParams
@@ -666,26 +666,44 @@ _COUNT_KEYS = {
 }
 
 
-#: The formats of a family's columns, in :class:`Estimate` field order.
-#: ``%.17g`` and ``%d`` print what ``f"{x:.17g}"`` and ``str(n)`` print.
-_ESTIMATE_FORMATS = ("%.17g", "%.17g", "%.17g", "%d", "%d")
+#: The formatters of a family's columns, in :class:`Estimate` field order:
+#: ``'%.17g' % x`` and ``'%d' % n``, which print what ``f"{x:.17g}"`` and
+#: ``str(n)`` print.
+_ESTIMATE_FORMATS = (_g17_bytes, _g17_bytes, _g17_bytes, _d_bytes, _d_bytes)
+
+
+def _byte_columns(columns: list[np.ndarray], formats: list) -> list[np.ndarray]:
+    """The byte matrix of each column, from one call per formatter on the
+    distinct arrays it formats, concatenated: every column that the same
+    array fills reuses its rows."""
+    distinct = {}
+    for column, fmt in zip(columns, formats):
+        distinct.setdefault(fmt, {}).setdefault(id(column), column)
+    rows = {}
+    for fmt, arrays in distinct.items():
+        text = fmt(np.concatenate(list(arrays.values())))
+        rows.update(((fmt, key), block) for key, block in zip(arrays, np.split(text, len(arrays))))
+    return [rows[fmt, id(column)] for column, fmt in zip(columns, formats)]
 
 
 def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str) -> None:
     spec = result.spec
-    count_keys = _COUNT_KEYS[spec.kind]
-    # printed column by column, each array once: an analytic value and its
-    # twin are one array, and so are its zero columns
-    strings = _once_per_array(lambda column, fmt: list(map(fmt.__mod__, column.tolist())))
-    columns, values = ["tau_l"], [list(map("%.17g".__mod__, spec.tau_l_grid))]
-    for fam in _FAMILIES:
-        columns += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
-        values += map(strings, result.families[fam], _ESTIMATE_FORMATS)
-    for key in count_keys:  # a result without the key raises KeyError
-        columns.append(f"count_{key}")
-        values.append(strings(result.counts[key], "%d"))
-    lines = [*map(",".join, zip(*values)), ""]
     grid = spec.tau_l_grid
+    names, columns, formats = ["tau_l"], [np.array(grid)], [_g17_bytes]
+    for fam in _FAMILIES:
+        names += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
+        columns += result.families[fam]
+        formats += _ESTIMATE_FORMATS
+    for key in _COUNT_KEYS[spec.kind]:  # a result without the key raises KeyError
+        names.append(f"count_{key}")
+        columns.append(result.counts[key])
+        formats.append(_d_bytes)
+    for name, column in zip(names, columns):
+        if np.shape(column) != (len(grid),):
+            raise ValueError(
+                f"scan column {name} has shape {np.shape(column)}; the grid has {len(grid)} points"
+            )
+    lines = _csv_text(_byte_columns(columns, formats))
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")
         fh.write(
@@ -700,5 +718,5 @@ def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str
             "# estimates are survival-conditioned probabilities; *_twin is the exact\n"
             "# analytic expectation of the estimator; *_flag=1 marks low statistics\n"
         )
-        fh.write(",".join(columns) + "\n")
-        fh.write("\n".join(lines))
+        fh.write(",".join(names) + "\n")
+        fh.write(lines)

@@ -47,6 +47,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -293,8 +294,9 @@ _RECORD = np.dtype(
      ("tau_r", np.float64), ("mode_r", _MODE_FIELD)]
 )
 _HEADER_COLUMNS = ",".join(_RECORD.names)
-# %.17g prints what f"{x:.17g}" prints
-_EVENT_LINE = "%d,%.17g,%s,%.17g,%s\n"
+#: The mode names as NUL-padded byte rows, indexed by mode code.
+_MODE_BYTES = np.array([m.value.encode() for m in MODE_ORDER])
+_MODE_BYTES = _MODE_BYTES.view(np.uint8).reshape(len(MODE_ORDER), -1)
 
 
 @contextlib.contextmanager
@@ -324,9 +326,255 @@ def _atomic_write(path: Union[str, Path]) -> Iterator[TextIO]:
         raise
 
 
+# --------------------------------------------------------------------------
+# Text from byte matrices: ``'%.17g' % x`` and ``'%d' % n`` of whole arrays
+# --------------------------------------------------------------------------
+#
+# A formatter returns one row of ASCII bytes per element, padded with NUL
+# bytes anywhere in the row; :func:`_csv_text` joins the rows of several
+# such matrices and drops every NUL at once.
+
+#: ``b"%04d" % q`` for q < 10000 as one uint32 each; then a leading digit
+#: ``d`` as ``b"\0\0\0%d" % d`` at ``_LEAD + d``, and four NULs at ``_NUL4``.
+#: ``_QUAD_ZEROS``: how many of the four digits of q are trailing zeros.
+_LEAD, _NUL4 = 10_000, 10_010
+_QUADS = np.zeros((_NUL4 + 1, 4), np.uint8)
+_PLACES = np.array([1000, 100, 10, 1], np.uint16)
+_QUADS[:_LEAD] = np.arange(10_000, dtype=np.uint16)[:, None] // _PLACES % 10 + ord("0")
+_QUADS[_LEAD:_NUL4, 3] = np.arange(10) + ord("0")
+_QUAD_ZEROS = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+_QUADS = _QUADS.view(np.uint32).ravel()
+#: Fixed notation for -4 <= k < 17, k the decimal exponent after rounding;
+#: layout class ``k + 4`` there, and ``_G17_SCI`` in exponent notation.
+_G17_FIXED = (-4, 17)
+_G17_SCI = _G17_FIXED[1] - _G17_FIXED[0]
+#: |x| outside [1e-278, 1e278) takes the fallback: there the power table's
+#: low parts and the splits below stay normal and finite.
+_G17_RANGE = (1e-278, 1e278)
+_G17_K = range(-279, 280)
+#: A formatted row: the sign at byte 0, "0." and zeros at 1-5, the digits
+#: ahead of the point from 6 on, the point, digit ``i`` after it at
+#: ``7 + i``, "e" at 24, the exponent's sign and three digits at 25-28.
+_G17_WIDTH = 32
+
+
+def _g17_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per layout ``17 * c + s - 1`` (``c`` the layout class, ``s`` the
+    significant digits), row masks of the digits ahead of the point and of
+    those after it, which keep no trailing zero, and the fixed bytes: "0."
+    and its zeros, the point and the "e"."""
+    head, tail, marks = (np.zeros(((_G17_SCI + 1) * 17, _G17_WIDTH), np.uint8) for _ in range(3))
+    for c in range(_G17_SCI + 1):
+        # digits ahead of the point, <= 0 for a fixed x < 1
+        whole = c + _G17_FIXED[0] + 1 if c < _G17_SCI else 1
+        ahead = max(whole, 0)
+        for s in range(1, 18):
+            i = 17 * c + s - 1
+            head[i, 7 : 7 + ahead] = 0xFF
+            tail[i, 7 + ahead : 7 + max(s, whole)] = 0xFF
+            if ahead and s > whole:
+                marks[i, 6 + ahead] = ord(".")
+            if whole <= 0:
+                marks[i, 1 : 3 - whole] = np.frombuffer(b"0." + b"0" * -whole, np.uint8)
+            if c == _G17_SCI:
+                marks[i, 24] = ord("e")
+    return tuple(table.view("<u8") for table in (head, tail, marks))
+
+
+_G17_HEAD, _G17_TAIL, _G17_MARKS = _g17_layouts()
+#: The exponent's sign and digits, per k in ``_G17_K``.
+_G17_EXPONENTS = np.array([b"%+04d" % k if abs(k) >= 100 else b"%+03d\0" % k for k in _G17_K])
+_G17_EXPONENTS = _G17_EXPONENTS.view(np.uint8).reshape(len(_G17_K), 4)
+
+
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per k in ``_G17_K``: ``10**(16 - k)`` as the double-double ``hi + lo``,
+    ``hi`` Veltkamp-split into ``hi_h + hi_l``, and the least double that is
+    ``>= 10**k``.  Exact: ``lo`` is ``10**e - hi`` through ``Fraction``."""
+    exponents = range(_G17_K.start, 17 - _G17_K.start)
+    hi, lo = [], []
+    for e in exponents:
+        power = Fraction(10) ** e
+        hi.append(float(power))
+        lo.append(float(power - Fraction(hi[-1])))
+    hi, lo = np.array(hi), np.array(lo)
+    k = np.arange(_G17_K.start, _G17_K.stop)
+    scale, decade = 16 - k - _G17_K.start, k - _G17_K.start
+    hi_h, hi_l = _split(hi[scale])
+    # ``lo > 0`` where the nearest double lies below the power
+    least = np.where(lo[decade] > 0.0, np.nextafter(hi[decade], np.inf), hi[decade])
+    return hi_h, hi_l, lo[scale], least
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``a`` into two 26-bit halves, ``a = high + low``."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW_HI_H, _POW_HI_L, _POW_LO, _DECADES = _powers_of_ten()
+
+
+def _g17_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|x| = D * 10**(k - 16)``, ``D`` the 17-digit integer it rounds to:
+    ``D``, ``k`` and where ``'%.17g' % x`` itself must be taken.
+
+    ``k`` is ``floor(log10 |x|)`` corrected against the exact decade table
+    on either side, and ``|x| * 10**(16 - k)`` is taken exactly as the
+    double-double ``p + r`` by Dekker's two-product: ``p`` is an integer (it
+    is above 2**53) and ``|r|`` is below 32.  ``D`` rounds ``r`` to
+    nearest; a ``D`` of 10**17 is 10**16 in the next decade.  ``r`` is off
+    by less than 1e-14, so where its fraction is within 2**-30 of 1/2, a
+    possible tie, the element takes the fallback, as do zero, non-finite
+    and subnormal values and those outside ``_G17_RANGE``: their ``D`` and
+    ``k`` are those of 1.
+    """
+    a = np.abs(x)
+    fallback = ~((a >= _G17_RANGE[0]) & (a < _G17_RANGE[1]))
+    a[fallback] = 1.0
+    row = np.floor(np.log10(a)).astype(np.intp) - _G17_K.start
+    row -= a < _DECADES.take(row)
+    row += a >= _DECADES.take(row + 1)
+
+    hi_h, hi_l, lo = _POW_HI_H.take(row), _POW_HI_L.take(row), _POW_LO.take(row)
+    p = a * (hi_h + hi_l)
+    a_h, a_l = _split(a)
+    r = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l + a * lo
+    whole = np.floor(r)
+    r -= whole
+    fallback |= np.abs(r - 0.5) < 2.0**-30
+    digits17 = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
+    carry = digits17 == 10**17
+    digits17[carry] = 10**16
+    return digits17, row + carry + _G17_K.start, fallback
+
+
+#: Elements per pass of :func:`_g17_bytes`: its temporaries, at most 32
+#: bytes an element, stay below glibc's ``mmap`` threshold (see
+#: ``_TEXT_BLOCK``).  Whole-array passes over a 2681-row scan's 16,086
+#: floats left ``analytic_grid``'s peak RSS 1-2 MB higher.
+_G17_PASS = 2048
+
+
+def _g17_bytes(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % x`` of every element, as NUL-padded rows of ASCII bytes,
+    ``_G17_PASS`` elements at a time."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    out = np.empty((x.size, _G17_WIDTH), np.uint8)
+    for start in range(0, x.size, _G17_PASS):
+        out[start : start + _G17_PASS] = _g17_rows(x[start : start + _G17_PASS])
+    return out
+
+
+def _g17_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of :func:`_g17_bytes`.  The digits of :func:`_g17_decimal`
+    take ``%g``'s layout: fixed notation for ``_G17_FIXED``, else
+    ``d.ddde±XX``; trailing zeros of the fraction, and a bare point,
+    dropped.  Zero is laid out as 1 with its digit replaced; the other
+    fallback elements are formatted one by one."""
+    digits17, k, fallback = _g17_decimal(x)
+
+    # D as a leading digit and four quads of ASCII digits at bytes 7-23
+    upper = digits17 // 10**8
+    lower = digits17 - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    quads = [upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4]
+    digits = np.zeros((x.size, _G17_WIDTH // 4), np.uint32)
+    digits[:, 1] = _QUADS.take(lead + _LEAD)
+    for column, quad in enumerate(quads, start=2):
+        digits[:, column] = _QUADS.take(quad)
+    trailing = _QUAD_ZEROS.take(quads[0])
+    for quad in quads[1:]:
+        trailing = np.where(quad == 0, trailing + 4, _QUAD_ZEROS.take(quad))
+
+    # %g's layout: the digits ahead of the point move one byte to the left
+    fixed = (k >= _G17_FIXED[0]) & (k < _G17_FIXED[1])
+    layout = np.where(fixed, k - _G17_FIXED[0], _G17_SCI) * 17 + (16 - trailing)
+    digits = digits.view("<u8")
+    head = (digits & _G17_HEAD.take(layout, axis=0)).ravel()
+    digits &= _G17_TAIL.take(layout, axis=0)
+    digits |= _G17_MARKS.take(layout, axis=0)
+    words = digits.ravel()  # a row's first byte is NUL in ``head``
+    words |= head >> 8
+    words[:-1] |= head[1:] << 56
+    out = digits.view(np.uint8)
+    out[:, 0] = np.signbit(x) * ord("-")
+    sci = np.flatnonzero(~fixed)
+    out[sci, 25:29] = _G17_EXPONENTS.take(k[sci] - _G17_K.start, axis=0)
+    zero = x == 0.0
+    out[zero, 6] = ord("0")
+    if fallback.any():
+        rows = np.flatnonzero(fallback & ~zero)
+        out[rows] = np.array(
+            ["%.17g" % v for v in x[rows].tolist()], dtype=f"S{_G17_WIDTH}"
+        ).view(np.uint8).reshape(-1, _G17_WIDTH)
+    return out
+
+
+#: 10**1 to 10**19: ``searchsorted`` of a magnitude counts its digits after
+#: the first.  Row ``i`` of ``_LAST_BYTES``: 0xFF over the last ``i`` of 20.
+_TENS = np.array([10**j for j in range(1, 20)], np.uint64)
+_LAST_BYTES = np.tri(21, 20, -1, dtype=np.uint8)[:, ::-1] * 0xFF
+
+
+def _d_bytes(values: np.ndarray) -> np.ndarray:
+    """``'%d' % n`` of every element, as NUL-padded rows of ASCII bytes."""
+    n = np.asarray(values, dtype=np.int64).ravel()
+    magnitude = np.abs(n).view(np.uint64)  # -2**63 is 2**63
+    digits = np.searchsorted(_TENS, magnitude, side="right") + 1
+    width = -(-int(digits.max(initial=1)) // 4)  # in quads
+    quads = np.empty((n.size, width), np.uint32)
+    for q in range(width - 1, 0, -1):
+        rest = magnitude // 10_000
+        quads[:, q] = _QUADS.take(magnitude - rest * 10_000)
+        magnitude = rest
+    quads[:, 0] = _QUADS.take(magnitude)
+    text = quads.view(np.uint8)
+    text &= _LAST_BYTES[:, 20 - 4 * width :].take(digits, axis=0)
+    if not (n < 0).any():
+        return text
+    return np.hstack([(np.signbit(n) * ord("-")).astype(np.uint8)[:, None], text])
+
+
+#: Bytes of one block of :func:`_csv_text`, below glibc's default ``mmap``
+#: threshold of 128 KiB.  glibc raises that threshold to the size of each
+#: ``mmap``-served block it frees; with 256 KiB blocks, the event reader that
+#: ran next in the same process grew its peak RSS by 10 MB.
+_TEXT_BLOCK = 1 << 16
+
+
+def _csv_text(fields: list[np.ndarray]) -> str:
+    """One line per row of the byte matrices ``fields`` (all of one height),
+    their rows joined by commas, every NUL byte dropped: one
+    ``lines[lines != 0]`` per block of rows."""
+    widths = [field.shape[1] + 1 for field in fields]
+    n = fields[0].shape[0]
+    step = max(_TEXT_BLOCK // sum(widths), 1)
+    lines = np.empty((min(step, n), sum(widths)), np.uint8)
+    text = []
+    for start in range(0, n, step):
+        block = lines[: min(step, n - start)]
+        stop = 0
+        for field, width in zip(fields, widths):
+            block[:, stop : stop + width - 1] = field[start : start + step]
+            stop += width
+            block[:, stop - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        text.append(block[block != 0].tobytes())
+    return b"".join(text).decode("ascii")
+
+
+def _event_lines(start: int, tau_l, mode_l, tau_r, mode_r) -> str:
+    """The lines of the records from id ``start`` on, one per element of the columns."""
+    ids = _d_bytes(np.arange(start, start + len(tau_l)))
+    return _csv_text([ids, _g17_bytes(tau_l), _MODE_BYTES.take(mode_l, axis=0),
+                      _g17_bytes(tau_r), _MODE_BYTES.take(mode_r, axis=0)])
+
+
 def write_events(path: Union[str, Path], events: EventSet) -> None:
     """One line per event, formatted and written ``_BATCH`` rows at a time."""
-    mode_names = np.array([m.value for m in MODE_ORDER], dtype=object)
     with _atomic_write(path) as fh:
         fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n")
         fh.write(
@@ -336,14 +584,8 @@ def write_events(path: Union[str, Path], events: EventSet) -> None:
         fh.write(_HEADER_COLUMNS + "\n")
         for start in range(0, events.n, _BATCH):
             chunk = slice(start, start + _BATCH)
-            rows = zip(
-                range(start, start + _BATCH),
-                events.tau_l[chunk].tolist(),
-                mode_names[events.mode_l[chunk]].tolist(),
-                events.tau_r[chunk].tolist(),
-                mode_names[events.mode_r[chunk]].tolist(),
-            )
-            fh.write("".join([_EVENT_LINE % row for row in rows]))
+            fh.write(_event_lines(start, events.tau_l[chunk], events.mode_l[chunk],
+                                  events.tau_r[chunk], events.mode_r[chunk]))
 
 
 def _parse_records(lines: Iterable[str]) -> np.ndarray:

@@ -714,6 +714,26 @@ def test_scan_csv_refuses_a_row_without_a_count_key(tmp_path, default_params):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("short", ["value", "flag", "count"])
+def test_scan_csv_refuses_a_column_shorter_than_the_grid(tmp_path, default_params, short):
+    # zip() over the columns wrote as many lines as the shortest one held,
+    # under a header that states three grid points
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5, 1.0), 0)
+    result = run_experiment(spec, default_params)
+    families, counts = dict(result.families), dict(result.counts)
+    if short == "count":
+        counts["lifetime"] = counts["lifetime"][:2]
+    else:
+        column = Estimate._fields.index("value" if short == "value" else "flagged")
+        like = list(families["like"])
+        like[column] = like[column][:2]
+        families["like"] = tuple(like)
+    broken = dataclasses.replace(result, families=families, counts=counts)
+    with pytest.raises(ValueError, match=r"shape \(2,\); the grid has 3 points"):
+        write_scan_csv(tmp_path / "scan.csv", broken, "test")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def scans_by_kind(default_params, grid_short):
     """One small Monte Carlo scan of every kind, on one event set."""

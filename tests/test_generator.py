@@ -23,8 +23,15 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
-from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, _mode_cells, amplitudes
-from kaon_eraser.generator import _BATCH, _TASK, _fringe_reach
+from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, MODE_ORDER, _mode_cells, amplitudes
+from kaon_eraser.generator import (
+    _BATCH,
+    _HEADER_COLUMNS,
+    _TASK,
+    EVENT_SCHEMA_VERSION,
+    _event_lines,
+    _fringe_reach,
+)
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
 
@@ -587,6 +594,81 @@ def test_round_trip_is_bitwise_at_extreme_times(tmp_path):
                         ("mode_l", np.int8), ("mode_r", np.int8)):
         array = getattr(back, name)
         assert array.dtype == dtype and array.flags.c_contiguous, name
+
+
+# The writer that came before the byte matrices, kept as the byte oracle:
+# one ``%`` per row over ``.tolist()`` columns, 8192 rows per write.
+_ORACLE_LINE = "%d,%.17g,%s,%.17g,%s\n"
+
+
+def _oracle_lines(start, tau_l, mode_l, tau_r, mode_r):
+    names = np.array([m.value for m in MODE_ORDER], dtype=object)
+    rows = zip(range(start, start + len(tau_l)), tau_l.tolist(), names[mode_l].tolist(),
+               tau_r.tolist(), names[mode_r].tolist())
+    return "".join([_ORACLE_LINE % row for row in rows])
+
+
+def _oracle_write_events(path, events):
+    with open(path, "w") as fh:
+        fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n")
+        fh.write(
+            f"# seed={events.seed} n_pairs={events.n} tau_max={events.tau_max:.17g}"
+            f" params_digest={events.params_digest}\n"
+        )
+        fh.write(_HEADER_COLUMNS + "\n")
+        for start in range(0, events.n, _BATCH):
+            chunk = slice(start, start + _BATCH)
+            fh.write(_oracle_lines(start, events.tau_l[chunk], events.mode_l[chunk],
+                                   events.tau_r[chunk], events.mode_r[chunk]))
+
+
+def _edge_times(n, tau_max, rng):
+    """``n`` decay times cycling through 0, times below 1e-4 (exponent
+    notation), decade boundaries and their neighbours, times near
+    ``tau_max`` and exponential draws."""
+    decades = 10.0 ** np.arange(-8, 18)
+    edges = np.concatenate([
+        [0.0, 5e-5, 9.9999999999999995e-5, 1e-4, 1e-300, 5e-324],
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        tau_max * np.array([1.0, 0.5, 1.0 - 2.0**-53, 1e-3]),
+        rng.exponential(1.0, 64), rng.exponential(579.0, 64),
+    ])
+    return edges[np.arange(n) % edges.size].copy()
+
+
+@pytest.mark.parametrize("n", [1, _BATCH - 1, _BATCH, _BATCH + 1])
+@pytest.mark.parametrize("tau_max", [50.0, 1e22])
+def test_write_events_gives_the_bytes_of_the_per_row_writer(tmp_path, n, tau_max):
+    rng = np.random.default_rng(n)
+    tau_l = _edge_times(n, tau_max, rng)
+    tau_r = np.roll(_edge_times(n + 7, tau_max, rng), 3)[:n].copy()
+    # every (mode_l, mode_r) pair
+    codes = np.arange(n)
+    mode_l = (codes % len(MODE_ORDER)).astype(np.int8)
+    mode_r = (codes // len(MODE_ORDER) % len(MODE_ORDER)).astype(np.int8)
+    events = EventSet(tau_l, mode_l, tau_r, mode_r, 2**64 - 1, tau_max, "digest")
+    write_events(tmp_path / "new.csv", events)
+    _oracle_write_events(tmp_path / "old.csv", events)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_events_gives_the_bytes_of_the_per_row_writer_on_a_sample(tmp_path, default_params):
+    events = generate(GeneratorConfig(seed=21, n_pairs=3 * _BATCH + 11), default_params)
+    write_events(tmp_path / "new.csv", events)
+    _oracle_write_events(tmp_path / "old.csv", events)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("power", range(8))
+def test_event_ids_cross_every_power_of_ten(power):
+    # a batch that starts just below 10**power: its ids gain a digit inside it
+    rng = np.random.default_rng(power)
+    n = 2 * len(MODE_ORDER) ** 2
+    start = max(10**power - n // 2, 0)
+    codes = np.arange(n)
+    columns = (rng.exponential(1.0, n), (codes % len(MODE_ORDER)).astype(np.int8),
+               rng.exponential(579.0, n), (codes // len(MODE_ORDER) % len(MODE_ORDER)).astype(np.int8))
+    assert _event_lines(start, *columns) == _oracle_lines(start, *columns)
 
 
 @pytest.mark.parametrize("rows", [[], ["", ""]])
