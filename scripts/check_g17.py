@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Check the vectorized ``%.17g`` of the event and scan writers against Python's.
+"""Check the event text both ways: the vectorized ``%.17g`` of the writers
+against Python's, and the event reader's parse of that text against ``float()``.
 
 Draws ``--values`` float64 values in equal shares from six families
 (uniform on [0, 1), exponential at scale 1 and at scale 579, log-uniform
 over 1e-282 to 1e282 with both signs, exact ties at the 17th digit, and the
-specials: zeros, infinities, NaN, subnormals and the ends of the range),
-formats them with ``generator._g17_bytes`` and with ``'%.17g' % x``, and
-prints per family the values tried, the mismatches and the share that took
-the per-element fallback (zero is laid out directly and is not counted).
-Exits 1 on any mismatch.
+specials: zeros, infinities, NaN, subnormals and the ends of the range).
+Writing: formats them with ``generator._g17_bytes`` and with ``'%.17g' % x``,
+and prints per family the values tried, the mismatches and the share that
+took the per-element fallback (zero is laid out directly and is not
+counted).  Reading: parses each finite value's written text with the
+reader's ``generator._read_times`` and compares the bits with ``float()`` of
+the same text, printing the mismatches (a value the reader refuses counts as
+one) and the share that the reader took through ``float()`` itself.  The
+reader hands infinities and NaN to ``np.loadtxt``, so they are not read
+here.  Exits 1 on any mismatch.
 
     PYTHONPATH=src python3 scripts/check_g17.py --values 100000000 --seed 1
 """
@@ -20,7 +26,7 @@ import time
 
 import numpy as np
 
-from kaon_eraser.generator import _csv_text, _g17_bytes, _g17_decimal
+from kaon_eraser.generator import _PAD, _csv_text, _g17_bytes, _g17_decimal, _read_times
 from run_eraser_scan import int_in
 
 CHUNK = 1 << 17
@@ -67,6 +73,19 @@ FAMILIES = {
 }
 
 
+def read_back(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reader's values of the lines of ``text``, and where it took
+    ``float()``; every value is refused (NaN, no fallback) if it refuses one."""
+    lines = text.replace("\n", ",\n").encode()  # a time field ends at a comma
+    buf = np.frombuffer(_PAD + lines + _PAD, np.uint8)
+    ends = np.flatnonzero(buf == ord(","))
+    starts = np.concatenate([[len(_PAD)], ends[:-1] + 2])
+    parsed = _read_times(buf, starts, ends - starts)
+    if parsed is None:
+        return np.full(ends.size, np.nan), np.zeros(ends.size, bool)
+    return parsed
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -78,9 +97,10 @@ def main() -> int:
     share = -(-args.values // len(FAMILIES))
     t0 = time.perf_counter()
     total_bad = 0
-    print(f"{'family':<22}{'values':>12}{'mismatches':>12}{'fallback':>12}{'share':>12}")
+    print(f"{'family':<22}{'values':>12}{'mismatches':>12}{'fallback':>12}{'share':>12}"
+          f"{'read':>12}{'mismatches':>12}{'fallback':>12}{'share':>12}")
     for name, draw in FAMILIES.items():
-        tried = bad = fallback = 0
+        tried = bad = fallback = read = read_bad = read_fallback = 0
         while tried < share:
             x = draw(rng, min(CHUNK, share - tried))
             ours = _csv_text([_g17_bytes(x)])
@@ -89,8 +109,17 @@ def main() -> int:
                 bad += sum(a != b for a, b in zip(ours.splitlines(), theirs.splitlines()))
             fallback += int(np.count_nonzero(_g17_decimal(x)[2] & (x != 0.0)))
             tried += x.size
-        total_bad += bad
-        print(f"{name:<22}{tried:>12}{bad:>12}{fallback:>12}{fallback / tried:>12.3e}")
+
+            text = _csv_text([_g17_bytes(x[np.isfinite(x)])])
+            if text:
+                values, slow = read_back(text)
+                exact = np.array([float(line) for line in text.splitlines()])
+                read_bad += int(np.count_nonzero(values.view(np.uint64) != exact.view(np.uint64)))
+                read_fallback += int(np.count_nonzero(slow))
+                read += values.size
+        total_bad += bad + read_bad
+        print(f"{name:<22}{tried:>12}{bad:>12}{fallback:>12}{fallback / tried:>12.3e}"
+              f"{read:>12}{read_bad:>12}{read_fallback:>12}{read_fallback / max(read, 1):>12.3e}")
     seconds = time.perf_counter() - t0
     print(f"{total_bad} mismatches in {len(FAMILIES) * share} values, {seconds:.1f} s")
     return 1 if total_bad else 0

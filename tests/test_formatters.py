@@ -1,14 +1,18 @@
 """The byte-matrix formatters against Python's own ``'%.17g'`` and ``'%d'``."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kaon_eraser.generator import _G17_RANGE, _d_bytes, _g17_bytes
+from kaon_eraser.generator import _G17_RANGE, _d_bytes, _g17_bytes, _text_tables
 
 
 def _strings(matrix):
@@ -127,3 +131,18 @@ def test_d_matches_python_on_drawn_integers(values):
 @pytest.mark.parametrize("values", [[True, False, True], [0, 0], [7]])
 def test_d_prints_flags_and_small_counts(values):
     assert _strings(_d_bytes(np.array(values))) == ["%d" % v for v in values]
+
+
+def test_tables_are_built_on_first_use_and_read_only():
+    # importing the package builds no table and loads no fractions/decimal
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, kaon_eraser; from kaon_eraser import generator; "
+             "print(generator._text_tables.cache_info().currsize, 'fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    tables = _text_tables()
+    assert _text_tables() is tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0

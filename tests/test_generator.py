@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import expit
 
@@ -23,6 +26,7 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
+from kaon_eraser import generator
 from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, MODE_ORDER, _mode_cells, amplitudes
 from kaon_eraser.generator import (
     _BATCH,
@@ -518,6 +522,21 @@ def test_read_rejects_malformed_metadata_value(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "before, after",
+    [("seed=0", "seed=1_0"), ("n_pairs=1", "n_pairs=0_1"), ("tau_max=50", "tau_max=5_0"),
+     ("seed=0", "seed=\uff11")],
+)
+def test_read_refuses_metadata_numbers_that_records_refuse(tmp_path, before, after):
+    # Python's int() and float() read "1_0" as 10 and a fullwidth digit as a
+    # digit; np.loadtxt refuses both in a record, and so does the header
+    path = tmp_path / "meta.csv"
+    _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
+    path.write_text(path.read_text().replace(before, after))
+    with pytest.raises(EventFormatError, match=f"line 2: {before.split('=')[0]}"):
+        read_events(path)
+
+
+@pytest.mark.parametrize(
     "rows, match",
     [
         # one byte longer than the longest name: a 17-byte field would cut it to a name
@@ -547,7 +566,7 @@ def test_read_refuses_malformed_records(tmp_path, rows, match):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_refuses_bad_record_from_a_pipe(tmp_path):
-    # the body cannot be read a second time to find the bad line
+    # a pipe cannot be read a second time: the line is named from the block at hand
     fifo = tmp_path / "events.fifo"
     os.mkfifo(fifo)
     errors = []
@@ -567,6 +586,7 @@ def test_read_refuses_bad_record_from_a_pipe(tmp_path):
     reader.join(timeout=30)
     assert not reader.is_alive()
     assert len(errors) == 1
+    assert "line 5" in errors[0]
 
 
 def test_read_skips_blank_lines_in_body(tmp_path):
@@ -713,3 +733,375 @@ def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
     path.write_bytes(_event_bytes(rows, meta))
     with pytest.raises(EventFormatError, match="not UTF-8"):
         read_events(path)
+
+
+# The reader that came before the block parser, kept as the oracle: the
+# header line by line in text mode, every record through one np.loadtxt call
+# into a structured array, and a bad line found by reading the file again.
+_ORACLE_RECORD = np.dtype([("id", np.int64), ("tau_l", np.float64), ("mode_l", "S18"),
+                           ("tau_r", np.float64), ("mode_r", "S18")])
+
+
+def _oracle_records(lines):
+    def refuse_nul(lines):
+        for line in lines:
+            if "\0" in line:
+                raise ValueError("NUL byte in a record")
+            yield line
+
+    lines = iter(lines)
+    for line in lines:
+        if line != "\n":
+            break
+    else:
+        return np.zeros(0, _ORACLE_RECORD)
+    return np.loadtxt(refuse_nul(itertools.chain([line], lines)), dtype=_ORACLE_RECORD,
+                      delimiter=",", comments=None, ndmin=1)
+
+
+def _oracle_parses(lines):
+    try:
+        _oracle_records(lines)
+    except ValueError:
+        return False
+    return True
+
+
+def _oracle_bad_line(fh, first_line):
+    fh.seek(0)
+    body = [(idx, line) for idx, line in enumerate(fh, start=1) if idx >= first_line]
+    for start in range(0, len(body), _BATCH):
+        block = body[start : start + _BATCH]
+        if _oracle_parses(line for _, line in block):
+            continue
+        for idx, line in block:
+            if _oracle_parses([line]):
+                continue
+            record = line.rstrip("\n")
+            n_fields = len(record.split(","))
+            if n_fields != 5:
+                return EventFormatError(f"line {idx}: expected 5 fields, got {n_fields}")
+            return EventFormatError(f"line {idx}: {record!r} does not parse")
+    return EventFormatError("a record does not parse")
+
+
+def _oracle_read_events(path):
+    seed, n_pairs, tau_max, digest = 0, None, math.nan, ""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            schema = fh.readline().rstrip("\n")
+            if not schema.startswith("# kaon-eraser events v"):
+                raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
+            version = schema.rsplit("v", 1)[-1]
+            if version != str(EVENT_SCHEMA_VERSION):
+                raise EventFormatError(f"line 1: unsupported schema version {version!r}")
+            for idx, line in enumerate(iter(fh.readline, ""), start=2):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        key, _, value = token.partition("=")
+                        try:
+                            if key == "seed":
+                                seed = int(value)
+                            elif key == "n_pairs":
+                                n_pairs = int(value)
+                            elif key == "tau_max":
+                                tau_max = float(value)
+                        except ValueError as exc:
+                            raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
+                        if key == "params_digest":
+                            digest = value
+                    continue
+                if line == _HEADER_COLUMNS:
+                    break
+                raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
+            else:
+                raise EventFormatError("missing column header line")
+            if n_pairs is None:
+                raise EventFormatError("metadata has no n_pairs")
+            try:
+                records = _oracle_records(fh)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _oracle_bad_line(fh, idx + 1) from exc
+    except UnicodeDecodeError as exc:
+        raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
+
+    ids = records["id"]
+    if not np.array_equal(ids, np.arange(ids.size)):
+        bad = int(np.argmax(ids != np.arange(ids.size)))
+        raise EventFormatError(
+            f"record id {ids[bad]} at position {bad}: ids must be sequential from 0"
+        )
+    tau_l = np.ascontiguousarray(records["tau_l"])
+    tau_r = np.ascontiguousarray(records["tau_r"])
+    valid = np.isfinite(tau_l) & np.isfinite(tau_r) & (tau_l >= 0) & (tau_r >= 0)
+    if not valid.all():
+        raise EventFormatError(f"record id {int(np.argmin(valid))}: decay times must be finite and >= 0")
+    codes = {mode.value.encode(): code for code, mode in enumerate(MODE_ORDER)}
+    mode_l, mode_r = (np.array([codes.get(name, -1) for name in records[side].tolist()], np.int8)
+                      for side in ("mode_l", "mode_r"))
+    known = (mode_l >= 0) & (mode_r >= 0)
+    if not known.all():
+        raise EventFormatError(f"record id {int(np.argmin(known))}: unknown decay mode name")
+    if records.size != n_pairs:
+        raise EventFormatError(
+            f"header says n_pairs={n_pairs} but the file holds {records.size} records"
+        )
+    return EventSet(tau_l, mode_l, tau_r, mode_r, seed, tau_max, digest)
+
+
+def _assert_reads_as_the_oracle(path):
+    """``read_events(path)`` gives the oracle's arrays, bit for bit, dtype and
+    layout, or refuses the file with the oracle's message."""
+    try:
+        expected = _oracle_read_events(path)
+    except EventFormatError as exc:
+        with pytest.raises(EventFormatError) as got:
+            read_events(path)
+        assert str(got.value) == str(exc)
+        return None
+    got = read_events(path)
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
+    assert (got.seed, got.params_digest) == (expected.seed, expected.params_digest)
+    assert np.float64(got.tau_max).tobytes() == np.float64(expected.tau_max).tobytes()
+    return got
+
+
+def _body_file(records, newline=b"\n", digest=b"x"):
+    """An event file of the byte ``records``, one a line, ended by ``newline``;
+    ``n_pairs`` counts the records that are not blank."""
+    head = [b"# kaon-eraser events v1",
+            b"# seed=5 n_pairs=%d tau_max=50 params_digest=%s" % (sum(map(bool, records)), digest),
+            b"id,tau_l,mode_l,tau_r,mode_r"]
+    return newline.join(head + list(records)) + newline
+
+
+_PLAIN = [b"0,1.5,TwoPi,2.5,ThreePi", b"1,0.25,Other,3.0000000000000001e-05,SemileptonicPlus",
+          b"2,1234.5678901234567,SemileptonicMinus,0,TwoPi"]
+
+_HAND_MADE = {
+    "plain": _PLAIN,
+    "crlf in one line": [_PLAIN[0], _PLAIN[1] + b"\r", _PLAIN[2]],
+    "space before a time": [b"0, 1.5,TwoPi,2.5,ThreePi"],
+    "space after a time": [b"0,1.5 ,TwoPi,2.5,ThreePi"],
+    "space before an id": [b" 0,1.5,TwoPi,2.5,ThreePi"],
+    "tab": [b"0,1.5,TwoPi,2.5\t,ThreePi"],
+    "plus and E": [b"0,+3E-5,TwoPi,+2.5,ThreePi"],
+    "bare point": [b"0,4.,TwoPi,.5,ThreePi"],
+    "leading zeros": [b"000,007.5,TwoPi,0.0001e-02,ThreePi",
+                      b"01,00000000000000000000012,Other,0.00012345678901234567,TwoPi"],
+    "eighteen digits": [b"0,1.23456789012345678,TwoPi,123456789012345678,ThreePi",
+                        b"1,0.5,Other,99999999999999999.5,TwoPi"],
+    "more digits": [b"0,0.1234567890123456789012,TwoPi,12345678901234567890123456,ThreePi"],
+    "exponents": [b"0,1e+05,TwoPi,1.5e-05,ThreePi", b"1,1e5,Other,1E5,TwoPi",
+                  b"2,1e+5,Other,1e-0005,TwoPi", b"3,7e-300,Other,1e005,TwoPi"],
+    "writer's exponents": [b"0,1e+05,TwoPi,1.5e-05,ThreePi",
+                           b"1,7e-300,Other,1.2345678901234567e+250,TwoPi"],
+    "negative zero": [b"0,-0.0,TwoPi,-0,ThreePi"],
+    "negative": [b"0,1.5,TwoPi,2.5,ThreePi", b"1,-1.5,TwoPi,2.5,ThreePi"],
+    "inf": [b"0,inf,TwoPi,2.5,ThreePi"],
+    "nan": [b"0,1.5,TwoPi,nan,ThreePi"],
+    "infinity": [b"0,1.5,TwoPi,-Infinity,ThreePi"],
+    "overflow": [b"0,2e308,TwoPi,2.5,ThreePi"],
+    "blank lines": [b"", _PLAIN[0], b"", _PLAIN[1], _PLAIN[2], b""],
+    "whitespace line": [_PLAIN[0], b"   ", _PLAIN[1]],
+    "midpoints": [b"0,9007199254740993,TwoPi,4503599627370496.5,ThreePi",
+                  b"1,9007199254740995,Other,18014398509481986,TwoPi",
+                  b"2,9007199254740994,Other,9.007199254740993e+15,TwoPi",
+                  b"3,0.5000000000000001,Other,2.2250738585072011e-308,TwoPi"],
+    "extremes": [b"0,4.9406564584124654e-324,TwoPi,1.7976931348623157e+308,ThreePi",
+                 b"1,2e-324,Other,1e-400,TwoPi", b"2,1e+308,Other,2.2250738585072014e-308,TwoPi",
+                 b"3,9.9999999999999995e-279,Other,1e+278,TwoPi"],
+    "wrong names": [b"0,1,twopi,1,ThreePi"],
+    "name one byte long": [b"0,1,SemileptonicPlusX,1,ThreePi"],
+    "name one byte short": [b"0,1,SemileptonicMinu,1,ThreePi"],
+    "name not ASCII": [b"0,1,Tw\xc3\xb6Pi,1,ThreePi"],
+    "name in quotes": [b'0,1,"TwoPi",1,ThreePi'],
+    "NUL": [b"0,1,TwoPi\0,1,ThreePi"],
+    "past the largest double": [b"0,17976931348623159e+292,TwoPi,1,ThreePi"],
+    "fields across lines": [b"0,1,TwoPi,1,ThreePi,1", b"2,TwoPi,3,Other"],
+    "four fields": [_PLAIN[0], b"1,1,TwoPi,1"],
+    "six fields": [_PLAIN[0], b"1,1,TwoPi,1,TwoPi,"],
+    "empty time": [b"0,,TwoPi,1,ThreePi"],
+    "id with plus": [b"+0,1,TwoPi,1,ThreePi"],
+    "id with underscore": [b"0_0,1,TwoPi,1,ThreePi"],
+    "ids out of order": [b"1,1,TwoPi,1,ThreePi", b"0,1,TwoPi,1,ThreePi"],
+    "nineteen digit id": [b"0000000000000000000,1,TwoPi,1,ThreePi"],
+}
+_HAND_MADE_FILES = {
+    **{case: _body_file(records) for case, records in _HAND_MADE.items()},
+    "crlf": _body_file(_PLAIN, b"\r\n"),
+    "cr only": _body_file(_PLAIN, b"\r"),
+    "last line without newline": _body_file(_PLAIN)[:-1],
+}
+
+
+@pytest.mark.parametrize("case", list(_HAND_MADE_FILES))
+def test_read_matches_the_loadtxt_reader_on_hand_made_bodies(tmp_path, case):
+    path = tmp_path / "hand.csv"
+    path.write_bytes(_HAND_MADE_FILES[case])
+    _assert_reads_as_the_oracle(path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 333])
+def test_read_matches_the_loadtxt_reader_across_block_sizes(tmp_path, monkeypatch, block,
+                                                           default_params):
+    # every line, id and field straddles some block boundary; blank lines and
+    # a CRLF line send some blocks to loadtxt and leave others on the fast path
+    events = generate(GeneratorConfig(seed=4, n_pairs=300), default_params)
+    path = tmp_path / "events.csv"
+    write_events(path, events)
+    lines = path.read_bytes().split(b"\n")
+    lines[150] += b"\r"
+    lines.insert(220, b"")
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(generator, "_READ_BLOCK", block)
+    got = _assert_reads_as_the_oracle(path)
+    assert got.tau_l.tobytes() == events.tau_l.tobytes()
+    assert got.mode_r.tobytes() == events.mode_r.tobytes()
+
+
+def test_read_an_id_split_by_the_block_boundary(tmp_path, default_params):
+    # a file past one block, its digest padded so that the first block ends
+    # inside an id: the line is carried whole into the next block
+    events = generate(GeneratorConfig(seed=6, n_pairs=20_000), default_params)
+    path = tmp_path / "events.csv"
+    write_events(path, events)
+    digest = events.params_digest.encode()
+    for pad in range(100):
+        data = path.read_bytes().replace(digest, digest + b"x" * pad)
+        start = data.rfind(b"\n", 0, generator._READ_BLOCK) + 1
+        if 1 <= generator._READ_BLOCK - start < data.index(b",", start) - start:
+            break
+    else:
+        raise AssertionError("no padding splits an id")
+    path.write_bytes(data)
+    got = _assert_reads_as_the_oracle(path)
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        assert getattr(got, name).tobytes() == getattr(events, name).tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_a_long_file_from_a_pipe(tmp_path, default_params):
+    # a pipe has no size to allot the columns from: they grow as blocks come
+    events = generate(GeneratorConfig(seed=8, n_pairs=40_000), default_params)
+    write_events(tmp_path / "events.csv", events)
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=((tmp_path / "events.csv").read_bytes(),), daemon=True)
+    writer.start()
+    got = read_events(fifo)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        assert getattr(got, name).tobytes() == getattr(events, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n_pairs", [1, 10**15])
+def test_read_counts_records_whatever_the_header_claims(tmp_path, n_pairs):
+    # more records than the header's n_pairs, or an n_pairs the file is far
+    # too small to hold: the count is refused, nothing is allotted for it
+    path = tmp_path / "count.csv"
+    path.write_bytes(_body_file(_PLAIN).replace(b"n_pairs=3", b"n_pairs=%d" % n_pairs))
+    with pytest.raises(EventFormatError, match=f"n_pairs={n_pairs} but the file holds 3"):
+        read_events(path)
+    _assert_reads_as_the_oracle(path)
+
+
+def test_read_names_utf8_before_a_header_error(tmp_path):
+    # whatever else is wrong, a file that is not UTF-8 is refused as such,
+    # even where the bad byte lies blocks after the first defect
+    rows = [b"%d,1.0,TwoPi,2.0,ThreePi" % i for i in range(60_000)] + [b"60000,1.0,Tw\xffPi,2,TwoPi"]
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(_body_file(rows).replace(b"id,tau_l", b"id,tau"))
+    with pytest.raises(EventFormatError, match="not UTF-8"):
+        read_events(path)
+
+
+def _fields(*fields):
+    """A buffer holding ``fields`` as time fields, one a line, and their starts and widths."""
+    text = b"".join(field + b",\n" for field in fields)
+    buf = np.frombuffer(generator._PAD + text + generator._PAD, np.uint8)
+    ends = np.flatnonzero(buf == ord(","))
+    starts = np.concatenate([[len(generator._PAD)], ends[:-1] + 2])
+    return buf, starts, ends - starts
+
+
+def test_block_parser_hands_midpoints_to_float():
+    # decimals exactly halfway between two doubles: odd integers above 2**53
+    # (and 1e23) and halves of odd 54-bit integers, both signs
+    rng = np.random.default_rng(2)
+    odd = (rng.integers(2**53, 2**54, 200) | 1).tolist()
+    ties = [b"%d" % m for m in odd[:100]] + [b"%d.5" % (m // 2) for m in odd[100:]]
+    ties += [b"1e+23", b"-9007199254740993", b"-4503599627370496.5"]
+    values, fallback = generator._read_times(*_fields(*ties))
+    assert fallback.all()
+    assert values.tobytes() == np.array([float(t) for t in ties]).tobytes()
+    # their neighbours one unit of the last digit away are not ties
+    near = [b"%d" % (m + 1) for m in odd[:100]]
+    values, fallback = generator._read_times(*_fields(*near))
+    assert not fallback.any()
+    assert values.tobytes() == np.array([float(t) for t in near]).tobytes()
+
+
+@pytest.mark.parametrize("field", [b"1.23456789012345678", b"123456789012345678",
+                                   b"0.000123456789012345678", b"1.234567890123456789e-05"])
+def test_block_parser_refuses_more_than_17_digits(field):
+    # the grammar is that of the writer: np.loadtxt reads the rest
+    assert generator._read_times(*_fields(b"1.5", field)) is None
+
+
+def _tie_times():
+    """Floats whose 17-digit rounding is an exact tie (see ``test_formatters``)."""
+    rng = np.random.default_rng(11)
+    ties = []
+    for e in range(1, 40):
+        lo, hi = -(-10**17 // 5**e), min(10**18 // 5**e, 2**53 - 1)
+        if hi > lo:
+            ties += [math.ldexp(m | 1, -e) for m in rng.integers(lo, hi, 4, endpoint=True).tolist()]
+    return ties
+
+
+_DECADES = np.array([10.0**k for k in range(-307, 308)])
+_TIME_EDGES = sorted(set(
+    [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+     1e-278, 1e278, 9.9999999999999995e-5, 1e-4, 1e16, 1e17]
+    + _DECADES.tolist() + np.nextafter(_DECADES, 0.0).tolist()
+    + np.nextafter(_DECADES, np.inf).tolist() + _tie_times()
+))
+_TIMES = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                   st.sampled_from(_TIME_EDGES),
+                   st.integers(1, 2**52).map(lambda m: math.ldexp(m, -1074)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TIMES, min_size=1, max_size=40))
+def test_read_gives_back_the_bits_written(tmp_path_factory, times):
+    tau_l = np.array(times)
+    tau_r = tau_l[::-1].copy()
+    modes = (np.arange(tau_l.size) % len(MODE_ORDER)).astype(np.int8)
+    events = EventSet(tau_l, modes, tau_r, modes[::-1].copy(), 7, 50.0, "x")
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    write_events(path, events)
+    got = _assert_reads_as_the_oracle(path)
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        assert getattr(got, name).tobytes() == getattr(events, name).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_TIME_EDGES)), min_size=1, max_size=40))
+def test_block_parser_reads_any_finite_time_back(times):
+    # both signs, below the file checks: the text of any finite float is in
+    # the block parser's grammar and reads back bit for bit
+    x = np.array(times + [-t for t in times])
+    modes = np.zeros(x.size, np.int8)
+    columns = generator._fast_records(_event_lines(0, x, modes, x[::-1].copy(), modes).encode())
+    assert columns is not None
+    assert columns[1].tobytes() == x.tobytes() and columns[3].tobytes() == x[::-1].tobytes()

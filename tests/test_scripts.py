@@ -1,4 +1,4 @@
-"""Smoke runs of the two analysis scripts on small samples.
+"""Smoke runs of the analysis scripts and of the text check on small samples.
 
 The scripts read the scan families and the ``Estimate`` fields of
 :mod:`kaon_eraser.experiments`; these runs check that they still do so
@@ -142,3 +142,11 @@ def test_delayed_choice_split(tmp_path):
     report = [ln for ln in out.splitlines() if "unflagged bins fit the closed forms" in ln]
     assert len(report) == 2
     assert "object measured first" in report[0] and "meter measured first" in report[1]
+
+
+def test_check_g17_finds_no_mismatch_either_way():
+    out = _run("check_g17.py", "--values", "6000", "--seed", "1")
+    assert out.splitlines()[-1].startswith("0 mismatches in 6000 values")
+    # one row per family, each with values read back through the block parser
+    rows = [line.split() for line in out.splitlines()[1:-1]]
+    assert len(rows) == 6 and all(int(row[-4]) > 0 and row[-3] == "0" for row in rows)
