@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import io
 import itertools
 import math
 import os
@@ -55,7 +54,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, TextIO, U
 import numpy as np
 from scipy.special import chdtrc, expit
 
-from .decay import MODE_CODES, MODE_ORDER, _mode_cells, integrated_mode_pair_probabilities
+from .decay import MODE_ORDER, _mode_cells, integrated_mode_pair_probabilities
 from .params import PhysicsParams
 from .probabilities import _sech
 
@@ -287,14 +286,7 @@ def generate(
 # Serialization: one record per line, times with 17 significant digits
 # --------------------------------------------------------------------------
 
-#: One record as the reader parses it.  A mode field holds one byte more
-#: than the longest name, so a longer name is cut to one that is no name.
-_MODE_FIELD = f"S{max(len(mode.value) for mode in MODE_ORDER) + 1}"
-_RECORD = np.dtype(
-    [("id", np.int64), ("tau_l", np.float64), ("mode_l", _MODE_FIELD),
-     ("tau_r", np.float64), ("mode_r", _MODE_FIELD)]
-)
-_HEADER_COLUMNS = ",".join(_RECORD.names)
+_HEADER_COLUMNS = "id,tau_l,mode_l,tau_r,mode_r"
 #: The mode names as NUL-padded byte rows, indexed by mode code.
 _MODE_BYTES = np.array([m.value.encode() for m in MODE_ORDER])
 _MODE_BYTES = _MODE_BYTES.view(np.uint8).reshape(len(MODE_ORDER), -1)
@@ -647,11 +639,10 @@ def write_events(path: Union[str, Path], events: EventSet) -> None:
 # Reading: blocks of whole lines, parsed as byte matrices
 # --------------------------------------------------------------------------
 #
-# A block of records in the writer's grammar is parsed by
-# :func:`_fast_records`: its fields are gathered into byte matrices and
-# read by sweeps over their columns.  Any other block goes, as text,
-# through :func:`_parse_records` (``np.loadtxt``), which decides what is
-# accepted and names what is not.
+# A record is what :func:`_fast_records` reads: the writer's grammar.  Its
+# fields are gathered into byte matrices and read by sweeps over their
+# columns.  A block it refuses is halved until the line at fault is found
+# (:func:`_bad_line`).
 
 #: Bytes per read; a block ends at its last newline, and the rest of the
 #: read starts the next one.  256 KiB and 4 MiB blocks were slower.
@@ -710,25 +701,31 @@ def _name_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The bytes of ``fh`` in blocks of whole lines, about ``_READ_BLOCK``
-    each; the last block ends where the file does."""
+    each, every line ended by LF.  Lines end where text mode ends them: a
+    CR LF or a CR is turned into one LF, and a last line without its end
+    gets one."""
     carry = b""
     while chunk := fh.read(_READ_BLOCK):
+        chunk = carry + chunk
+        # a CR at the end of a read may be the first half of a CR LF
+        held = chunk.endswith(b"\r")
+        if b"\r" in chunk:  # a search for CR LF alone costs more than this test
+            chunk = chunk[: len(chunk) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         end = chunk.rfind(b"\n") + 1
         if end:
-            yield carry + chunk[:end]
-            carry = chunk[end:]
-        else:
-            carry += chunk
+            yield chunk[:end]
+        carry = chunk[end:] + b"\r" * held
     if carry:
-        yield carry
+        yield carry.removesuffix(b"\r") + b"\n"
 
 
-def _text(block: bytes) -> str:
-    """``block`` decoded; the error of a file that is not UTF-8 text if it is not."""
-    try:
-        return block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
+def _check_utf8(block: bytes) -> None:
+    """The error of a file that is not UTF-8 text, unless ``block`` is."""
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
 
 
 def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -885,15 +882,16 @@ def _read_names(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.n
 
 def _fast_records(block: bytes) -> Optional[tuple[np.ndarray, ...]]:
     """The id, tau_l, mode_l, tau_r and mode_r columns of a block of whole
-    ASCII lines as the writer writes them, or None where it holds anything
-    else.
+    lines as the writer writes them, or None where a line holds anything
+    else.  A block is refused exactly when one of its lines would be on its
+    own, which :func:`_bad_line` relies on.
 
     One scan finds every byte at or below ``","``: they must be the four
-    commas and the newline of each line, so a CR, a NUL, a blank line or a
-    wrong field count sends the block elsewhere.  They give each field's
-    start and width.  The ids are read for the whole block at once, the time
-    and name fields ``_READ_PASS`` lines at a time.  A name that is no
-    mode's gets code -1, as :func:`_mode_codes` gives it.
+    commas and the newline of each line, so a NUL, a space, a blank line
+    or a wrong field count is refused.  They give each field's start
+    and width.  The ids are read for the whole block at once, the time and
+    name fields ``_READ_PASS`` lines at a time.  A name that is no mode's
+    gets code -1.
     """
     if not block.endswith(b"\n"):
         return None
@@ -928,64 +926,29 @@ def _fast_records(block: bytes) -> Optional[tuple[np.ndarray, ...]]:
     return tuple(columns)
 
 
-def _parse_records(lines: Iterable[str]) -> np.ndarray:
-    """Records from CSV lines, through NumPy's C tokenizer.
+def _bad_line(block: bytes, line: int) -> EventFormatError:
+    """The error naming the first line of ``block``, line ``line`` of the
+    file, that :func:`_fast_records` refuses, once it has refused the block.
 
-    Empty lines are skipped and ``#`` is data.  Raises ``ValueError`` on a
-    wrong field count, a field that does not parse, or a NUL byte: a bytes
-    field drops trailing NULs, so ``TwoPi\\0`` would read as ``TwoPi``.
+    The lines are halved until one is left: the first half if it is
+    refused, the second if not.  That line gets one of two messages, the
+    one for a wrong field count or the one for a line that does not parse.
     """
-
-    def refuse_nul(lines: Iterable[str]) -> Iterator[str]:
-        for line in lines:
-            if "\0" in line:
-                raise ValueError("NUL byte in a record")
-            yield line
-
-    lines = iter(lines)
-    for line in lines:
-        if line != "\n":
-            break
-    else:
-        # an empty body: loadtxt would warn that its input holds no data
-        return np.zeros(0, _RECORD)
-    return np.loadtxt(
-        refuse_nul(itertools.chain([line], lines)),
-        dtype=_RECORD, delimiter=",", comments=None, ndmin=1,
-    )
-
-
-def _parses(lines: Iterable[str]) -> bool:
-    try:
-        _parse_records(lines)
-    except ValueError:
-        return False
-    return True
-
-
-def _bad_line_error(lines: list[str], first_line: int) -> EventFormatError:
-    """The error naming the first of ``lines``, numbered from
-    ``first_line``, that :func:`_parse_records` refuses.
-
-    Called once ``lines`` have failed to parse: batches of them go through
-    the same parser, then the lines of the first batch that fails one by
-    one, so the line named is one the parser itself refuses.
-    """
-    for start in range(0, len(lines), _BATCH):
-        batch = lines[start : start + _BATCH]
-        if _parses(batch):
-            continue
-        for idx, line in enumerate(batch, start=first_line + start):
-            if _parses([line]):
-                continue
-            record = line.rstrip("\n")
-            n_fields = len(record.split(","))
-            if n_fields != len(_RECORD):
-                return EventFormatError(
-                    f"line {idx}: expected {len(_RECORD)} fields, got {n_fields}"
-                )
-            return EventFormatError(f"line {idx}: {record!r} does not parse")
-    return EventFormatError("a record does not parse")
+    bounds = [0, *(np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n")) + 1).tolist()]
+    lo, hi = 0, len(bounds) - 1  # lines lo to hi - 1 hold the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _fast_records(block[bounds[lo] : bounds[mid]]) is None:
+            hi = mid
+        else:
+            lo = mid
+    record = block[bounds[lo] : bounds[hi] - 1].decode()
+    n_fields = record.count(",") + 1
+    if n_fields != len(_SEPARATORS):
+        return EventFormatError(
+            f"line {line + lo}: expected {len(_SEPARATORS)} fields, got {n_fields}"
+        )
+    return EventFormatError(f"line {line + lo}: {record!r} does not parse")
 
 
 def _read_records(blocks: Iterable[bytes], line: int,
@@ -995,31 +958,23 @@ def _read_records(blocks: Iterable[bytes], line: int,
     position (None if there is none), then the tau_l, mode_l, tau_r and
     mode_r columns.
 
-    An ASCII block goes through :func:`_fast_records`; any other block, or
-    one that it returns None for, through :func:`_parse_records` as the
-    lines that text mode reads from it.  The ids are checked block by block
-    and not kept.  The columns are allocated once for ``capacity`` records
+    Each block is checked to be UTF-8 and goes through :func:`_fast_records`;
+    :func:`_bad_line` names the first bad line of a block that it refuses.
+    The ids are checked block by block and not kept.  The columns are allocated once for ``capacity`` records
     and doubled if more come, so the blocks' own arrays do not outlive them.
     """
     columns = [np.empty(capacity), np.empty(capacity, np.int8),
                np.empty(capacity), np.empty(capacity, np.int8)]
     position, wrong_id = 0, None
     for block in blocks:
-        parsed = None
-        if block.isascii():
-            parsed = _fast_records(block)
+        if not block:
+            continue
+        _check_utf8(block)
+        parsed = _fast_records(block)
         if parsed is None:
-            lines = io.StringIO(_text(block), newline=None).readlines()
-            try:
-                records = _parse_records(lines)
-            except ValueError as exc:
-                raise _bad_line_error(lines, line) from exc
-            parsed = (records["id"], records["tau_l"], _mode_codes(records["mode_l"]),
-                      records["tau_r"], _mode_codes(records["mode_r"]))
-            line += len(lines)
-        else:
-            line += parsed[0].size
+            raise _bad_line(block, line)
         ids, stop = parsed[0], position + parsed[0].size
+        line += ids.size
         if wrong_id is None:
             wrong = np.flatnonzero(ids != np.arange(position, stop))
             if wrong.size:
@@ -1035,8 +990,9 @@ def _read_records(blocks: Iterable[bytes], line: int,
 
 
 def _metadata_number(kind: type, value: str) -> Union[int, float]:
-    """``kind(value)`` for the spellings a record's number may have:
-    Python alone reads ``1_0`` as 10, and non-ASCII digits as digits."""
+    """``kind(value)``, but not for two spellings that only Python reads:
+    ``1_0`` as 10, and non-ASCII digits as digits.  The metadata keep this
+    rule, looser than the record grammar: ``tau_max=+5E1`` reads as 50."""
     if "_" in value or not value.isascii():
         raise ValueError(f"invalid literal for {kind.__name__}(): {value!r}")
     return kind(value)
@@ -1046,26 +1002,28 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, st
     """The seed, n_pairs, tau_max and params_digest of the schema, metadata
     and column header lines at the start of ``blocks``; then the rest of the
     block that holds the column header, and the number of its first line.
-    Lines end where text mode ends them: at LF, CR LF or CR.
     """
-    text = io.StringIO()
+    block, end = b"", 0
 
     def lines() -> Iterator[str]:
-        nonlocal text
+        nonlocal block, end
         for block in blocks:
-            text = io.StringIO(_text(block), newline=None)
-            yield from text
+            _check_utf8(block)
+            start = 0
+            while start < len(block):
+                end = block.index(b"\n", start) + 1
+                yield block[start : end - 1].decode()
+                start = end
 
     seed, n_pairs, tau_max, digest = 0, None, math.nan, ""
     source = lines()
-    schema = next(source, "").rstrip("\n")
+    schema = next(source, "")
     if not schema.startswith("# kaon-eraser events v"):
         raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
     version = schema.rsplit("v", 1)[-1]
     if version != str(EVENT_SCHEMA_VERSION):
         raise EventFormatError(f"line 1: unsupported schema version {version!r}")
     for idx, line in enumerate(source, start=2):
-        line = line.rstrip("\n")
         if line.startswith("#"):
             for token in line[1:].split():
                 key, _, value = token.partition("=")
@@ -1088,7 +1046,7 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, st
         raise EventFormatError("missing column header line")
     if n_pairs is None:
         raise EventFormatError("metadata has no n_pairs")
-    return seed, n_pairs, tau_max, digest, text.read().encode(), idx + 1
+    return seed, n_pairs, tau_max, digest, block[end:], idx + 1
 
 
 def read_events(path: Union[str, Path]) -> EventSet:
@@ -1101,7 +1059,7 @@ def read_events(path: Union[str, Path]) -> EventSet:
     times finite and >= 0, known mode names, as many records as the
     header's ``n_pairs``) name the record id.  A file that is not UTF-8
     text is refused as such, whatever else is wrong with it: after any
-    other error the rest of the file is still read and decoded.
+    other error the rest of the file is still read and checked.
     """
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -1115,7 +1073,7 @@ def read_events(path: Union[str, Path]) -> EventSet:
         except EventFormatError as exc:
             if not isinstance(exc.__cause__, UnicodeDecodeError):
                 for block in blocks:
-                    _text(block)
+                    _check_utf8(block)
             raise
 
     if wrong_id is not None:
@@ -1143,14 +1101,6 @@ def read_events(path: Union[str, Path]) -> EventSet:
         tau_max=tau_max,
         params_digest=digest,
     )
-
-
-def _mode_codes(names: np.ndarray) -> np.ndarray:
-    """int8 codes of the mode names; -1 where a name is not a mode."""
-    codes = np.full(names.shape, -1, dtype=np.int8)
-    for mode, code in MODE_CODES.items():
-        codes[names == mode.value.encode()] = code
-    return codes
 
 
 # --------------------------------------------------------------------------

@@ -13,10 +13,13 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 #: The per-event object view, the outcome-kind pair, the string-keyed
 #: eigenvalue lookup, the single-kaon state API and the one-record lifetime
 #: classifier, removed because no output depends on them; the generator's
-#: own mode-cell table, which ``decay._mode_cells`` replaces.
+#: own mode-cell table, which ``decay._mode_cells`` replaces; the
+#: ``np.loadtxt`` record parser, its record dtype and its bad-line search,
+#: which the block parser's grammar and its halving search replace.
 REMOVED = {
     experiments: ("classify_event_lifetime",),
-    generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights"),
+    generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights", "_parse_records",
+                "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),

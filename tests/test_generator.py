@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -495,12 +496,24 @@ def _write_small_event_file(path, n_pairs, rows):
     )
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+#: Times that are not finite and >= 0: a decimal that ``float()`` reads as
+#: inf or a negative one fails the check on the arrays, and ``nan`` and
+#: ``inf``, which are no decimals, fail the record grammar.
+_BAD_TIMES = {
+    "1e+400": "record id 1: decay times must be finite and >= 0",
+    "-1.5": "record id 1: decay times must be finite and >= 0",
+    "nan": "line 5: '1,2.0,TwoPi,nan,ThreePi' does not parse",
+    "inf": "line 5: '1,2.0,TwoPi,inf,ThreePi' does not parse",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_TIMES))
 def test_read_rejects_non_finite_times(tmp_path, bad):
     path = tmp_path / "bad.csv"
     _write_small_event_file(path, 2, ["0,1.0,TwoPi,1.0,TwoPi", f"1,2.0,TwoPi,{bad},ThreePi"])
-    with pytest.raises(EventFormatError, match="record id 1: decay times must be finite"):
+    with pytest.raises(EventFormatError) as err:
         read_events(path)
+    assert str(err.value) == _BAD_TIMES[bad]
 
 
 def test_read_rejects_record_count_other_than_header(tmp_path):
@@ -528,7 +541,7 @@ def test_read_rejects_malformed_metadata_value(tmp_path):
 )
 def test_read_refuses_metadata_numbers_that_records_refuse(tmp_path, before, after):
     # Python's int() and float() read "1_0" as 10 and a fullwidth digit as a
-    # digit; np.loadtxt refuses both in a record, and so does the header
+    # digit; the record grammar refuses both, and so does the header
     path = tmp_path / "meta.csv"
     _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
     path.write_text(path.read_text().replace(before, after))
@@ -539,21 +552,22 @@ def test_read_refuses_metadata_numbers_that_records_refuse(tmp_path, before, aft
 @pytest.mark.parametrize(
     "rows, match",
     [
-        # one byte longer than the longest name: a 17-byte field would cut it to a name
+        # one byte longer than the longest name
         (["0,1.0,SemileptonicMinusX,1.0,TwoPi"], "unknown decay mode"),
-        # '#' inside a record is data, not the start of a comment
-        (["0,1.0,TwoPi # c,1.0,TwoPi"], "unknown decay mode"),
-        (["0,1.0,TwoPi,1.0,TwoPi # c"], "unknown decay mode"),
-        (["0,1.0, TwoPi,1.0,TwoPi"], "unknown decay mode"),
-        (["0,1.0,TwoPi,1.0,TwoPi "], "unknown decay mode"),
-        # a bytes field drops trailing NULs, which must not turn this into TwoPi
+        # '#' does not start a comment in a record, and no field is stripped
+        (["0,1.0,TwoPi # c,1.0,TwoPi"], "line 4"),
+        (["0,1.0,TwoPi,1.0,TwoPi # c"], "line 4"),
+        (["0,1.0, TwoPi,1.0,TwoPi"], "line 4"),
+        (["0,1.0,TwoPi,1.0,TwoPi "], "line 4"),
+        # a NUL after a name is not dropped to leave TwoPi
         (["0,1.0,TwoPi\0,1.0,TwoPi"], "line 4"),
         (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0"], "line 5"),
         (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0,TwoPi,"], "line 5"),
         (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,x,TwoPi"], "line 5"),
         (["0,1.0,TwoPi,1.0,ThreePi", "1,2.0,TwoPi,1.0,TwoPi", "z,1.0,TwoPi,1.0,TwoPi"],
          "line 6"),
-        (["0,1.0,TwoPi,1.0,ThreePi", "", "1,,TwoPi,1.0,TwoPi"], "line 6"),
+        # the first of two bad lines, a blank one
+        (["0,1.0,TwoPi,1.0,ThreePi", "", "1,,TwoPi,1.0,TwoPi"], "line 5"),
         (["0,1.0,TwoPi,1.0,ThreePi", "   "], "line 5"),
     ],
 )
@@ -587,16 +601,6 @@ def test_read_refuses_bad_record_from_a_pipe(tmp_path):
     assert not reader.is_alive()
     assert len(errors) == 1
     assert "line 5" in errors[0]
-
-
-def test_read_skips_blank_lines_in_body(tmp_path):
-    path = tmp_path / "blank.csv"
-    _write_small_event_file(path, 2, ["", "0,1.0,TwoPi,2.0,ThreePi", "", "1,3.0,Other,4.0,TwoPi", ""])
-    back = read_events(path)
-    np.testing.assert_array_equal(back.tau_l, [1.0, 3.0])
-    np.testing.assert_array_equal(back.tau_r, [2.0, 4.0])
-    assert back.mode_l.tolist() == [0, 4]
-    assert back.mode_r.tolist() == [1, 0]
 
 
 def test_round_trip_is_bitwise_at_extreme_times(tmp_path):
@@ -691,7 +695,7 @@ def test_event_ids_cross_every_power_of_ten(power):
     assert _event_lines(start, *columns) == _oracle_lines(start, *columns)
 
 
-@pytest.mark.parametrize("rows", [[], ["", ""]])
+@pytest.mark.parametrize("rows", [[]])
 def test_read_empty_body_without_warning(tmp_path, rows):
     path = tmp_path / "empty.csv"
     _write_small_event_file(path, 0, rows)
@@ -716,8 +720,7 @@ def _event_bytes(rows, meta=b""):
 )
 def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
     # a decoding error is a ValueError, which the CLI reports as a usage error;
-    # a late one is met by NumPy's reader, or by the reread that names a bad
-    # line: 60,000 rows put it past the 50,000 lines NumPy reads at a time
+    # 60,000 rows put a late one past the first block, and past a bad line
     n = 60_000 if where in ("late record", "after a bad record") else 3
     rows = [b"%d,1.0,TwoPi,2.0,ThreePi" % i for i in range(n)]
     meta = b""
@@ -735,9 +738,10 @@ def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
         read_events(path)
 
 
-# The reader that came before the block parser, kept as the oracle: the
-# header line by line in text mode, every record through one np.loadtxt call
-# into a structured array, and a bad line found by reading the file again.
+# The reader that came before the block parser, kept as the oracle on the
+# writer's grammar: the header line by line in text mode, every record
+# through one np.loadtxt call into a structured array, and a bad line found
+# by reading the file again.
 _ORACLE_RECORD = np.dtype([("id", np.int64), ("tau_l", np.float64), ("mode_l", "S18"),
                            ("tau_r", np.float64), ("mode_r", "S18")])
 
@@ -941,29 +945,111 @@ _HAND_MADE_FILES = {
 }
 
 
+#: The hand-made bodies that the loadtxt reader read, or refused with another
+#: message, and that are outside the record grammar: each is refused by its line.
+_OUTSIDE_THE_GRAMMAR = {
+    "space before a time": "line 4: '0, 1.5,TwoPi,2.5,ThreePi' does not parse",
+    "space after a time": "line 4: '0,1.5 ,TwoPi,2.5,ThreePi' does not parse",
+    "space before an id": "line 4: ' 0,1.5,TwoPi,2.5,ThreePi' does not parse",
+    "tab": "line 4: '0,1.5,TwoPi,2.5\\t,ThreePi' does not parse",
+    "plus and E": "line 4: '0,+3E-5,TwoPi,+2.5,ThreePi' does not parse",
+    "bare point": "line 4: '0,4.,TwoPi,.5,ThreePi' does not parse",
+    "eighteen digits":
+        "line 4: '0,1.23456789012345678,TwoPi,123456789012345678,ThreePi' does not parse",
+    "more digits": "line 4: '0,0.1234567890123456789012,TwoPi,12345678901234567890123456,"
+                   "ThreePi' does not parse",
+    "exponents": "line 5: '1,1e5,Other,1E5,TwoPi' does not parse",
+    "inf": "line 4: '0,inf,TwoPi,2.5,ThreePi' does not parse",
+    "nan": "line 4: '0,1.5,TwoPi,nan,ThreePi' does not parse",
+    "infinity": "line 4: '0,1.5,TwoPi,-Infinity,ThreePi' does not parse",
+    "overflow": "line 4: '0,2e308,TwoPi,2.5,ThreePi' does not parse",
+    "blank lines": "line 4: expected 5 fields, got 1",
+    "name in quotes": "line 4: '0,1,\"TwoPi\",1,ThreePi' does not parse",
+    "id with plus": "line 4: '+0,1,TwoPi,1,ThreePi' does not parse",
+    "nineteen digit id": "line 4: '0000000000000000000,1,TwoPi,1,ThreePi' does not parse",
+}
+
+
 @pytest.mark.parametrize("case", list(_HAND_MADE_FILES))
 def test_read_matches_the_loadtxt_reader_on_hand_made_bodies(tmp_path, case):
     path = tmp_path / "hand.csv"
     path.write_bytes(_HAND_MADE_FILES[case])
-    _assert_reads_as_the_oracle(path)
+    if case not in _OUTSIDE_THE_GRAMMAR:
+        _assert_reads_as_the_oracle(path)
+        return
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == _OUTSIDE_THE_GRAMMAR[case]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 333])
 def test_read_matches_the_loadtxt_reader_across_block_sizes(tmp_path, monkeypatch, block,
                                                            default_params):
-    # every line, id and field straddles some block boundary; blank lines and
-    # a CRLF line send some blocks to loadtxt and leave others on the fast path
+    # every line, id, field and line end straddles some block boundary, a
+    # CR LF too: copies with CR LF and with CR line ends read as the LF file
     events = generate(GeneratorConfig(seed=4, n_pairs=300), default_params)
     path = tmp_path / "events.csv"
     write_events(path, events)
-    lines = path.read_bytes().split(b"\n")
-    lines[150] += b"\r"
-    lines.insert(220, b"")
-    path.write_bytes(b"\n".join(lines))
+    data = path.read_bytes()
     monkeypatch.setattr(generator, "_READ_BLOCK", block)
     got = _assert_reads_as_the_oracle(path)
-    assert got.tau_l.tobytes() == events.tau_l.tobytes()
-    assert got.mode_r.tobytes() == events.mode_r.tobytes()
+    for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+        assert getattr(got, name).tobytes() == getattr(events, name).tobytes(), name
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(data.replace(b"\n", newline))
+        again = read_events(path)
+        for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
+            assert getattr(again, name).tobytes() == getattr(got, name).tobytes(), name
+        assert (again.seed, again.params_digest) == (got.seed, got.params_digest)
+        assert np.float64(again.tau_max).tobytes() == np.float64(got.tau_max).tobytes()
+
+
+#: Lines outside the record grammar, with the message that names them; the
+#: line's place in the file is put in for ``{i}``.
+_BAD_LINES = {
+    "four fields": ("{i},1.5,TwoPi,2.5", "expected 5 fields, got 4"),
+    "space": ("{i},1.5,TwoPi, 2.5,ThreePi", "'{i},1.5,TwoPi, 2.5,ThreePi' does not parse"),
+    "plus and E": ("{i},+3E-5,TwoPi,2.5,ThreePi", "'{i},+3E-5,TwoPi,2.5,ThreePi' does not parse"),
+    "blank": ("", "expected 5 fields, got 1"),
+    "eighteen digits": ("{i},1.23456789012345678,TwoPi,2.5,ThreePi",
+                        "'{i},1.23456789012345678,TwoPi,2.5,ThreePi' does not parse"),
+    "NUL": ("{i},1.5,TwoPi\0,2.5,ThreePi", "'{i},1.5,TwoPi\\x00,2.5,ThreePi' does not parse"),
+}
+
+
+def _places(data):
+    """Per line of ``data``: the block of ``_line_blocks`` that holds it, its
+    place in that block and the block's number of lines."""
+    places = []
+    for k, block in enumerate(generator._line_blocks(io.BytesIO(data))):
+        n = block.count(b"\n")
+        places += [(k, j, n) for j in range(n)]
+    return places
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("kind", list(_BAD_LINES))
+def test_read_names_the_first_bad_line(tmp_path, monkeypatch, kind, place):
+    # the bad line is the first, a middle or the last of its block of some 150
+    # lines, past the first block: so on either side of a block boundary.  The
+    # metadata are padded until a blank line can start a block.  The bad last
+    # line of the file is not the one named.
+    monkeypatch.setattr(generator, "_READ_BLOCK", 4096)
+    line, message = _BAD_LINES[kind]
+    rows = [b"%d,1.25,TwoPi,2.5,ThreePi" % i for i in range(400)] + [b"x"]
+    for pad, i in itertools.product(range(32), range(len(rows) - 1)):
+        data = _event_bytes(rows[:i] + [line.format(i=i).encode()] + rows[i + 1 :],
+                            b" note=" + b"x" * pad)
+        k, j, n = _places(data)[i + 3]
+        if k >= 1 and j == {"first": 0, "middle": n // 2, "last": n - 1}[place]:
+            break
+    else:
+        raise AssertionError(f"no line is {place} in a block")
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == f"line {i + 4}: " + message.format(i=i)
 
 
 def test_read_an_id_split_by_the_block_boundary(tmp_path, default_params):
@@ -1053,7 +1139,7 @@ def test_block_parser_hands_midpoints_to_float():
 @pytest.mark.parametrize("field", [b"1.23456789012345678", b"123456789012345678",
                                    b"0.000123456789012345678", b"1.234567890123456789e-05"])
 def test_block_parser_refuses_more_than_17_digits(field):
-    # the grammar is that of the writer: np.loadtxt reads the rest
+    # the grammar is that of the writer, which writes at most 17
     assert generator._read_times(*_fields(b"1.5", field)) is None
 
 
