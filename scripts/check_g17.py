@@ -6,7 +6,8 @@ Draws ``--values`` float64 values in equal shares from six families
 (uniform on [0, 1), exponential at scale 1 and at scale 579, log-uniform
 over 1e-282 to 1e282 with both signs, exact ties at the 17th digit, and the
 specials: zeros, infinities, NaN, subnormals and the ends of the range).
-Writing: formats them with ``generator._g17_bytes`` and with ``'%.17g' % x``,
+Writing: formats them with ``generator._csv_text``, the writers' own path,
+which prints a float array through ``_g17_bytes``, and with ``'%.17g' % x``,
 and prints per family the values tried, the mismatches and the share that
 took the per-element fallback (zero is laid out directly and is not
 counted).  Reading: parses each finite value's written text with the
@@ -26,7 +27,7 @@ import time
 
 import numpy as np
 
-from kaon_eraser.generator import _PAD, _csv_text, _g17_bytes, _g17_decimal, _read_times
+from kaon_eraser.generator import _PAD, _csv_text, _g17_decimal, _read_times
 from run_eraser_scan import int_in
 
 CHUNK = 1 << 17
@@ -103,14 +104,14 @@ def main() -> int:
         tried = bad = fallback = read = read_bad = read_fallback = 0
         while tried < share:
             x = draw(rng, min(CHUNK, share - tried))
-            ours = _csv_text([_g17_bytes(x)])
+            ours = _csv_text([x])
             theirs = "".join(["%.17g\n" % v for v in x.tolist()])
             if ours != theirs:
                 bad += sum(a != b for a, b in zip(ours.splitlines(), theirs.splitlines()))
             fallback += int(np.count_nonzero(_g17_decimal(x)[2] & (x != 0.0)))
             tried += x.size
 
-            text = _csv_text([_g17_bytes(x[np.isfinite(x)])])
+            text = _csv_text([x[np.isfinite(x)]])
             if text:
                 values, slow = read_back(text)
                 exact = np.array([float(line) for line in text.splitlines()])

@@ -53,10 +53,10 @@ from .decay import (
     _pair_coefficients,
     amplitudes,
 )
-from .generator import EventSet, _atomic_write, _csv_text, _d_bytes, _g17_bytes
+from .generator import EventSet, _atomic_write, _csv_text
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
-from .params import PhysicsParams
+from .params import PhysicsParams, check_integer
 from .probabilities import (
     JointProbabilityTable,
     Source,
@@ -129,10 +129,8 @@ class ExperimentSpec:
             raise ValueError("tau_l_grid must be nonempty")
         if grid[0] < 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tau_l_grid must be strictly increasing and nonnegative")
-        if self.n_pairs < 0:
-            raise ValueError("n_pairs must be >= 0")
-        if not 0 <= self.seed < 2**64:  # GeneratorConfig's rule, for the row draws
-            raise ValueError("seed must fit in 64 bits")
+        check_integer("n_pairs", self.n_pairs, 0)
+        check_integer("seed", self.seed)  # the row draws seed NumPy with it
         if self.n_pairs == 0 and self.kind in (
             ExperimentKind.PASSIVE_METER,
             ExperimentKind.PASSIVE_PASSIVE,
@@ -140,8 +138,7 @@ class ExperimentSpec:
             raise ValueError(f"kind {self.kind.value!r} is event-based; n_pairs must be >= 1")
         if self.bin_width_l <= 0 or self.bin_width_r <= 0:
             raise ValueError("bin widths must be > 0")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
+        check_integer("min_count", self.min_count, 1)
 
 
 class Estimate(NamedTuple):
@@ -173,20 +170,6 @@ class ScanRow(NamedTuple):
     counts: dict[str, int]
 
 
-def _once_per_array(convert):
-    """``convert(column, *args)``, run once per array object and ``args``:
-    every column that the same array fills reuses its result."""
-    done = {}
-
-    def once(column: np.ndarray, *args):
-        key = id(column), *args
-        if key not in done:
-            done[key] = convert(column, *args)
-        return done[key]
-
-    return once
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
     """One scan by column: per family its ``(value, sigma, twin, n,
@@ -210,13 +193,16 @@ class ScanResult:
         zipped columns, which skips the named tuples' Python-level
         ``__new__`` per row.  Each array is listed once, so its columns
         share its floats."""
-        listed = _once_per_array(np.ndarray.tolist)
+        arrays = {id(column): column
+                  for column in itertools.chain(*self.families.values(), self.counts.values())}
+        listed = {key: column.tolist() for key, column in arrays.items()}
         families = [
-            map(tuple.__new__, itertools.repeat(Estimate), zip(*map(listed, self.families[fam])))
+            map(tuple.__new__, itertools.repeat(Estimate),
+                zip(*(listed[id(column)] for column in self.families[fam])))
             for fam in _FAMILIES
         ]
         keys = _COUNT_KEYS[self.spec.kind]
-        count_rows = zip(*(listed(self.counts[key]) for key in keys))
+        count_rows = zip(*(listed[id(self.counts[key])] for key in keys))
         row_counts = map(dict, map(zip, itertools.repeat(keys), count_rows))
         fields = zip(self.spec.tau_l_grid, *families, row_counts)
         return tuple(map(tuple.__new__, itertools.repeat(ScanRow), fields))
@@ -666,44 +652,22 @@ _COUNT_KEYS = {
 }
 
 
-#: The formatters of a family's columns, in :class:`Estimate` field order:
-#: ``'%.17g' % x`` and ``'%d' % n``, which print what ``f"{x:.17g}"`` and
-#: ``str(n)`` print.
-_ESTIMATE_FORMATS = (_g17_bytes, _g17_bytes, _g17_bytes, _d_bytes, _d_bytes)
-
-
-def _byte_columns(columns: list[np.ndarray], formats: list) -> list[np.ndarray]:
-    """The byte matrix of each column, from one call per formatter on the
-    distinct arrays it formats, concatenated: every column that the same
-    array fills reuses its rows."""
-    distinct = {}
-    for column, fmt in zip(columns, formats):
-        distinct.setdefault(fmt, {}).setdefault(id(column), column)
-    rows = {}
-    for fmt, arrays in distinct.items():
-        text = fmt(np.concatenate(list(arrays.values())))
-        rows.update(((fmt, key), block) for key, block in zip(arrays, np.split(text, len(arrays))))
-    return [rows[fmt, id(column)] for column, fmt in zip(columns, formats)]
-
-
 def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str) -> None:
     spec = result.spec
     grid = spec.tau_l_grid
-    names, columns, formats = ["tau_l"], [np.array(grid)], [_g17_bytes]
+    names, columns = ["tau_l"], [np.array(grid)]
     for fam in _FAMILIES:
         names += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
         columns += result.families[fam]
-        formats += _ESTIMATE_FORMATS
     for key in _COUNT_KEYS[spec.kind]:  # a result without the key raises KeyError
         names.append(f"count_{key}")
         columns.append(result.counts[key])
-        formats.append(_d_bytes)
     for name, column in zip(names, columns):
         if np.shape(column) != (len(grid),):
             raise ValueError(
                 f"scan column {name} has shape {np.shape(column)}; the grid has {len(grid)} points"
             )
-    lines = _csv_text(_byte_columns(columns, formats))
+    lines = _csv_text(columns)
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")
         fh.write(

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.special import chdtrc, expit
 
 from .decay import MODE_ORDER, _mode_cells, integrated_mode_pair_probabilities
-from .params import PhysicsParams
+from .params import PhysicsParams, check_integer
 from .probabilities import _sech
 
 EVENT_SCHEMA_VERSION = 1
@@ -80,10 +80,8 @@ class GeneratorConfig:
     tau_max: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_integer("n_pairs", self.n_pairs, 1)
+        check_integer("seed", self.seed)
         if not math.isfinite(self.tau_max):
             # JSON, and so the manifest, cannot hold it
             raise ValueError(f"tau_max must be finite, got {self.tau_max}")
@@ -246,6 +244,7 @@ def generate(
     consecutive batches, calls the kernel once and writes its slice of the
     four output columns, which are allocated once.
     """
+    check_integer("threads", threads, 1)
     config.validate_horizon(params)
     n = config.n_pairs
     tau_l, tau_r = np.empty(n), np.empty(n)
@@ -263,13 +262,10 @@ def generate(
         (tau_l[start:stop], mode_l[start:stop], tau_r[start:stop],
          mode_r[start:stop]) = sampling_kernel(u, params, config.tau_max)
 
-    starts = range(0, n, span)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    # when a result raises, an interrupt included, ``map`` cancels the tasks
+    # not yet started
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, range(0, n, span)))
 
     return EventSet(
         tau_l=tau_l,
@@ -324,9 +320,10 @@ def _atomic_write(path: Union[str, Path]) -> Iterator[TextIO]:
 # --------------------------------------------------------------------------
 #
 # A formatter returns one row of ASCII bytes per element, padded with NUL
-# bytes anywhere in the row; :func:`_csv_text` joins the rows of several
-# such matrices and drops every NUL at once.  The formatters and the event
-# reader read their tables from :func:`_text_tables`, built on first use.
+# bytes anywhere in the row; :func:`_csv_text` picks the formatter of each
+# column by its dtype, joins the rows and drops every NUL at once.  The
+# formatters and the event reader read their tables from
+# :func:`_text_tables`, built on first use.
 
 #: In ``_TextTables.quads``, after the 4-digit groups: a leading digit ``d``
 #: as ``b"\0\0\0%d" % d`` at ``_LEAD + d``, and four NULs at ``_NUL4``.
@@ -592,10 +589,25 @@ def _d_bytes(values: np.ndarray) -> np.ndarray:
 _TEXT_BLOCK = 1 << 16
 
 
-def _csv_text(fields: list[np.ndarray]) -> str:
-    """One line per row of the byte matrices ``fields`` (all of one height),
-    their rows joined by commas, every NUL byte dropped: one
-    ``lines[lines != 0]`` per block of rows."""
+def _csv_text(columns: list[np.ndarray]) -> str:
+    """One line per element of the equal-length ``columns``, their fields
+    joined by commas.  A column prints by its dtype: a float array as
+    ``'%.17g' % x``, an integer or bool array as ``'%d' % n``, and a 2-D
+    uint8 matrix, NUL-padded bytes per row, as is.  Each distinct array is
+    formatted once, by one call per formatter on the concatenation of every
+    array it formats; every NUL byte is then dropped by one ``lines[lines
+    != 0]`` per block of rows."""
+    by_format = {}
+    for column in columns:
+        if column.ndim == 1:
+            fmt = _g17_bytes if column.dtype.kind == "f" else _d_bytes
+            by_format.setdefault(fmt, {})[id(column)] = column
+    rows = {}
+    for fmt, arrays in by_format.items():
+        text = fmt(np.concatenate(list(arrays.values())))
+        rows.update(zip(arrays, np.split(text, len(arrays))))
+    fields = [rows.get(id(column), column) for column in columns]
+
     widths = [field.shape[1] + 1 for field in fields]
     n = fields[0].shape[0]
     step = max(_TEXT_BLOCK // sum(widths), 1)
@@ -615,9 +627,9 @@ def _csv_text(fields: list[np.ndarray]) -> str:
 
 def _event_lines(start: int, tau_l, mode_l, tau_r, mode_r) -> str:
     """The lines of the records from id ``start`` on, one per element of the columns."""
-    ids = _d_bytes(np.arange(start, start + len(tau_l)))
-    return _csv_text([ids, _g17_bytes(tau_l), _MODE_BYTES.take(mode_l, axis=0),
-                      _g17_bytes(tau_r), _MODE_BYTES.take(mode_r, axis=0)])
+    ids = np.arange(start, start + len(tau_l))
+    return _csv_text([ids, tau_l, _MODE_BYTES.take(mode_l, axis=0),
+                      tau_r, _MODE_BYTES.take(mode_r, axis=0)])
 
 
 def write_events(path: Union[str, Path], events: EventSet) -> None:
@@ -703,29 +715,25 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The bytes of ``fh`` in blocks of whole lines, about ``_READ_BLOCK``
     each, every line ended by LF.  Lines end where text mode ends them: a
     CR LF or a CR is turned into one LF, and a last line without its end
-    gets one."""
+    gets one.  A block that is not UTF-8 text raises as it is cut: no line
+    end is inside a character, so the blocks are UTF-8 if the file is."""
     carry = b""
-    while chunk := fh.read(_READ_BLOCK):
-        chunk = carry + chunk
+    while (chunk := fh.read(_READ_BLOCK)) or carry:
+        chunk = carry + (chunk or b"\n")
         # a CR at the end of a read may be the first half of a CR LF
         held = chunk.endswith(b"\r")
         if b"\r" in chunk:  # a search for CR LF alone costs more than this test
             chunk = chunk[: len(chunk) - held].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         end = chunk.rfind(b"\n") + 1
         if end:
-            yield chunk[:end]
+            block = chunk[:end]
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
+            yield block
         carry = chunk[end:] + b"\r" * held
-    if carry:
-        yield carry.removesuffix(b"\r") + b"\n"
-
-
-def _check_utf8(block: bytes) -> None:
-    """The error of a file that is not UTF-8 text, unless ``block`` is."""
-    if not block.isascii():
-        try:
-            block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EventFormatError(f"the file is not UTF-8 text: {exc.reason}") from exc
 
 
 def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -958,10 +966,11 @@ def _read_records(blocks: Iterable[bytes], line: int,
     position (None if there is none), then the tau_l, mode_l, tau_r and
     mode_r columns.
 
-    Each block is checked to be UTF-8 and goes through :func:`_fast_records`;
-    :func:`_bad_line` names the first bad line of a block that it refuses.
-    The ids are checked block by block and not kept.  The columns are allocated once for ``capacity`` records
-    and doubled if more come, so the blocks' own arrays do not outlive them.
+    Each block goes through :func:`_fast_records`; :func:`_bad_line` names
+    the first bad line of a block that it refuses.  The ids are checked
+    block by block and not kept.  The columns are allocated once for
+    ``capacity`` records and doubled if more come, so the blocks' own arrays
+    do not outlive them.
     """
     columns = [np.empty(capacity), np.empty(capacity, np.int8),
                np.empty(capacity), np.empty(capacity, np.int8)]
@@ -969,7 +978,6 @@ def _read_records(blocks: Iterable[bytes], line: int,
     for block in blocks:
         if not block:
             continue
-        _check_utf8(block)
         parsed = _fast_records(block)
         if parsed is None:
             raise _bad_line(block, line)
@@ -1008,7 +1016,6 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, st
     def lines() -> Iterator[str]:
         nonlocal block, end
         for block in blocks:
-            _check_utf8(block)
             start = 0
             while start < len(block):
                 end = block.index(b"\n", start) + 1
@@ -1070,10 +1077,9 @@ def read_events(path: Union[str, Path]) -> EventSet:
             wrong_id, (tau_l, mode_l, tau_r, mode_r) = _read_records(
                 itertools.chain([rest], blocks), line, max(capacity, 0)
             )
-        except EventFormatError as exc:
-            if not isinstance(exc.__cause__, UnicodeDecodeError):
-                for block in blocks:
-                    _check_utf8(block)
+        except EventFormatError:
+            for _ in blocks:  # a file that is not UTF-8 is refused as such
+                pass
             raise
 
     if wrong_id is not None:

@@ -36,14 +36,11 @@ class PairAmplitude:
 
     ``amps[i, j]`` is the amplitude for left outcome i and right outcome j
     in the respective bases (component order: (K0, K0bar) or (K_S, K_L)).
-    ``tau_l``/``tau_r`` record the proper times each side has evolved.
     """
 
     basis_l: Basis
     basis_r: Basis
     amps: np.ndarray
-    tau_l: float = 0.0
-    tau_r: float = 0.0
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -99,12 +96,7 @@ def evolve_pair(
     phase_l = np.exp(-1j * np.array([params.lambda_s, params.lambda_l]) * tau_l)
     phase_r = np.exp(-1j * np.array([params.lambda_s, params.lambda_l]) * tau_r)
     amps = lifetime.amps * np.outer(phase_l, phase_r)
-    evolved = dataclasses.replace(
-        lifetime,
-        amps=amps,
-        tau_l=state.tau_l + tau_l,
-        tau_r=state.tau_r + tau_r,
-    )
+    evolved = dataclasses.replace(lifetime, amps=amps)
     return to_pair_basis(evolved, state.basis_l, state.basis_r)
 
 

@@ -19,8 +19,9 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 
 class ParamsError(ValueError):
@@ -141,6 +142,20 @@ def check_times(*times: float) -> None:
     for tau in times:
         if not 0.0 <= tau < math.inf:
             raise ValueError(f"each time tau must be finite and >= 0, got {times}")
+
+
+def check_integer(name: str, value: object, least: Optional[int] = None) -> None:
+    """Refuse ``value`` unless it is a Python or NumPy integer, not a bool,
+    and at least ``least``.  Without ``least`` it is a seed, which runs from
+    0 to 2**64 - 1: NumPy's ``Philox`` key and ``default_rng`` seeds take
+    64 bits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is None:
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must fit in 64 bits")
+    elif value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def load_params(

@@ -203,10 +203,6 @@ class TimeWindow:
         return cls(max(0.0, tau - 0.5 * width), tau + 0.5 * width)
 
     @property
-    def is_point(self) -> bool:
-        return self.hi == self.lo
-
-    @property
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
 

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from kaon_eraser import PhysicsParams
+from kaon_eraser import PhysicsParams, generator
+
+
+@pytest.fixture
+def formatter_calls(monkeypatch):
+    """Per text formatter, ``_g17_bytes`` or ``_d_bytes``, the size of the
+    array of each call made while the test runs."""
+    calls = {}
+    for name in ("_g17_bytes", "_d_bytes"):
+        formatter = getattr(generator, name)
+        monkeypatch.setattr(generator, name,
+                            lambda values, name=name, formatter=formatter:
+                            calls.setdefault(name, []).append(values.size) or formatter(values))
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -114,6 +114,9 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="seed must fit in 64 bits"):
             ExperimentSpec(**{**fields, "seed": seed})
     assert ExperimentSpec(**{**fields, "seed": 2**64 - 1}).seed == 2**64 - 1
+    numpy_spec = ExperimentSpec(**{**fields, "seed": np.uint64(2**64 - 1),
+                                   "n_pairs": np.int64(0), "min_count": np.int32(5)})
+    assert numpy_spec.seed == 2**64 - 1 and numpy_spec.min_count == 5
     spec = ExperimentSpec("a", 1.0, (0.0, 1.0), 0)
     assert spec.kind is ExperimentKind.ACTIVE_ACTIVE
 
@@ -121,6 +124,18 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 # analytic columns
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("min_count", 2.5), ("min_count", True),
+    ("n_pairs", 0.0), ("n_pairs", 1000.0), ("n_pairs", np.float64(1000.0)),
+])
+def test_spec_refuses_what_is_no_integer(field, value):
+    # these were printed into the scan header, and Monte Carlo kinds failed
+    # late in NumPy
+    fields = dict(kind=ExperimentKind.ACTIVE_ACTIVE, tau_r0=1.0, tau_l_grid=(0.0, 1.0), n_pairs=0)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentSpec(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("kind", ["a", "b"])
@@ -773,6 +788,34 @@ def test_scan_rows_match_the_written_csv(tmp_path, scans_by_kind, kind):
             assert (int(next(fields)), int(next(fields))) == (est.n, est.flagged)
         assert [int(text) for text in fields] == list(row.counts.values())
     assert header.split(",")[-len(row.counts):] == [f"count_{key}" for key in row.counts]
+
+
+def _analytic_and_monte_carlo(params, scans_by_kind):
+    analytic = [run_experiment(ExperimentSpec(kind, 2.0, (0.0, 1.0), 0), params) for kind in "ab"]
+    return [*scans_by_kind.values(), *analytic]
+
+
+def test_scan_columns_have_the_dtypes_they_print_by(default_params, scans_by_kind):
+    # write_scan_csv prints a float array as %.17g and an integer or bool one as %d
+    for result in _analytic_and_monte_carlo(default_params, scans_by_kind):
+        for value, sigma, twin, n, flagged in result.families.values():
+            assert value.dtype == sigma.dtype == twin.dtype == np.float64
+            assert n.dtype.kind == "i" and flagged.dtype == bool
+        assert all(count.dtype.kind == "i" for count in result.counts.values())
+
+
+def test_scan_csv_makes_one_call_per_formatter(tmp_path, formatter_calls, default_params,
+                                               scans_by_kind):
+    for result in _analytic_and_monte_carlo(default_params, scans_by_kind):
+        formatter_calls.clear()
+        write_scan_csv(tmp_path / "scan.csv", result, "test")
+        assert sorted(formatter_calls) == ["_d_bytes", "_g17_bytes"]
+        assert all(len(sizes) == 1 for sizes in formatter_calls.values())
+    # the last, an analytic scan of kind b, prints each array once: the grid,
+    # one shared sigma and the four twins, which are also the values; one zero
+    # array for every n and count, and one flag array
+    rows = len(result.spec.tau_l_grid)
+    assert formatter_calls == {"_g17_bytes": [6 * rows], "_d_bytes": [2 * rows]}
 
 
 def test_scan_result_rows_are_cached_and_its_columns_read_only(default_params, scans_by_kind):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import kaon_eraser
-from kaon_eraser import decay, experiments, generator, kaon, params, probabilities
+from kaon_eraser import decay, experiments, generator, kaon, pair, params, probabilities
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -15,11 +15,16 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 #: classifier, removed because no output depends on them; the generator's
 #: own mode-cell table, which ``decay._mode_cells`` replaces; the
 #: ``np.loadtxt`` record parser, its record dtype and its bad-line search,
-#: which the block parser's grammar and its halving search replace.
+#: which the block parser's grammar and its halving search replace; the scan
+#: writer's format list and dedupe, which ``_csv_text``'s rule by dtype
+#: replaces, with the formatter imports, and the rows' dedupe helper; the
+#: UTF-8 check that ``_line_blocks`` makes as it cuts each block.
 REMOVED = {
-    experiments: ("classify_event_lifetime",),
+    experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
+                  "_once_per_array", "_g17_bytes", "_d_bytes"),
     generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights", "_parse_records",
-                "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error"),
+                "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error",
+                "_check_utf8"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),
@@ -41,6 +46,10 @@ def test_removed_names_are_gone():
     assert not hasattr(generator.EventSet, "pairs")
     assert not hasattr(experiments.ScanResult, "column")
     assert not hasattr(probabilities.JointProbabilityTable, "outcomes")
+    # read by no output
+    assert not hasattr(pair.PairAmplitude, "tau_l")
+    assert not hasattr(pair.PairAmplitude, "tau_r")
+    assert not hasattr(probabilities.TimeWindow, "is_point")
 
 
 def _patchable():

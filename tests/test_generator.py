@@ -3,9 +3,11 @@ import io
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -52,6 +54,53 @@ def test_config_validation():
     config = GeneratorConfig(seed=1, n_pairs=10, tau_max=20.0)
     with pytest.raises(ValueError, match="tau_max"):
         config.validate_horizon(PhysicsParams())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(1.0)), ("seed", "1"),
+    ("n_pairs", 10.0), ("n_pairs", np.True_), ("n_pairs", None),
+])
+def test_config_refuses_what_is_no_integer(field, value):
+    # seed=1.5 drew seed 1's events and wrote seed=1.5 into the header
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GeneratorConfig(**{"seed": 1, "n_pairs": 10, field: value})
+
+
+def test_config_takes_numpy_integers(default_params):
+    config = GeneratorConfig(seed=np.uint64(2**64 - 1), n_pairs=np.int32(10))
+    assert generate(config, default_params).n == 10
+    numpy_seed = generate(GeneratorConfig(seed=np.int64(3), n_pairs=10), default_params)
+    np.testing.assert_array_equal(numpy_seed.tau_l,
+                                  generate(GeneratorConfig(3, 10), default_params).tau_l)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, None, True])
+def test_generate_refuses_a_thread_count_that_is_no_positive_integer(default_params, threads):
+    with pytest.raises(ValueError, match="threads must be"):
+        generate(GeneratorConfig(seed=1, n_pairs=10), default_params, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_interrupted_generate_runs_no_queued_task(monkeypatch, default_params, threads):
+    # Ctrl-C during the second kernel call: ``map`` cancels the tasks not
+    # yet started.  A call takes 50 ms, so the main thread has cancelled them
+    # before a worker is free, even on a loaded host; an interrupt raised in
+    # a worker instead reaches the main thread only after the results ahead
+    # of it, while the other workers go on starting tasks.
+    calls = itertools.count(1)
+    kernel = generator.sampling_kernel
+
+    def interrupted(*args):
+        if next(calls) == 2:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.05)
+        return kernel(*args)
+
+    monkeypatch.setattr(generator, "sampling_kernel", interrupted)
+    config = GeneratorConfig(seed=1, n_pairs=20 * _TASK * _BATCH)
+    with pytest.raises(KeyboardInterrupt):
+        generate(config, default_params, threads=threads)
+    assert next(calls) - 1 <= threads + 2
 
 
 def test_identical_seeds_identical_streams(default_params):
@@ -681,6 +730,15 @@ def test_write_events_gives_the_bytes_of_the_per_row_writer_on_a_sample(tmp_path
     write_events(tmp_path / "new.csv", events)
     _oracle_write_events(tmp_path / "old.csv", events)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_events_formats_each_batch_with_one_call_per_formatter(tmp_path, formatter_calls,
+                                                                     default_params):
+    # the ids by one ``%d`` call, and tau_l and tau_r together by one ``%.17g`` call
+    events = generate(GeneratorConfig(seed=21, n_pairs=2 * _BATCH + 11), default_params)
+    write_events(tmp_path / "events.csv", events)
+    assert formatter_calls == {"_d_bytes": [_BATCH, _BATCH, 11],
+                               "_g17_bytes": [2 * _BATCH, 2 * _BATCH, 22]}
 
 
 @pytest.mark.parametrize("power", range(8))

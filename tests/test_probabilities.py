@@ -305,7 +305,7 @@ def test_window_table_matches_numeric_quadrature(rich_params):
 
 def _scalar_factor(c, window):
     """exp(-c*tau) over one window in NumPy scalar arithmetic."""
-    if window.is_point:
+    if window.lo == window.hi:
         return np.exp(-c * window.lo)
     if abs(c) * (window.hi - window.lo) < 1e-12:
         return complex(window.hi - window.lo)
