@@ -6,12 +6,12 @@ Draws ``--values`` float64 values in equal shares from six families
 (uniform on [0, 1), exponential at scale 1 and at scale 579, log-uniform
 over 1e-282 to 1e282 with both signs, exact ties at the 17th digit, and the
 specials: zeros, infinities, NaN, subnormals and the ends of the range).
-Writing: formats them with ``generator._csv_text``, the writers' own path,
+Writing: formats them with ``textio._csv_text``, the writers' own path,
 which prints a float array through ``_g17_bytes``, and with ``'%.17g' % x``,
 and prints per family the values tried, the mismatches and the share that
 took the per-element fallback (zero is laid out directly and is not
 counted).  Reading: parses each finite value's written text with the
-reader's ``generator._read_times`` and compares the bits with ``float()`` of
+reader's ``textio._read_times`` and compares the bits with ``float()`` of
 the same text, printing the mismatches (a value the reader refuses counts as
 one) and the share that the reader took through ``float()`` itself.
 Infinities and NaN are outside the record grammar, which refuses them, so
@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from kaon_eraser.generator import _PAD, _csv_text, _g17_decimal, _read_times
+from kaon_eraser.textio import _PAD, _csv_text, _g17_decimal, _read_times
 from run_eraser_scan import int_in
 
 CHUNK = 1 << 17

@@ -47,16 +47,8 @@ from .decay import (
     normalization_factor,
     passive_probability,
 )
-from .generator import (
-    EventFormatError,
-    EventSet,
-    GeneratorConfig,
-    generate,
-    mode_pair_chi2,
-    read_events,
-    sampling_kernel,
-    write_events,
-)
+from .generator import GeneratorConfig, generate, mode_pair_chi2, sampling_kernel
+from .textio import EventFormatError, EventSet, read_events, write_events
 from .experiments import (
     Estimate,
     ExperimentKind,

@@ -20,15 +20,8 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import __version__
-from .generator import (
-    EventFormatError,
-    EventSet,
-    GeneratorConfig,
-    _atomic_write,
-    generate,
-    read_events,
-    write_events,
-)
+from .generator import GeneratorConfig, generate
+from .textio import EventFormatError, EventSet, _atomic_write, read_events, write_events
 from .experiments import (
     ExperimentKind,
     ExperimentSpec,

@@ -53,7 +53,6 @@ from .decay import (
     _pair_coefficients,
     amplitudes,
 )
-from .generator import EventSet, _atomic_write, _csv_text
 from .kaon import Basis, Outcome
 from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
 from .params import PhysicsParams, check_integer
@@ -69,6 +68,7 @@ from .probabilities import (
     _survival,
     _window_terms,
 )
+from .textio import EventSet, _atomic_write, _csv_text
 
 _S_CELLS = tuple(itertools.product(_S_OUTCOMES, _S_OUTCOMES))
 _MIXED_CELLS = tuple(itertools.product(_S_OUTCOMES, _L_OUTCOMES))

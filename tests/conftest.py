@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaon_eraser import PhysicsParams, generator
+from kaon_eraser import PhysicsParams, textio
 
 
 @pytest.fixture
@@ -10,8 +10,8 @@ def formatter_calls(monkeypatch):
     array of each call made while the test runs."""
     calls = {}
     for name in ("_g17_bytes", "_d_bytes"):
-        formatter = getattr(generator, name)
-        monkeypatch.setattr(generator, name,
+        formatter = getattr(textio, name)
+        monkeypatch.setattr(textio, name,
                             lambda values, name=name, formatter=formatter:
                             calls.setdefault(name, []).append(values.size) or formatter(values))
     return calls

@@ -1,14 +1,20 @@
 """The package's public names: each export resolves, removed ones stay gone,
 and the benchmark's tracer still finds what it reads."""
 
+import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import kaon_eraser
-from kaon_eraser import decay, experiments, generator, kaon, pair, params, probabilities
+from kaon_eraser import cli, decay, experiments, generator, kaon, pair, params, probabilities, textio
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 
 #: The per-event object view, the outcome-kind pair, the string-keyed
 #: eigenvalue lookup, the single-kaon state API and the one-record lifetime
@@ -18,16 +24,23 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 #: which the block parser's grammar and its halving search replace; the scan
 #: writer's format list and dedupe, which ``_csv_text``'s rule by dtype
 #: replaces, with the formatter imports, and the rows' dedupe helper; the
-#: UTF-8 check that ``_line_blocks`` makes as it cuts each block.
+#: UTF-8 check that ``_line_blocks`` makes as it cuts each block; the event
+#: and scan text codec, which moved to ``textio``, and its lazy table
+#: builder, which the tables built at import replace.
 REMOVED = {
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
                   "_once_per_array", "_g17_bytes", "_d_bytes"),
     generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights", "_parse_records",
                 "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error",
-                "_check_utf8"),
+                "_check_utf8", "_atomic_write", "_csv_text", "_g17_bytes", "_g17_rows",
+                "_g17_decimal", "_d_bytes", "_event_lines", "_line_blocks", "_fast_records",
+                "_read_records", "_read_header", "_read_times", "_read_names", "_bad_line",
+                "_READ_BLOCK", "_PAD", "_HEADER_COLUMNS", "_MODE_BYTES", "_text_tables",
+                "_TextTables", "EVENT_SCHEMA_VERSION"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),
+    textio: ("_TextTables", "_text_tables"),
 }
 
 
@@ -50,6 +63,41 @@ def test_removed_names_are_gone():
     assert not hasattr(pair.PairAmplitude, "tau_l")
     assert not hasattr(pair.PairAmplitude, "tau_r")
     assert not hasattr(probabilities.TimeWindow, "is_point")
+
+
+def _imports(module):
+    """``(source, names)`` of every import in ``module``'s source, the source
+    as written: ``.decay`` for a relative import, and no names for a plain
+    ``import``."""
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            found.append(("." * node.level + (node.module or ""), names))
+    return found
+
+
+def test_textio_imports_only_decay_from_the_package():
+    package = [source for source, _ in _imports(textio)
+               if source.startswith((".", "kaon_eraser"))]
+    assert package == [".decay"]
+
+
+def test_protocols_and_cli_take_no_private_name_from_the_generator():
+    for module in (experiments, cli):
+        private = [name for source, names in _imports(module)
+                   if source in (".generator", "kaon_eraser.generator")
+                   for name in names if name.startswith("_")]
+        assert private == [], module.__name__
+
+
+def test_textio_imports_first_in_a_fresh_interpreter():
+    out = subprocess.run([sys.executable, "-c", "import kaon_eraser.textio"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert out.returncode == 0, out.stderr
 
 
 def _patchable():
@@ -81,6 +129,12 @@ def test_bench_tracer_reads_the_library(monkeypatch, tmp_path):
         )
         result = experiments.run_experiment(scan, params.PhysicsParams())
         experiments.write_scan_csv(tmp_path / "scan.csv", result, "test")
+        # the event file, written and read by the names the CLI calls
+        events = textio.EventSet(np.array([0.5, 2.0]), np.array([0, 1], np.int8),
+                                 np.array([1.0, 0.25]), np.array([1, 0], np.int8),
+                                 7, 50.0, "digest")
+        cli.write_events(tmp_path / "events.csv", events)
+        read_back = cli.read_events(tmp_path / "events.csv")
     finally:
         tracer.uninstall()
     assert _patchable() == before
@@ -88,3 +142,10 @@ def test_bench_tracer_reads_the_library(monkeypatch, tmp_path):
     assert summary["experiments.run_experiment.a"]["calls"] == 1
     assert summary["experiments.write_scan_csv"]["calls"] == 1
     assert tracer.extra["unflagged.a"] == 12
+    # the bench traces the codec by its names on ``generator``
+    assert generator.read_events is textio.read_events
+    assert generator.write_events is textio.write_events
+    assert summary["generator.write_events"]["calls"] == 1
+    assert summary["generator.read_events"]["calls"] == 1
+    assert tracer.extra["write_events.bytes"] == tracer.extra["read_events.bytes"] > 0
+    assert read_back.tau_r.tolist() == [1.0, 0.25]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kaon_eraser.generator import _G17_RANGE, _d_bytes, _g17_bytes, _text_tables
+from kaon_eraser import textio
+from kaon_eraser.textio import _G17_RANGE, _d_bytes, _g17_bytes
 
 
 def _strings(matrix):
@@ -133,16 +134,16 @@ def test_d_prints_flags_and_small_counts(values):
     assert _strings(_d_bytes(np.array(values))) == ["%d" % v for v in values]
 
 
-def test_tables_are_built_on_first_use_and_read_only():
-    # importing the package builds no table and loads no fractions/decimal
-    src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, kaon_eraser; from kaon_eraser import generator; "
-             "print(generator._text_tables.cache_info().currsize, 'fractions' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
-    assert out.stdout.split() == ["0", "False"]
-    tables = _text_tables()
-    assert _text_tables() is tables
+def test_tables_are_read_only_and_the_import_loads_no_fractions():
+    # every caller shares the module's tables: the 18 of the formatters and
+    # the reader, the mode names and the record separators
+    tables = [value for value in vars(textio).values() if isinstance(value, np.ndarray)]
+    assert len(tables) == 20
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, kaon_eraser; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "False"]

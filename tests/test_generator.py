@@ -29,16 +29,10 @@ from kaon_eraser import (
     read_events,
     write_events,
 )
-from kaon_eraser import generator
+from kaon_eraser import generator, textio
 from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, MODE_ORDER, _mode_cells, amplitudes
-from kaon_eraser.generator import (
-    _BATCH,
-    _HEADER_COLUMNS,
-    _TASK,
-    EVENT_SCHEMA_VERSION,
-    _event_lines,
-    _fringe_reach,
-)
+from kaon_eraser.generator import _BATCH, _TASK, _fringe_reach
+from kaon_eraser.textio import _HEADER_COLUMNS, _WRITE_BATCH, EVENT_SCHEMA_VERSION, _event_lines
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
 
@@ -709,7 +703,7 @@ def _edge_times(n, tau_max, rng):
     return edges[np.arange(n) % edges.size].copy()
 
 
-@pytest.mark.parametrize("n", [1, _BATCH - 1, _BATCH, _BATCH + 1])
+@pytest.mark.parametrize("n", [1, _WRITE_BATCH - 1, _WRITE_BATCH, _WRITE_BATCH + 1])
 @pytest.mark.parametrize("tau_max", [50.0, 1e22])
 def test_write_events_gives_the_bytes_of_the_per_row_writer(tmp_path, n, tau_max):
     rng = np.random.default_rng(n)
@@ -735,10 +729,10 @@ def test_write_events_gives_the_bytes_of_the_per_row_writer_on_a_sample(tmp_path
 def test_write_events_formats_each_batch_with_one_call_per_formatter(tmp_path, formatter_calls,
                                                                      default_params):
     # the ids by one ``%d`` call, and tau_l and tau_r together by one ``%.17g`` call
-    events = generate(GeneratorConfig(seed=21, n_pairs=2 * _BATCH + 11), default_params)
+    events = generate(GeneratorConfig(seed=21, n_pairs=2 * _WRITE_BATCH + 11), default_params)
     write_events(tmp_path / "events.csv", events)
-    assert formatter_calls == {"_d_bytes": [_BATCH, _BATCH, 11],
-                               "_g17_bytes": [2 * _BATCH, 2 * _BATCH, 22]}
+    assert formatter_calls == {"_d_bytes": [_WRITE_BATCH, _WRITE_BATCH, 11],
+                               "_g17_bytes": [2 * _WRITE_BATCH, 2 * _WRITE_BATCH, 22]}
 
 
 @pytest.mark.parametrize("power", range(8))
@@ -1049,7 +1043,7 @@ def test_read_matches_the_loadtxt_reader_across_block_sizes(tmp_path, monkeypatc
     path = tmp_path / "events.csv"
     write_events(path, events)
     data = path.read_bytes()
-    monkeypatch.setattr(generator, "_READ_BLOCK", block)
+    monkeypatch.setattr(textio, "_READ_BLOCK", block)
     got = _assert_reads_as_the_oracle(path)
     for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
         assert getattr(got, name).tobytes() == getattr(events, name).tobytes(), name
@@ -1079,7 +1073,7 @@ def _places(data):
     """Per line of ``data``: the block of ``_line_blocks`` that holds it, its
     place in that block and the block's number of lines."""
     places = []
-    for k, block in enumerate(generator._line_blocks(io.BytesIO(data))):
+    for k, block in enumerate(textio._line_blocks(io.BytesIO(data))):
         n = block.count(b"\n")
         places += [(k, j, n) for j in range(n)]
     return places
@@ -1092,7 +1086,7 @@ def test_read_names_the_first_bad_line(tmp_path, monkeypatch, kind, place):
     # lines, past the first block: so on either side of a block boundary.  The
     # metadata are padded until a blank line can start a block.  The bad last
     # line of the file is not the one named.
-    monkeypatch.setattr(generator, "_READ_BLOCK", 4096)
+    monkeypatch.setattr(textio, "_READ_BLOCK", 4096)
     line, message = _BAD_LINES[kind]
     rows = [b"%d,1.25,TwoPi,2.5,ThreePi" % i for i in range(400)] + [b"x"]
     for pad, i in itertools.product(range(32), range(len(rows) - 1)):
@@ -1119,8 +1113,8 @@ def test_read_an_id_split_by_the_block_boundary(tmp_path, default_params):
     digest = events.params_digest.encode()
     for pad in range(100):
         data = path.read_bytes().replace(digest, digest + b"x" * pad)
-        start = data.rfind(b"\n", 0, generator._READ_BLOCK) + 1
-        if 1 <= generator._READ_BLOCK - start < data.index(b",", start) - start:
+        start = data.rfind(b"\n", 0, textio._READ_BLOCK) + 1
+        if 1 <= textio._READ_BLOCK - start < data.index(b",", start) - start:
             break
     else:
         raise AssertionError("no padding splits an id")
@@ -1171,9 +1165,9 @@ def test_read_names_utf8_before_a_header_error(tmp_path):
 def _fields(*fields):
     """A buffer holding ``fields`` as time fields, one a line, and their starts and widths."""
     text = b"".join(field + b",\n" for field in fields)
-    buf = np.frombuffer(generator._PAD + text + generator._PAD, np.uint8)
+    buf = np.frombuffer(textio._PAD + text + textio._PAD, np.uint8)
     ends = np.flatnonzero(buf == ord(","))
-    starts = np.concatenate([[len(generator._PAD)], ends[:-1] + 2])
+    starts = np.concatenate([[len(textio._PAD)], ends[:-1] + 2])
     return buf, starts, ends - starts
 
 
@@ -1184,12 +1178,12 @@ def test_block_parser_hands_midpoints_to_float():
     odd = (rng.integers(2**53, 2**54, 200) | 1).tolist()
     ties = [b"%d" % m for m in odd[:100]] + [b"%d.5" % (m // 2) for m in odd[100:]]
     ties += [b"1e+23", b"-9007199254740993", b"-4503599627370496.5"]
-    values, fallback = generator._read_times(*_fields(*ties))
+    values, fallback = textio._read_times(*_fields(*ties))
     assert fallback.all()
     assert values.tobytes() == np.array([float(t) for t in ties]).tobytes()
     # their neighbours one unit of the last digit away are not ties
     near = [b"%d" % (m + 1) for m in odd[:100]]
-    values, fallback = generator._read_times(*_fields(*near))
+    values, fallback = textio._read_times(*_fields(*near))
     assert not fallback.any()
     assert values.tobytes() == np.array([float(t) for t in near]).tobytes()
 
@@ -1198,7 +1192,7 @@ def test_block_parser_hands_midpoints_to_float():
                                    b"0.000123456789012345678", b"1.234567890123456789e-05"])
 def test_block_parser_refuses_more_than_17_digits(field):
     # the grammar is that of the writer, which writes at most 17
-    assert generator._read_times(*_fields(b"1.5", field)) is None
+    assert textio._read_times(*_fields(b"1.5", field)) is None
 
 
 def _tie_times():
@@ -1246,6 +1240,6 @@ def test_block_parser_reads_any_finite_time_back(times):
     # the block parser's grammar and reads back bit for bit
     x = np.array(times + [-t for t in times])
     modes = np.zeros(x.size, np.int8)
-    columns = generator._fast_records(_event_lines(0, x, modes, x[::-1].copy(), modes).encode())
+    columns = textio._fast_records(_event_lines(0, x, modes, x[::-1].copy(), modes).encode())
     assert columns is not None
     assert columns[1].tobytes() == x.tobytes() and columns[3].tobytes() == x[::-1].tobytes()
