@@ -39,7 +39,6 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .kaon import Basis, Outcome
 from .params import PhysicsParams, check_times
@@ -94,6 +93,17 @@ def visibility(delta_tau: float, params: PhysicsParams) -> float:
     return float(_sech(0.5 * params.delta_gamma * delta_tau))
 
 
+def _expit(x: float) -> float:
+    """``1 / (1 + e^-x)``, the operations of ``scipy.special.expit`` on a
+    double, so the same bits, without importing scipy.  Below
+    ``x = -709.78`` C's ``exp`` overflows to inf and gives 0, where
+    ``math.exp`` raises."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def _point_terms(tau_l: float, tau_r: float, params: PhysicsParams) -> tuple:
     """The terms ``(like, unlike, w_ks, w_kl)`` of :func:`_cells` at the
     time pair (tau_l, tau_r): what :func:`_window_terms` gives for point
@@ -102,8 +112,7 @@ def _point_terms(tau_l: float, tau_r: float, params: PhysicsParams) -> tuple:
     dt = tau_l - tau_r
     fringe = visibility(dt, params) * math.cos(params.delta_m * dt)
     x = params.delta_gamma * dt
-    # 1/(1+e^x) = expit(-x), numerically stable for any x
-    return 0.25 * (1.0 - fringe), 0.25 * (1.0 + fringe), float(expit(-x)), float(expit(x))
+    return 0.25 * (1.0 - fringe), 0.25 * (1.0 + fringe), _expit(-x), _expit(x)
 
 
 def _cells(kind_l: Basis, kind_r: Basis, terms) -> dict[tuple[Outcome, Outcome], float]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
-import math
 import os
 import threading
 from pathlib import Path
@@ -752,10 +751,15 @@ def _metadata_number(kind: type, value: str) -> Union[int, float]:
     return kind(value)
 
 
-def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, str, bytes, int]:
+#: The metadata keys, each required once, and the type of their values.
+_METADATA = {"seed": int, "n_pairs": int, "tau_max": float, "params_digest": str}
+
+
+def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes, int]:
     """The seed, n_pairs, tau_max and params_digest of the schema, metadata
     and column header lines at the start of ``blocks``; then the rest of the
     block that holds the column header, and the number of its first line.
+    An unknown, repeated or missing metadata key is refused.
     """
     block, end = b"", 0
 
@@ -768,7 +772,7 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, st
                 yield block[start : end - 1].decode()
                 start = end
 
-    seed, n_pairs, tau_max, digest = 0, None, math.nan, ""
+    metadata, metadata_line = {}, 2
     source = lines()
     schema = next(source, "")
     if not schema.startswith("# kaon-eraser events v"):
@@ -778,28 +782,29 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, Optional[int], float, st
         raise EventFormatError(f"line 1: unsupported schema version {version!r}")
     for idx, line in enumerate(source, start=2):
         if line.startswith("#"):
+            metadata_line = idx
             for token in line[1:].split():
                 key, _, value = token.partition("=")
+                kind = _METADATA.get(key)
+                if kind is None:
+                    raise EventFormatError(f"line {idx}: unknown metadata key {key!r}")
+                if key in metadata:
+                    raise EventFormatError(f"line {idx}: repeated metadata key {key!r}")
                 try:
-                    if key == "seed":
-                        seed = _metadata_number(int, value)
-                    elif key == "n_pairs":
-                        n_pairs = _metadata_number(int, value)
-                    elif key == "tau_max":
-                        tau_max = _metadata_number(float, value)
+                    metadata[key] = value if kind is str else _metadata_number(kind, value)
                 except ValueError as exc:
                     raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
-                if key == "params_digest":
-                    digest = value
             continue
         if line == _HEADER_COLUMNS:
             break
         raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
     else:
         raise EventFormatError("missing column header line")
-    if n_pairs is None:
-        raise EventFormatError("metadata has no n_pairs")
-    return seed, n_pairs, tau_max, digest, block[end:], idx + 1
+    for key in _METADATA:
+        if key not in metadata:
+            raise EventFormatError(f"line {metadata_line}: metadata has no {key}")
+    return (metadata["seed"], metadata["n_pairs"], metadata["tau_max"],
+            metadata["params_digest"], block[end:], idx + 1)
 
 
 def read_events(path: Union[str, Path]) -> EventSet:

@@ -215,13 +215,63 @@ def test_mode_pair_chi2_of_no_events(default_params):
     assert (stat, dof) == (0.0, 0) and math.isnan(pvalue)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, kaon_eraser; print('scipy.stats' in sys.modules)"
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """The stdout of ``code`` run by a new interpreter on this one's path."""
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+#: The closed forms, analytic scans of kinds a and b with their CSV, and
+#: the ``table`` and analytic ``experiment`` commands; then the names of the
+#: scipy modules loaded.
+_ANALYTIC_PATHS = """
+import sys
+from pathlib import Path
+import kaon_eraser
+from kaon_eraser import (Basis, DecayMode, ExperimentSpec, PhysicsParams, cli, full_table,
+                         integrated_mode_pair_probabilities, passive_probability,
+                         run_experiment, write_scan_csv)
+out = Path(sys.argv[1])
+p = PhysicsParams()
+full_table(Basis.STRANGENESS, Basis.LIFETIME, 1.0, 2.5, p)
+passive_probability(DecayMode.SEMILEPTONIC_PLUS, 1.0, DecayMode.TWO_PI, 2.5, p)
+integrated_mode_pair_probabilities(p)
+for kind in "ab":
+    spec = ExperimentSpec(kind=kind, tau_r0=1.0, tau_l_grid=(0.0, 0.5, 1.0), n_pairs=0)
+    write_scan_csv(out / f"{kind}.csv", run_experiment(spec, p), kaon_eraser.__version__)
+assert cli.main(["table", "--left", "strangeness", "--right", "lifetime",
+                 "--tau-l", "1", "--tau-r", "2"]) == 0
+assert cli.main(["experiment", "a", "--tau-r0", "1", "--grid", "0:1:0.5", "--pairs", "0",
+                 "--out", str(out / "cli.csv")]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_analytic_paths_leave_scipy_unloaded(tmp_path):
+    # scipy is loaded where a sample is drawn or tested, not with the package
+    assert _fresh_interpreter(_ANALYTIC_PATHS, str(tmp_path)).splitlines()[-1] == "[]"
+
+
+def test_kernel_and_chi2_import_scipy_on_first_call():
+    # without ``generate``, which makes the first import of scipy itself
+    code = """
+import sys
+import numpy as np
+from kaon_eraser import EventSet, PhysicsParams, mode_pair_chi2, sampling_kernel
+p = PhysicsParams()
+assert "scipy" not in sys.modules
+u = np.random.Generator(np.random.Philox(key=3)).random((4, 4096))
+tau_l, mode_l, tau_r, mode_r = sampling_kernel(u, p)
+events = EventSet(tau_l=tau_l, mode_l=mode_l, tau_r=tau_r, mode_r=mode_r,
+                  seed=3, tau_max=50.0, params_digest=p.digest())
+stat, dof, pvalue = mode_pair_chi2(events, p)
+assert dof >= 1 and 0.0 < pvalue <= 1.0, (stat, dof, pvalue)
+print(tau_l.size, "scipy.special" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "4096 True"
 
 
 def test_mode_pair_counts_match_expectations(events_1m, default_params):
@@ -578,6 +628,25 @@ def test_read_rejects_malformed_metadata_value(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "before, after, message",
+    [("seed=0", "s_ed=3", "line 2: unknown metadata key 's_ed'"),
+     ("tau_max=50", "ta_max=50", "line 2: unknown metadata key 'ta_max'"),
+     ("seed=0", "seed=0 seed=0", "line 2: repeated metadata key 'seed'"),
+     (" tau_max=50", "", "line 2: metadata has no tau_max"),
+     ("params_digest=x", "params_digest=x y", "line 2: unknown metadata key 'y'")],
+)
+def test_read_refuses_unknown_repeated_and_missing_metadata_keys(tmp_path, before, after,
+                                                                 message):
+    # a key with one byte changed, repeated or left out is no default value
+    path = tmp_path / "meta.csv"
+    _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
+    path.write_text(path.read_text().replace(before, after))
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "before, after",
     [("seed=0", "seed=1_0"), ("n_pairs=1", "n_pairs=0_1"), ("tau_max=50", "tau_max=5_0"),
      ("seed=0", "seed=\uff11")],
@@ -759,7 +828,7 @@ def test_read_empty_body_without_warning(tmp_path, rows):
 
 
 def _event_bytes(rows, meta=b""):
-    """An event file of the given ``rows`` (bytes) with ``meta`` appended to the metadata line."""
+    """An event file of the given ``rows`` (bytes) with ``meta`` appended to its digest."""
     return (
         b"# kaon-eraser events v1\n# seed=0 n_pairs=%d tau_max=50 params_digest=x%s\n"
         b"id,tau_l,mode_l,tau_r,mode_r\n" % (len(rows), meta)
@@ -777,7 +846,7 @@ def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
     rows = [b"%d,1.0,TwoPi,2.0,ThreePi" % i for i in range(n)]
     meta = b""
     if where == "metadata":
-        meta = b" note=\xff"
+        meta = b"\xff"
     elif where == "second record":
         rows[1] = b"1,1.0,Two\xffPi,2.0,ThreePi"
     else:
@@ -1084,14 +1153,14 @@ def _places(data):
 def test_read_names_the_first_bad_line(tmp_path, monkeypatch, kind, place):
     # the bad line is the first, a middle or the last of its block of some 150
     # lines, past the first block: so on either side of a block boundary.  The
-    # metadata are padded until a blank line can start a block.  The bad last
+    # digest is padded until a blank line can start a block.  The bad last
     # line of the file is not the one named.
     monkeypatch.setattr(textio, "_READ_BLOCK", 4096)
     line, message = _BAD_LINES[kind]
     rows = [b"%d,1.25,TwoPi,2.5,ThreePi" % i for i in range(400)] + [b"x"]
     for pad, i in itertools.product(range(32), range(len(rows) - 1)):
         data = _event_bytes(rows[:i] + [line.format(i=i).encode()] + rows[i + 1 :],
-                            b" note=" + b"x" * pad)
+                            b"x" * pad)
         k, j, n = _places(data)[i + 3]
         if k >= 1 and j == {"first": 0, "middle": n // 2, "last": n - 1}[place]:
             break

@@ -26,10 +26,27 @@ from kaon_eraser import (
     window_table,
 )
 from kaon_eraser.decay import normalization_factor
-from kaon_eraser.probabilities import _check_analytic, _window_terms
+from kaon_eraser.probabilities import _check_analytic, _expit, _window_terms
 from tests.conftest import random_params
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
+
+
+def test_expit_is_scipy_expit_bit_for_bit():
+    # the point closed forms use ``_expit`` so that they need not load scipy
+    from scipy.special import expit
+
+    rng = np.random.default_rng(404086)
+    edges = [0.0, -0.0, 5e-324, -5e-324, -709.78, -709.79, -745.2, -1e300, 1e300,
+             math.inf, -math.inf, math.nan]
+    x = np.concatenate([rng.normal(0.0, 5.0, 400_000), rng.uniform(-800.0, 800.0, 400_000),
+                        rng.normal(0.0, 1e-3, 200_000), edges])
+    got = [_expit(v) for v in x.tolist()]
+    assert all(type(g) is float for g in got)
+    # float.hex tells the zeros apart, and reads "nan" for nan
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), map(float.hex, got),
+                                          map(float.hex, expit(x).tolist())) if g != w]
+    assert wrong == []
 
 
 def test_visibility_at_zero(default_params):
