@@ -142,8 +142,7 @@ def _manifest_around(
         manifest["events"] = {
             "seed": events.seed,
             "n_pairs": events.n,
-            # a header without tau_max reads as NaN, which JSON cannot hold
-            "tau_max": events.tau_max if math.isfinite(events.tau_max) else None,
+            "tau_max": events.tau_max,
             "params_digest": events.params_digest,
         }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

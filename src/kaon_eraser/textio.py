@@ -13,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import math
 import os
+import re
 import threading
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, TextIO, Union
@@ -376,15 +378,32 @@ def _event_lines(start: int, tau_l, mode_l, tau_r, mode_r) -> str:
                       tau_r, _MODE_BYTES.take(mode_r, axis=0)])
 
 
+#: The metadata line as :func:`_metadata_line` writes it, and its four values found by key.
+_METADATA_FORM = "# seed=<%d> n_pairs=<%d> tau_max=<%.17g> params_digest=<digest>"
+_METADATA_FIELDS = re.compile(r"# seed=(\S*) n_pairs=(\S*) tau_max=(\S*) params_digest=(.*)")
+
+
+def _metadata_line(seed: int, n_pairs: int, tau_max: float, digest: str) -> str:
+    """The metadata line of an event file, without its newline; the reader
+    takes it only as written here.  Raises ValueError on a seed that is no
+    integer in [0, 2**64), a ``tau_max`` that is not finite, or a digest that
+    is not printable ASCII without spaces."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not math.isfinite(tau_max):
+        raise ValueError(f"tau_max must be finite, got {tau_max}")
+    if not re.fullmatch("[!-~]*", digest):
+        raise ValueError(f"params_digest must be printable ASCII without spaces, got {digest!r}")
+    return f"# seed={seed} n_pairs={n_pairs} tau_max={tau_max:.17g} params_digest={digest}"
+
+
 def write_events(path: Union[str, Path], events: EventSet) -> None:
-    """One line per event, formatted and written ``_WRITE_BATCH`` rows at a time."""
+    """One line per event, formatted and written ``_WRITE_BATCH`` rows at a
+    time.  Metadata that :func:`_metadata_line` refuses raise ValueError
+    before ``path`` is touched."""
+    metadata = _metadata_line(events.seed, events.n, events.tau_max, events.params_digest)
     with _atomic_write(path) as fh:
-        fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n")
-        fh.write(
-            f"# seed={events.seed} n_pairs={events.n} tau_max={events.tau_max:.17g}"
-            f" params_digest={events.params_digest}\n"
-        )
-        fh.write(_HEADER_COLUMNS + "\n")
+        fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n{metadata}\n{_HEADER_COLUMNS}\n")
         for start in range(0, events.n, _WRITE_BATCH):
             chunk = slice(start, start + _WRITE_BATCH)
             fh.write(_event_lines(start, events.tau_l[chunk], events.mode_l[chunk],
@@ -704,12 +723,12 @@ def _bad_line(block: bytes, line: int) -> EventFormatError:
     return EventFormatError(f"line {line + lo}: {record!r} does not parse")
 
 
-def _read_records(blocks: Iterable[bytes], line: int,
+def _read_records(blocks: Iterable[bytes],
                   capacity: int) -> tuple[Optional[tuple[int, int]], list[np.ndarray]]:
-    """The records in ``blocks``, whose first line is line ``line`` of the
-    file: the position and id of the first record whose id is not its
-    position (None if there is none), then the tau_l, mode_l, tau_r and
-    mode_r columns.
+    """The records in ``blocks``, whose first line is line 4 of the file,
+    after the three header lines: the position and id of the first record
+    whose id is not its position (None if there is none), then the tau_l,
+    mode_l, tau_r and mode_r columns.
 
     Each block goes through :func:`_fast_records`; :func:`_bad_line` names
     the first bad line of a block that it refuses.  The ids are checked
@@ -719,7 +738,7 @@ def _read_records(blocks: Iterable[bytes], line: int,
     """
     columns = [np.empty(capacity), np.empty(capacity, np.int8),
                np.empty(capacity), np.empty(capacity, np.int8)]
-    position, wrong_id = 0, None
+    position, wrong_id, line = 0, None, 4
     for block in blocks:
         if not block:
             continue
@@ -742,25 +761,12 @@ def _read_records(blocks: Iterable[bytes], line: int,
     return wrong_id, [column[:position] for column in columns]
 
 
-def _metadata_number(kind: type, value: str) -> Union[int, float]:
-    """``kind(value)``, but not for two spellings that only Python reads:
-    ``1_0`` as 10, and non-ASCII digits as digits.  The metadata keep this
-    rule, looser than the record grammar: ``tau_max=+5E1`` reads as 50."""
-    if "_" in value or not value.isascii():
-        raise ValueError(f"invalid literal for {kind.__name__}(): {value!r}")
-    return kind(value)
-
-
-#: The metadata keys, each required once, and the type of their values.
-_METADATA = {"seed": int, "n_pairs": int, "tau_max": float, "params_digest": str}
-
-
-def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes, int]:
+def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes]:
     """The seed, n_pairs, tau_max and params_digest of the schema, metadata
-    and column header lines at the start of ``blocks``; then the rest of the
-    block that holds the column header, and the number of its first line.
-    An unknown, repeated or missing metadata key is refused.
-    """
+    and column header lines at the start of ``blocks``, then the rest of the
+    block that holds the column header.  The metadata line is refused unless
+    :func:`_metadata_line` of its values gives it back byte for byte: it is
+    read in the writer's grammar."""
     block, end = b"", 0
 
     def lines() -> Iterator[str]:
@@ -772,61 +778,50 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes, 
                 yield block[start : end - 1].decode()
                 start = end
 
-    metadata, metadata_line = {}, 2
     source = lines()
-    schema = next(source, "")
+    schema, metadata, columns = (next(source, "") for _ in range(3))
     if not schema.startswith("# kaon-eraser events v"):
         raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
     version = schema.rsplit("v", 1)[-1]
     if version != str(EVENT_SCHEMA_VERSION):
         raise EventFormatError(f"line 1: unsupported schema version {version!r}")
-    for idx, line in enumerate(source, start=2):
-        if line.startswith("#"):
-            metadata_line = idx
-            for token in line[1:].split():
-                key, _, value = token.partition("=")
-                kind = _METADATA.get(key)
-                if kind is None:
-                    raise EventFormatError(f"line {idx}: unknown metadata key {key!r}")
-                if key in metadata:
-                    raise EventFormatError(f"line {idx}: repeated metadata key {key!r}")
-                try:
-                    metadata[key] = value if kind is str else _metadata_number(kind, value)
-                except ValueError as exc:
-                    raise EventFormatError(f"line {idx}: {key}: {exc}") from exc
-            continue
-        if line == _HEADER_COLUMNS:
-            break
-        raise EventFormatError(f"line {idx}: expected column header {_HEADER_COLUMNS!r}")
-    else:
-        raise EventFormatError("missing column header line")
-    for key in _METADATA:
-        if key not in metadata:
-            raise EventFormatError(f"line {metadata_line}: metadata has no {key}")
-    return (metadata["seed"], metadata["n_pairs"], metadata["tau_max"],
-            metadata["params_digest"], block[end:], idx + 1)
+    match = _METADATA_FIELDS.fullmatch(metadata)
+    try:
+        values = match and (int(match[1]), int(match[2]), float(match[3]), match[4])
+    except ValueError:
+        values = None
+    try:
+        written = values and _metadata_line(*values)
+    except ValueError as exc:
+        raise EventFormatError(f"line 2: {exc}") from None
+    if written != metadata:
+        raise EventFormatError(f"line 2: expected {_METADATA_FORM!r}")
+    if columns != _HEADER_COLUMNS:
+        raise EventFormatError(f"line 3: expected column header {_HEADER_COLUMNS!r}")
+    return *values, block[end:]
 
 
 def read_events(path: Union[str, Path]) -> EventSet:
     """Parse an event file, then check the parsed arrays.
 
     The file is read in blocks of whole lines (:func:`_line_blocks`).  The
-    header and metadata lines are read one by one, and the records block by
-    block (:func:`_read_records`).  A record that does not parse is named
-    by its line; the checks on the arrays (ids sequential from 0, decay
-    times finite and >= 0, known mode names, as many records as the
-    header's ``n_pairs``) name the record id.  A file that is not UTF-8
-    text is refused as such, whatever else is wrong with it: after any
-    other error the rest of the file is still read and checked.
+    three header lines are read first (:func:`_read_header`), then the
+    records block by block from line 4 (:func:`_read_records`).  A record
+    that does not parse is named by its line; the checks on the arrays (ids
+    sequential from 0, decay times finite and >= 0, known mode names, as
+    many records as the header's ``n_pairs``) name the record id.  A file
+    that is not UTF-8 text is refused as such, whatever else is wrong with
+    it: after any other error the rest of the file is still read and
+    checked.
     """
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
         try:
-            seed, n_pairs, tau_max, digest, rest, line = _read_header(blocks)
+            seed, n_pairs, tau_max, digest, rest = _read_header(blocks)
             # room for n_pairs records, unless the file is too small to hold them
             capacity = min(n_pairs, os.fstat(fh.fileno()).st_size // _SHORTEST_RECORD)
             wrong_id, (tau_l, mode_l, tau_r, mode_r) = _read_records(
-                itertools.chain([rest], blocks), line, max(capacity, 0)
+                itertools.chain([rest], blocks), max(capacity, 0)
             )
         except EventFormatError:
             for _ in blocks:  # a file that is not UTF-8 is refused as such

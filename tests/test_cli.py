@@ -390,6 +390,24 @@ def test_experiment_refuses_event_file_that_is_not_utf8(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+def test_experiment_refuses_event_file_with_nan_tau_max(tmp_path, capsys):
+    # a NaN tau_max once read, and the manifest recorded it as null
+    events_path = tmp_path / "ev.csv"
+    assert run_cli(capsys, "generate", "--pairs", "100", "--out", str(events_path))[0] == 0
+    data = events_path.read_bytes()
+    start = data.index(b"tau_max=") + len(b"tau_max=")
+    events_path.write_bytes(data[:start] + b"nan" + data[data.index(b" ", start):])
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "d", "--tau-r0", "1", "--grid", "0:2:0.5",
+        "--events-in", str(events_path), "--out", str(out),
+    )
+    assert code == EXIT_FORMAT
+    assert "line 2: tau_max must be finite" in err
+    assert not out.exists()
+    assert not (tmp_path / "scan.csv.manifest.json").exists()
+
+
 def test_experiment_scan_manifest(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(

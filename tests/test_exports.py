@@ -26,7 +26,8 @@ PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 #: replaces, with the formatter imports, and the rows' dedupe helper; the
 #: UTF-8 check that ``_line_blocks`` makes as it cuts each block; the event
 #: and scan text codec, which moved to ``textio``, and its lazy table
-#: builder, which the tables built at import replace.
+#: builder, which the tables built at import replace; the metadata's own
+#: number rule and key table, which the writer's metadata line replaces.
 REMOVED = {
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
                   "_once_per_array", "_g17_bytes", "_d_bytes"),
@@ -40,7 +41,7 @@ REMOVED = {
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable",),
-    textio: ("_TextTables", "_text_tables"),
+    textio: ("_TextTables", "_text_tables", "_metadata_number", "_METADATA"),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -582,6 +583,11 @@ def test_read_rejects_malformed_files(tmp_path):
         read_events(path)
 
 
+#: The message on a metadata line that is not the writer's: the line's form.
+_NOT_METADATA = ("line 2: expected"
+                 " '# seed=<%d> n_pairs=<%d> tau_max=<%.17g> params_digest=<digest>'")
+
+
 def _write_small_event_file(path, n_pairs, rows):
     path.write_text(
         f"# kaon-eraser events v1\n# seed=0 n_pairs={n_pairs} tau_max=50 params_digest=x\n"
@@ -615,29 +621,49 @@ def test_read_rejects_record_count_other_than_header(tmp_path):
     with pytest.raises(EventFormatError, match="n_pairs=3 but the file holds 2"):
         read_events(path)
     path.write_text(path.read_text().replace(" n_pairs=3", ""))
-    with pytest.raises(EventFormatError, match="no n_pairs"):
+    with pytest.raises(EventFormatError) as err:
         read_events(path)
+    assert str(err.value) == _NOT_METADATA
 
 
 def test_read_rejects_malformed_metadata_value(tmp_path):
     path = tmp_path / "seed.csv"
     _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
     path.write_text(path.read_text().replace("seed=0", "seed=abc"))
-    with pytest.raises(EventFormatError, match="line 2: seed"):
+    with pytest.raises(EventFormatError) as err:
         read_events(path)
+    assert str(err.value) == _NOT_METADATA
 
 
 @pytest.mark.parametrize(
     "before, after, message",
-    [("seed=0", "s_ed=3", "line 2: unknown metadata key 's_ed'"),
-     ("tau_max=50", "ta_max=50", "line 2: unknown metadata key 'ta_max'"),
-     ("seed=0", "seed=0 seed=0", "line 2: repeated metadata key 'seed'"),
-     (" tau_max=50", "", "line 2: metadata has no tau_max"),
-     ("params_digest=x", "params_digest=x y", "line 2: unknown metadata key 'y'")],
+    [("seed=0", "s_ed=3", _NOT_METADATA),
+     ("tau_max=50", "ta_max=50", _NOT_METADATA),
+     ("seed=0", "seed=0 seed=0", _NOT_METADATA),
+     (" tau_max=50", "", _NOT_METADATA),
+     ("params_digest=x", "params_digest=x y",
+      "line 2: params_digest must be printable ASCII without spaces, got 'x y'"),
+     # spellings that no writer writes, and values that it refuses
+     ("tau_max=50", "tau_max=00", _NOT_METADATA),
+     ("tau_max=50", "tau_max=nan", "line 2: tau_max must be finite, got nan"),
+     ("tau_max=50", "tau_max=inf", "line 2: tau_max must be finite, got inf"),
+     ("tau_max=50", "tau_max=+5E1", _NOT_METADATA),
+     ("seed=0", "seed=+3", _NOT_METADATA),
+     ("seed=0", "seed=-1", "line 2: seed must be an integer in [0, 2**64), got -1"),
+     ("seed=0", "seed=18446744073709551616",
+      "line 2: seed must be an integer in [0, 2**64), got 18446744073709551616"),
+     ("seed=0 n_pairs=1", "n_pairs=1 seed=0", _NOT_METADATA),
+     ("n_pairs=1 ", "n_pairs=1\n# ", _NOT_METADATA),
+     ("# seed", "#\tseed", _NOT_METADATA),
+     ("tau_max=50", "tau_max=05", _NOT_METADATA),
+     ("seed=0", "seed=00", _NOT_METADATA),
+     ("n_pairs=1", "n_pairs=01", _NOT_METADATA),
+     ("n_pairs=1 ", "n_pairs=1  ", _NOT_METADATA)],
 )
 def test_read_refuses_unknown_repeated_and_missing_metadata_keys(tmp_path, before, after,
                                                                  message):
-    # a key with one byte changed, repeated or left out is no default value
+    # a key with one byte changed, repeated or left out is no default value,
+    # and the metadata line is refused unless it is the line the writer writes
     path = tmp_path / "meta.csv"
     _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
     path.write_text(path.read_text().replace(before, after))
@@ -657,8 +683,66 @@ def test_read_refuses_metadata_numbers_that_records_refuse(tmp_path, before, aft
     path = tmp_path / "meta.csv"
     _write_small_event_file(path, 1, ["0,1.0,TwoPi,1.0,ThreePi"])
     path.write_text(path.read_text().replace(before, after))
-    with pytest.raises(EventFormatError, match=f"line 2: {before.split('=')[0]}"):
+    with pytest.raises(EventFormatError) as err:
         read_events(path)
+    assert str(err.value) == _NOT_METADATA
+
+
+_ONE_RECORD = EventSet(np.array([1.5]), np.array([0], np.int8), np.array([2.5]),
+                       np.array([1], np.int8), 15, 50.0, "x")
+
+
+def test_one_byte_changes_of_the_metadata_line_read_as_written_or_not_at_all(tmp_path):
+    # every byte of the line put to each of a set of bytes: a file that reads
+    # holds the line that the writer writes for what was read, so no spelling
+    # reads as values that the line does not hold
+    path, again = tmp_path / "one.csv", tmp_path / "again.csv"
+    write_events(path, _ONE_RECORD)
+    schema, metadata, rest = path.read_bytes().split(b"\n", 2)
+    accepted, changed = 0, []
+    for at, byte in itertools.product(range(len(metadata)), b"0159+-.eE_x= \t#"):
+        line = metadata[:at] + bytes([byte]) + metadata[at + 1 :]
+        path.write_bytes(b"\n".join([schema, line, rest]))
+        try:
+            back = read_events(path)
+        except EventFormatError:
+            continue
+        write_events(again, back)
+        accepted += 1
+        if again.read_bytes().split(b"\n")[1] != line:
+            changed.append(line)
+    assert changed == []
+    assert accepted  # among them the line itself, and changed seeds and digests
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_max", math.nan), ("tau_max", math.inf), ("seed", -1), ("seed", 2**64),
+    ("params_digest", "a b"), ("params_digest", "a\nb"), ("params_digest", "\u00e9"),
+])
+def test_write_refuses_metadata_that_the_reader_refuses(tmp_path, field, value):
+    # the file at the path stays as it was, and no other file is left
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(ValueError, match=field):
+        write_events(path, dataclasses.replace(_ONE_RECORD, **{field: value}))
+    assert path.read_bytes() == b"an earlier file\n"
+    assert os.listdir(tmp_path) == ["events.csv"]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("tau_max", [50.0, 1e22])
+@pytest.mark.parametrize("digest", ["", PhysicsParams().digest()])
+def test_every_metadata_line_the_writer_writes_reads_back(tmp_path, seed, n, tau_max, digest):
+    times = np.arange(n, dtype=np.float64)
+    modes = np.zeros(n, np.int8)
+    path, again = tmp_path / "events.csv", tmp_path / "again.csv"
+    write_events(path, EventSet(times, modes, times, modes, seed, tau_max, digest))
+    back = read_events(path)
+    assert (back.seed, back.n, back.params_digest) == (seed, n, digest)
+    assert np.float64(back.tau_max).tobytes() == np.float64(tau_max).tobytes()
+    write_events(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -859,10 +943,12 @@ def test_read_refuses_bytes_that_are_not_utf8(tmp_path, where):
         read_events(path)
 
 
-# The reader that came before the block parser, kept as the oracle on the
-# writer's grammar: the header line by line in text mode, every record
-# through one np.loadtxt call into a structured array, and a bad line found
-# by reading the file again.
+# The reader that came before the block parser, kept as the oracle of the
+# records: every record through one np.loadtxt call into a structured array,
+# and a bad line found by reading the file again.  Its header reading, line
+# by line in text mode with the keys in any order on any number of ``#``
+# lines and Python's int() and float(), is looser than the reader's and is
+# not the reference: the metadata line is the writer's (the tests above).
 _ORACLE_RECORD = np.dtype([("id", np.int64), ("tau_l", np.float64), ("mode_l", "S18"),
                            ("tau_r", np.float64), ("mode_r", "S18")])
 
