@@ -69,7 +69,7 @@ def main() -> int:
     ap.add_argument("--tau-r0", type=float, default=2.0)
     ap.add_argument("--grid", type=parse_grid, default="0:8:0.2")
     ap.add_argument("--seed", type=int_in(0, MAX_SEED), default=42)
-    ap.add_argument("--bin-width", type=float, default=0.2)
+    ap.add_argument("--bin-width", type=float, default=ExperimentSpec.bin_width_l)
     ap.add_argument("--bin-width-r", type=float, default=1.0)
     ap.add_argument("--params", type=Path, default=None)
     ap.add_argument("--threads", type=int_in(1), default=1)

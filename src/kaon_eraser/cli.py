@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a joint decay-event file")
     p_gen.add_argument("--pairs", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--tau-max", type=float, default=50.0)
+    p_gen.add_argument("--tau-max", type=float, default=GeneratorConfig.tau_max)
     p_gen.add_argument("--threads", type=int, default=1)
     p_gen.add_argument("--params", type=Path, default=None)
     p_gen.add_argument("--out", type=Path, required=True)
@@ -102,10 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--grid", type=str, required=True, help="tau_l scan as start:stop:step")
     p_exp.add_argument("--pairs", type=int, default=0,
                        help="events to generate; 0 = analytic only (kinds a, b)")
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--bin-width", type=float, default=0.2)
+    p_exp.add_argument("--seed", type=int, default=ExperimentSpec.seed)
+    p_exp.add_argument("--bin-width", type=float, default=ExperimentSpec.bin_width_l)
     p_exp.add_argument("--bin-width-r", type=float, default=None)
-    p_exp.add_argument("--min-count", type=int, default=5)
+    p_exp.add_argument("--min-count", type=int, default=ExperimentSpec.min_count)
     p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--events-in", type=Path, default=None,
                        help="reuse a pre-generated event file (--pairs is then ignored);"

@@ -86,6 +86,11 @@ _FAMILIES = tuple(_FAMILY_CELLS)
 #: The decay mode that identifies each outcome: ``decay.IDENTIFIES`` read
 #: backwards.
 _MODE_OF = {outcome: mode for mode, outcome in IDENTIFIES.items() if outcome is not None}
+_N_MODES = len(MODE_CODES)
+#: The mode codes that a meter decay reads as a lifetime (2pi, 3pi) or a
+#: strangeness (semileptonic) outcome: rows of a tally by meter mode.
+_LIFETIME_CODES = [MODE_CODES[DecayMode.TWO_PI], MODE_CODES[DecayMode.THREE_PI]]
+_STRANGENESS_CODES = [MODE_CODES[_MODE_OF[outcome]] for outcome in _S_OUTCOMES]
 
 
 class ExperimentKind(Enum):
@@ -310,48 +315,41 @@ def _scan_twins(spec: ExperimentSpec, params: PhysicsParams) -> tuple[dict, np.n
 
 
 # --------------------------------------------------------------------------
-# Counting and estimates: every row's counts from one searchsorted of the
-# grid per sorted cut, every row of a family from one array expression
+# Counting and estimates: every count of every protocol is one tally, per
+# key code of the events, of the object times in a closed bin per row; every
+# row of a family is one array expression over those counts
 # --------------------------------------------------------------------------
 
 
-def _n_above(sorted_tau: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Per grid point t, how many entries are > t; equals ``np.sum(tau > t)``."""
-    return sorted_tau.size - np.searchsorted(sorted_tau, grid, "right")
+def _tally(tau_l: np.ndarray, keys: Optional[np.ndarray], n_keys: int, lo, hi) -> np.ndarray:
+    """Per key ``k < n_keys``, how many ``tau_l`` of that key lie in each
+    closed object bin ``[lo, hi]``: an ``(n_keys, rows)`` int64 array equal
+    to ``np.sum((keys == k) & (tau_l >= lo) & (tau_l <= hi))`` per row.
+    With ``keys=None`` every time has key 0."""
+    counts = np.empty((n_keys, np.size(lo)), dtype=np.int64)
+    for k in range(n_keys):
+        ordered = np.sort(tau_l if keys is None else tau_l[keys == k])
+        counts[k] = np.searchsorted(ordered, hi, "right") - np.searchsorted(ordered, lo, "left")
+    return counts
 
 
-def _n_within(sorted_tau: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per closed bin [lo, hi], how many entries lie in it; equals
-    ``np.sum((tau >= lo) & (tau <= hi))``."""
-    return np.searchsorted(sorted_tau, hi, "right") - np.searchsorted(sorted_tau, lo, "left")
-
-
-def _survivors(spec: ExperimentSpec, events: EventSet, grid: np.ndarray) -> np.ndarray:
-    """Per grid point, the pairs alive at (tau_l, tau_r0) that a and b project."""
-    return _n_above(np.sort(events.tau_l[events.tau_r > spec.tau_r0]), grid)
-
-
-def _above_by_mode(tau_l, codes, grid: np.ndarray) -> dict[DecayMode, np.ndarray]:
-    """Per decay mode, :func:`_n_above` of the ``tau_l`` of the events whose mode code it is."""
-    return {m: _n_above(np.sort(tau_l[codes == c]), grid) for m, c in MODE_CODES.items()}
+def _alive_bins(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid point t, the bin ``[nextafter(t, inf), inf]``, whose tally is
+    the count of ``tau_l > t``: the object alive at t."""
+    grid = np.array(spec.tau_l_grid)
+    return np.nextafter(grid, np.inf), np.full(grid.size, np.inf)
 
 
 def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
     return (tau >= window.lo) & (tau <= window.hi)
 
 
-def _window_cells(events: EventSet, window_r: TimeWindow) -> dict[tuple, np.ndarray]:
-    """Sorted ``tau_l`` of the pairs whose meter decays inside ``window_r``,
-    one array per (mode_l, mode_r) cell."""
+def _cell_tally(events: EventSet, window_r: TimeWindow, lo, hi) -> np.ndarray:
+    """:func:`_tally` of the pairs whose meter decays inside ``window_r``,
+    keyed by the cell code ``mode_l * 5 + mode_r``."""
     kept = _in_window(events.tau_r, window_r)
-    n_modes = len(MODE_CODES)
-    cells = events.mode_l[kept].astype(np.intp) * n_modes + events.mode_r[kept]
-    tau_l = events.tau_l[kept]
-    return {
-        (mode_l, mode_r): np.sort(tau_l[cells == code_l * n_modes + code_r])
-        for mode_l, code_l in MODE_CODES.items()
-        for mode_r, code_r in MODE_CODES.items()
-    }
+    cells = events.mode_l[kept].astype(np.intp) * _N_MODES + events.mode_r[kept]
+    return _tally(events.tau_l[kept], cells, _N_MODES ** 2, lo, hi)
 
 
 #: One family over the grid: ``(value, sigma, n, flagged)`` arrays.
@@ -382,12 +380,12 @@ def _born_columns(born: dict, survivors: np.ndarray, min_count: int) -> dict[str
 
 def _lifetime_columns(n_window, n_pairs: int, params, d, min_count: int) -> dict[str, _Column]:
     """s_ks and s_kl of b and c: the meter's 2pi and 3pi decays inside its
-    window (``n_window``, per mode) as width-scaled Poisson counts; a row
-    whose scale is not positive is flagged."""
+    window (``n_window``, a tally by mode code) as width-scaled Poisson
+    counts; a row whose scale is not positive is flagged."""
     amps = amplitudes(params)
     columns = {}
     for fam, mode in (("s_ks", DecayMode.TWO_PI), ("s_kl", DecayMode.THREE_PI)):
-        count, scale = n_window[mode], n_pairs * amps.identified_width(mode) * d
+        count, scale = n_window[MODE_CODES[mode]], n_pairs * amps.identified_width(mode) * d
         columns[fam] = (*_divided(count, scale), count, (scale <= 0.0) | (count < min_count))
     return columns
 
@@ -405,8 +403,7 @@ def _columns_active_active(spec, params, events: EventSet, d: np.ndarray) -> tup
     state, once in the strangeness-strangeness setup and once with the
     meter matter removed (strangeness-lifetime setup).
     """
-    grid = np.array(spec.tau_l_grid)
-    survivors = _survivors(spec, events, grid)
+    survivors = _tally(events.tau_l[events.tau_r > spec.tau_r0], None, 1, *_alive_bins(spec))[0]
     born = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
     columns = _born_columns(born, survivors, spec.min_count)
     counts = {"strangeness": survivors, "lifetime": survivors, "discarded": events.n - survivors}
@@ -424,24 +421,22 @@ def _columns_partially_active(spec, params, events: EventSet, d: np.ndarray) -> 
     measure strangeness instead and are tallied separately; other modes
     are discarded.  The lifetime/early tallies cover all early decays.
     """
-    grid = np.array(spec.tau_l_grid)
-    survivors = _survivors(spec, events, grid)
+    alive = _alive_bins(spec)
+    survivors = _tally(events.tau_l[events.tau_r > spec.tau_r0], None, 1, *alive)[0]
     born = _born_counts(spec, params, survivors, 1, _S_CELLS)
     early = events.tau_r < spec.tau_r0
     in_window = early & (events.tau_r >= _early_window(spec).lo)
-    n_early = _above_by_mode(events.tau_l[early], events.mode_r[early], grid)
-    n_window = _above_by_mode(events.tau_l[in_window], events.mode_r[in_window], grid)
+    n_early = _tally(events.tau_l[early], events.mode_r[early], _N_MODES, *alive)
+    n_window = _tally(events.tau_l[in_window], events.mode_r[in_window], _N_MODES, *alive)
     columns = {
         **_born_columns(born, survivors, spec.min_count),
         **_lifetime_columns(n_window, events.n, params, d, spec.min_count),
     }
     counts = {
         "strangeness": survivors,
-        "lifetime": n_early[DecayMode.TWO_PI] + n_early[DecayMode.THREE_PI],
-        "early_strangeness": (
-            n_early[DecayMode.SEMILEPTONIC_PLUS] + n_early[DecayMode.SEMILEPTONIC_MINUS]
-        ),
-        "discarded": n_early[DecayMode.OTHER],
+        "lifetime": n_early[_LIFETIME_CODES].sum(axis=0),
+        "early_strangeness": n_early[_STRANGENESS_CODES].sum(axis=0),
+        "discarded": n_early[MODE_CODES[DecayMode.OTHER]],
     }
     return columns, counts
 
@@ -458,26 +453,24 @@ def _columns_passive_meter(spec, params, events: EventSet, d: np.ndarray) -> tup
     """
     kept = _in_window(events.tau_r, _meter_window(spec))
     kept_l, kept_r, kept_modes = events.tau_l[kept], events.tau_r[kept], events.mode_r[kept]
-    # semileptonic meter decays: the modes that identify a strangeness outcome
-    sl = np.isin(kept_modes, [MODE_CODES[_MODE_OF[outcome]] for outcome in _S_OUTCOMES])
+    n_window = _tally(kept_l, kept_modes, _N_MODES, *_alive_bins(spec))
+    n_sl = n_window[_STRANGENESS_CODES].sum(axis=0)
+    sl = np.isin(kept_modes, _STRANGENESS_CODES)
     sl_tau_l, sl_tau_r = kept_l[sl], kept_r[sl]
     sl_k0 = kept_modes[sl] == MODE_CODES[_MODE_OF[Outcome.K0]]
-    n_sl, c_like = np.zeros((2, len(spec.tau_l_grid)), dtype=np.int64)
-    for row, tau_l in enumerate(spec.tau_l_grid):
+    c_like = np.zeros(n_sl.size, dtype=np.int64)
+    for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, n_sl.tolist())):
         # draw the left active outcome of every record alive at tau_l from
         # the conditional pair amplitude given the meter record; the draws
         # pair up with the records in event order
-        alive = sl_tau_l > tau_l
-        t_sl = sl_tau_r[alive]
-        n_sl[row] = t_sl.size
-        if t_sl.size:
-            right_k0 = sl_k0[alive]
+        if n:
+            alive = sl_tau_l > tau_l
+            t_sl, right_k0 = sl_tau_r[alive], sl_k0[alive]
             c_sl, c_ls = _pair_coefficients(tau_l, t_sl, params)
             num = np.abs(np.where(right_k0, 1.0, -1.0) * c_sl + c_ls) ** 2
             p_k0 = num / (2.0 * (np.abs(c_sl) ** 2 + np.abs(c_ls) ** 2))
-            left_k0 = np.random.default_rng([spec.seed, row, 2]).random(t_sl.size) < p_k0
+            left_k0 = np.random.default_rng([spec.seed, row, 2]).random(n) < p_k0
             c_like[row] = np.sum(left_k0 == right_k0)
-    n_window = _above_by_mode(kept_l, kept_modes, np.array(spec.tau_l_grid))
     columns = {
         "like": _ratio(c_like, n_sl, spec.min_count),
         "unlike": _ratio(n_sl - c_like, n_sl, spec.min_count),
@@ -485,8 +478,8 @@ def _columns_passive_meter(spec, params, events: EventSet, d: np.ndarray) -> tup
     }
     counts = {
         "strangeness": n_sl,
-        "lifetime": n_window[DecayMode.TWO_PI] + n_window[DecayMode.THREE_PI],
-        "discarded": n_window[DecayMode.OTHER],
+        "lifetime": n_window[_LIFETIME_CODES].sum(axis=0),
+        "discarded": n_window[MODE_CODES[DecayMode.OTHER]],
     }
     return columns, counts
 
@@ -500,11 +493,10 @@ def _columns_passive_passive(spec, params, events: EventSet, d: np.ndarray) -> t
     :func:`sort_passive_events`.  Object bins of neighbouring rows may
     overlap.
     """
-    lo, hi = _object_bins(spec)
-    cells = _window_cells(events, _meter_window(spec))
+    cells = _cell_tally(events, _meter_window(spec), *_object_bins(spec))
     # semileptonic object with semileptonic / nonleptonic meter
     table_s, table_m = (
-        _passive_cells(cells, lo, hi, events.n * d, params, Basis.STRANGENESS, kind_r)
+        _passive_cells(cells, events.n * d, params, Basis.STRANGENESS, kind_r)
         for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
     )
 
@@ -520,8 +512,7 @@ def _columns_passive_passive(spec, params, events: EventSet, d: np.ndarray) -> t
 
     columns = {fam: family(*keys) for fam, keys in _FAMILY_CELLS.items()}
     n_s, n_m = (sum(n for _, _, n in table.values()) for table in (table_s, table_m))
-    n_in_bins = sum(_n_within(taus, lo, hi) for taus in cells.values())
-    counts = {"strangeness": n_s, "lifetime": n_m, "discarded": n_in_bins - n_s - n_m}
+    counts = {"strangeness": n_s, "lifetime": n_m, "discarded": cells.sum(axis=0) - n_s - n_m}
     return columns, counts
 
 
@@ -539,10 +530,10 @@ _COLUMN_BUILDERS = {
 
 
 def _passive_cells(
-    cells, lo: np.ndarray, hi: np.ndarray, n_d: np.ndarray, params, kind_l: Basis, kind_r: Basis
+    cells: np.ndarray, n_d: np.ndarray, params, kind_l: Basis, kind_r: Basis
 ) -> dict[tuple[Outcome, Outcome], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per outcome pair of the observables: probability, Poisson error and
-    count in every object bin [lo, hi], from :func:`_window_cells` of the
+    count in every object bin, from the rows of :func:`_cell_tally` over the
     meter window.  ``n_d`` is ``n_pairs * d``, with ``d`` the survival
     weight of each pair of bins."""
     amps = amplitudes(params)
@@ -550,7 +541,7 @@ def _passive_cells(
     for ol in _OUTCOMES[kind_l]:
         for outcome_r in _OUTCOMES[kind_r]:
             mode_l, mode_r = _MODE_OF[ol], _MODE_OF[outcome_r]
-            count = _n_within(cells[(mode_l, mode_r)], lo, hi)
+            count = cells[MODE_CODES[mode_l] * _N_MODES + MODE_CODES[mode_r]]
             scale = n_d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
             estimates[(ol, outcome_r)] = (*_divided(count, scale), count)
     return estimates
@@ -565,7 +556,7 @@ def sort_passive_events(
     kind_l: Basis = Basis.STRANGENESS,
     kind_r: Basis = Basis.STRANGENESS,
     bin_width_r: Optional[float] = None,
-    min_count: int = 5,
+    min_count: int = ExperimentSpec.min_count,
 ) -> list[JointProbabilityTable]:
     """Binned probability estimation from purely passive decay records.
 
@@ -592,7 +583,7 @@ def sort_passive_events(
     window_r = TimeWindow.centered(tau_r0, bin_width if bin_width_r is None else bin_width_r)
     lo, hi = _centered_bins(grid_arr, bin_width)
     n_d = events.n * _survival(lo, hi, window_r.lo, window_r.hi, params).d
-    cells = _passive_cells(_window_cells(events, window_r), lo, hi, n_d, params, kind_l, kind_r)
+    cells = _passive_cells(_cell_tally(events, window_r, lo, hi), n_d, params, kind_l, kind_r)
     columns = [{key: cell[i].tolist() for key, cell in cells.items()} for i in range(3)]
     tables = []
     for row, tau_l in enumerate(grid_arr.tolist()):

@@ -120,7 +120,7 @@ def _fringe_reach(m_sl: Iterable[float], m_ls: Iterable[float], m_x: Iterable[fl
 
 
 def sampling_kernel(
-    u: np.ndarray, params: PhysicsParams, tau_max: float = 50.0
+    u: np.ndarray, params: PhysicsParams, tau_max: float = GeneratorConfig.tau_max
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Map uniform variates to exact joint decay draws.
 

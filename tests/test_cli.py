@@ -1,5 +1,6 @@
 import builtins
 import errno
+import inspect
 import io
 import json
 import os
@@ -13,12 +14,20 @@ import numpy as np
 import pytest
 
 import kaon_eraser
-from kaon_eraser import EventSet, write_events
+from kaon_eraser import (
+    EventSet,
+    ExperimentSpec,
+    GeneratorConfig,
+    sampling_kernel,
+    sort_passive_events,
+    write_events,
+)
 from kaon_eraser.cli import (
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_USAGE,
     _MAX_GRID_POINTS,
+    _build_parser,
     _parse_grid,
     main,
 )
@@ -91,6 +100,20 @@ def test_parse_grid_bounds_point_count():
     texts = ["0:1e12:1", "0:2e6:1", "5:5.2:1e-7", "0:1e5:1", "0:1e6:1"]
     expected = [f"{text} ValueError" for text in texts[:3]] + ["0:1e5:1 100001", "0:1e6:1 1000001"]
     assert _parse_grids_in_child(texts) == expected
+
+
+def test_defaults_are_the_library_defaults():
+    # the CLI, the kernel and the passive sorter read each default from its
+    # dataclass field; the values stay as they were
+    parser = _build_parser()
+    gen = parser.parse_args(["generate", "--pairs", "1", "--out", "x"])
+    exp = parser.parse_args(["experiment", "a", "--tau-r0", "1", "--grid", "0:1:1", "--out", "x"])
+    assert gen.tau_max == GeneratorConfig.tau_max == 50.0
+    assert inspect.signature(sampling_kernel).parameters["tau_max"].default == 50.0
+    spec = ExperimentSpec("a", 1.0, (0.0,), 0)
+    assert (exp.seed, exp.bin_width, exp.min_count) == (0, 0.2, 5)
+    assert (spec.seed, spec.bin_width_l, spec.bin_width_r, spec.min_count) == (0, 0.2, 0.2, 5)
+    assert inspect.signature(sort_passive_events).parameters["min_count"].default == 5
 
 
 def test_table_epr_point(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -581,6 +582,33 @@ def _mask_reference_row(spec, params, events, row):
     return [(e.value, e.sigma, e.n, e.flagged) for e in estimates], counts
 
 
+def _mask_reference_table(events, tau_l, bin_width, tau_r0, bin_width_r, params,
+                          kind_l, kind_r, min_count):
+    """``(p, sigma, counts, n_events, flagged)`` of one passive table, every
+    cell's count a mask over all events."""
+    from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes
+
+    code = {Outcome.K0: _SLP, Outcome.K0BAR: _SLM, Outcome.KS: _2PI, Outcome.KL: _3PI}
+    amps = TransitionAmplitudes.from_params(params)
+    width = {outcome: amps.identified_width(MODE_ORDER[c]) for outcome, c in code.items()}
+    ev = events
+    window_l = TimeWindow.centered(tau_l, bin_width)
+    window_r = TimeWindow.centered(tau_r0, bin_width_r)
+    in_bins = ((ev.tau_l >= window_l.lo) & (ev.tau_l <= window_l.hi)
+               & (ev.tau_r >= window_r.lo) & (ev.tau_r <= window_r.hi))
+    d = survival_weight(window_l, window_r, params)
+    outcomes = {Basis.STRANGENESS: (Outcome.K0, Outcome.K0BAR),
+                Basis.LIFETIME: (Outcome.KS, Outcome.KL)}
+    p, sigma, counts = {}, {}, {}
+    for ol, outcome_r in itertools.product(outcomes[kind_l], outcomes[kind_r]):
+        count = int(np.sum(in_bins & (ev.mode_l == code[ol]) & (ev.mode_r == code[outcome_r])))
+        scale = ev.n * d * width[ol] * width[outcome_r]
+        p[ol, outcome_r], sigma[ol, outcome_r] = count / scale, np.sqrt(count) / scale
+        counts[ol, outcome_r] = count
+    total = sum(counts.values())
+    return p, sigma, counts, total, total < min_count
+
+
 @pytest.mark.parametrize("kind", list(ExperimentKind))
 @pytest.mark.parametrize("bin_width_l", [0.25, 0.5])
 def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
@@ -597,15 +625,32 @@ def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
         got = [(e.value, e.sigma, e.n, e.flagged) for e in (getattr(row, f) for f in FAMILIES)]
         assert got == estimates, (kind, row_index)
         assert row.counts == counts, (kind, row_index)
-    if kind is ExperimentKind.PASSIVE_PASSIVE and bin_width_l == 0.25:
-        # records on the edge shared by rows 3 and 4 are counted in both
-        shared = TimeWindow.centered(grid[3], bin_width_l).hi
-        assert shared == TimeWindow.centered(grid[4], bin_width_l).lo
+    if kind is ExperimentKind.PASSIVE_PASSIVE:
+        # sort_passive_events takes bins that do not overlap: every grid
+        # point at width 0.25, every other one at 0.5; neighbouring bins
+        # share an edge, and records on the edge shared by points 3 and 4
+        # are counted in both
+        step = round(bin_width_l / 0.25)
+        sort_grid = grid[::step]
+        shared = TimeWindow.centered(sort_grid[3], bin_width_l).hi
+        assert shared == TimeWindow.centered(sort_grid[4], bin_width_l).lo
         assert np.sum((events.tau_l == shared) & (np.abs(events.tau_r - 1.0) <= 0.25)) > 0
-        tables = sort_passive_events(events, grid, bin_width_l, spec.tau_r0, rich_params,
+        for kind_l, kind_r in itertools.product((Basis.STRANGENESS, Basis.LIFETIME), repeat=2):
+            tables = sort_passive_events(events, sort_grid, bin_width_l, spec.tau_r0,
+                                         rich_params, kind_l=kind_l, kind_r=kind_r,
+                                         bin_width_r=spec.bin_width_r, min_count=spec.min_count)
+            assert len(tables) == len(sort_grid)
+            for tau_l, table in zip(sort_grid, tables):
+                expected = _mask_reference_table(events, tau_l, bin_width_l, spec.tau_r0,
+                                                 spec.bin_width_r, rich_params, kind_l, kind_r,
+                                                 spec.min_count)
+                got = (table.p, table.sigma, table.counts, table.n_events, table.flagged)
+                assert got == expected, (kind_l, kind_r, tau_l)
+        # the s_ks count and s_kl value of a row of d are its passive table's cells
+        tables = sort_passive_events(events, sort_grid, bin_width_l, spec.tau_r0, rich_params,
                                      kind_r=Basis.LIFETIME, bin_width_r=spec.bin_width_r,
                                      min_count=spec.min_count)
-        for row, table in zip(result.rows, tables):
+        for row, table in zip(result.rows[::step], tables):
             assert table.counts[(Outcome.K0, Outcome.KS)] + table.counts[
                 (Outcome.K0BAR, Outcome.KS)] == row.s_ks.n
             assert table.p[(Outcome.K0, Outcome.KL)] + table.p[
