@@ -229,6 +229,12 @@ def joint_rate_channels(
 ) -> float:
     """Joint decay rate density for internal channels (includes other-splits)."""
     check_times(tau_l, tau_r)
+    return _channel_rate(ch_l, tau_l, ch_r, tau_r, amps)
+
+
+def _channel_rate(ch_l: int, tau_l: float, ch_r: int, tau_r: float,
+                  amps: TransitionAmplitudes) -> float:
+    """:func:`joint_rate_channels` at times the caller has checked."""
     c_sl, c_ls = _pair_coefficients(tau_l, tau_r, amps.params)
     (s_l, l_l), (s_r, l_r) = amps.rows[ch_l], amps.rows[ch_r]
     amp = complex(c_sl) * s_l * l_r + complex(c_ls) * l_l * s_r
@@ -277,10 +283,9 @@ def passive_probability(
             f"identified partial width vanishes for ({mode_l.value}, {mode_r.value});"
             " the corresponding branching fraction is zero"
         )
-    rate = joint_rate_channels(
-        _MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps
-    )
+    # normalization_factor checks the times once for both
     surviving = normalization_factor(tau_l, tau_r, params) * width_l * width_r
+    rate = _channel_rate(_MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps)
     if surviving == 0.0:
         raise ValueError(
             f"at tau_l = {tau_l!r}, tau_r = {tau_r!r} the extinction factor"

@@ -54,7 +54,7 @@ from .decay import (
     amplitudes,
 )
 from .kaon import Basis, Outcome
-from .pair import evolve_pair, initial_state, normalize_surviving, project_pair
+from .pair import evolve_pair, initial_state, normalize_surviving, to_pair_basis
 from .params import PhysicsParams, check_integer
 from .probabilities import (
     JointProbabilityTable,
@@ -237,25 +237,28 @@ def misidentification_rates(params: PhysicsParams) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-def _born_cell_probs(
-    tau_l: float, tau_r: float, params: PhysicsParams, cells
-) -> np.ndarray:
-    state = normalize_surviving(
-        evolve_pair(initial_state(Basis.LIFETIME), tau_l, tau_r, params)
-    )
-    p = np.array([project_pair(state, ol, outcome_r) for ol, outcome_r in cells])
+def _born_cell_probs(state, cells) -> np.ndarray:
+    """Born probabilities of ``cells``, the four outcome pairs of one basis
+    pair, in the survival-normalized pair ``state``, scaled to sum to 1.
+    ``abs(a) ** 2`` of each amplitude, as :func:`pair.project_pair` takes it."""
+    outcome_l, outcome_r = cells[0]
+    amps = to_pair_basis(state, outcome_l.basis, outcome_r.basis).amps
+    p = np.array([abs(amps[ol.index, orr.index]) ** 2 for ol, orr in cells])
     return p / p.sum()
 
 
 def _born_counts(spec, params, survivors, stream: int, *cell_sets) -> dict[tuple, np.ndarray]:
     """Born-rule draws of the survivors of every row: per cell, its count
     in every row.  Row i draws from its own generator, seeded
-    ``[seed, i, stream]``, one multinomial per cell set in the given order."""
+    ``[seed, i, stream]``, one multinomial per cell set in the given order,
+    all from the pair state evolved and normalized once for the row."""
     counts = [np.empty((survivors.size, len(cells)), dtype=np.int64) for cells in cell_sets]
+    start = initial_state(Basis.LIFETIME)
     for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, survivors.tolist())):
         rng = np.random.default_rng([spec.seed, row, stream])
+        state = normalize_surviving(evolve_pair(start, tau_l, spec.tau_r0, params))
         for out, cells in zip(counts, cell_sets):
-            out[row] = rng.multinomial(n, _born_cell_probs(tau_l, spec.tau_r0, params, cells))
+            out[row] = rng.multinomial(n, _born_cell_probs(state, cells))
     return {cell: column
             for out, cells in zip(counts, cell_sets) for cell, column in zip(cells, out.T)}
 
@@ -338,6 +341,27 @@ def _alive_bins(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     the count of ``tau_l > t``: the object alive at t."""
     grid = np.array(spec.tau_l_grid)
     return np.nextafter(grid, np.inf), np.full(grid.size, np.inf)
+
+
+def _check_records(events: EventSet) -> None:
+    """Refuse a decay time that is not finite and >= 0 or a mode code outside
+    ``decay.MODE_CODES``, naming the first record id that has one: a tally
+    drops such a record from every count.  :func:`textio.read_events`
+    refuses them in a file; this is the check of an event set built in
+    memory.  Whole-array ``min`` and ``max``, through which a NaN
+    propagates, decide; the record is searched for only if one fails."""
+    times, modes = (events.tau_l, events.tau_r), (events.mode_l, events.mode_r)
+    if not events.n or (all(0.0 <= tau.min() and tau.max() < np.inf for tau in times)
+                        and all(0 <= code.min() and code.max() < _N_MODES for code in modes)):
+        return
+    bad_time = ~np.logical_and.reduce([(tau >= 0.0) & (tau < np.inf) for tau in times])
+    bad_mode = ~np.logical_and.reduce([(code >= 0) & (code < _N_MODES) for code in modes])
+    i = int(np.argmax(bad_time | bad_mode))
+    if bad_mode[i]:
+        got = f"mode_l={events.mode_l[i]}, mode_r={events.mode_r[i]}"
+        raise ValueError(f"record id {i}: mode codes must be in [0, {_N_MODES}), got {got}")
+    got = f"tau_l={float(events.tau_l[i])!r}, tau_r={float(events.tau_r[i])!r}"
+    raise ValueError(f"record id {i}: decay times must be finite and >= 0, got {got}")
 
 
 def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
@@ -573,10 +597,12 @@ def sort_passive_events(
     which makes it an unbiased estimate of the survival-weighted bin
     average of the joint probability.  Standard errors are Poisson; tables
     backed by fewer than ``min_count`` events in total are flagged (an
-    empty bin reports zero probabilities with zero error, flagged).
+    empty bin reports zero probabilities with zero error, flagged).  The
+    records are checked as :func:`run_experiment` checks them.
     """
     if bin_width <= 0 or (bin_width_r is not None and bin_width_r <= 0):
         raise ValueError("bin widths must be > 0")
+    _check_records(events)
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):
         raise ValueError("grid spacing must be at least bin_width (bins must not overlap)")
@@ -608,16 +634,19 @@ def run_experiment(
 
     ``events`` is the pre-generated event set the protocol sorts, reused
     as is; it must hold ``spec.n_pairs >= 1`` pairs, the size the scan
-    header states.  Without events the scan is analytic: ``spec.n_pairs``
+    header states, each with decay times finite and >= 0 and mode codes of
+    ``decay.MODE_CODES``.  Without events the scan is analytic: ``spec.n_pairs``
     must be 0 (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
         raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
-    if events is not None and (spec.n_pairs == 0 or events.n != spec.n_pairs):
-        raise ValueError(
-            "a scan of events needs n_pairs >= 1, the size of its sample;"
-            f" the spec states n_pairs={spec.n_pairs} but the events hold {events.n}"
-        )
+    if events is not None:
+        if spec.n_pairs == 0 or events.n != spec.n_pairs:
+            raise ValueError(
+                "a scan of events needs n_pairs >= 1, the size of its sample;"
+                f" the spec states n_pairs={spec.n_pairs} but the events hold {events.n}"
+            )
+        _check_records(events)
     twins, d = _scan_twins(spec, params)
     if events is None:
         zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)

@@ -83,19 +83,23 @@ class PhysicsParams:
                     f"branching fractions of {label} sum to {total!r} > 1; the"
                     " residual 'other' channel cannot absorb a negative remainder"
                 )
-        # the lru_caches keyed on a parameter set hash it on every lookup
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, n) for n in _FIELD_NAMES)))
+        # the lru_caches keyed on a parameter set hash it on every lookup, and
+        # compare it with the cached set unless it is that very object
+        key = tuple(getattr(self, n) for n in _FIELD_NAMES)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal field values: one comparison of the stored field tuples."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         """The hash of the field tuple, computed once at construction."""
         return self._hash
 
     # Derived accessors -------------------------------------------------
-
-    @property
-    def delta_gamma(self) -> float:
-        """Width difference gamma_l - gamma_s (strictly negative)."""
-        return self.gamma_l - self.gamma_s
 
     @property
     def br_s_other(self) -> float:
@@ -108,7 +112,12 @@ class PhysicsParams:
         return max(0.0, 1.0 - self.br_l_3pi - self.br_semileptonic_l)
 
     # cached in the instance dict, which the frozen dataclass leaves writable
-    # to cached_property: the pair coefficients read these on every call
+    # to cached_property: the closed forms read these on every call
+    @functools.cached_property
+    def delta_gamma(self) -> float:
+        """Width difference gamma_l - gamma_s (strictly negative)."""
+        return self.gamma_l - self.gamma_s
+
     @functools.cached_property
     def lambda_s(self) -> complex:
         """Complex propagation eigenvalue of K_S: m_S - i*gamma_s/2, m_S = 0."""

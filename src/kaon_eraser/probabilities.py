@@ -34,6 +34,7 @@ are checked for range and sum; a NaN cell fails both checks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -58,9 +59,9 @@ class Source(Enum):
     MONTE_CARLO = "monte_carlo"
 
 
-@dataclasses.dataclass(frozen=True)
-class JointProbabilityTable:
-    """Probabilities for the four outcomes of a chosen observable pair."""
+class _TableFields(NamedTuple):
+    """The fields of :class:`JointProbabilityTable`, whose ``__new__`` gives
+    their defaults and checks an ANALYTIC table."""
 
     obs_l_kind: Basis
     obs_r_kind: Basis
@@ -69,13 +70,29 @@ class JointProbabilityTable:
     p: Mapping[tuple[Outcome, Outcome], float]
     sigma: Mapping[tuple[Outcome, Outcome], float]
     source: Source
-    n_events: int = 0
-    flagged: bool = False
-    counts: Optional[Mapping[tuple[Outcome, Outcome], int]] = None
+    n_events: int
+    flagged: bool
+    counts: Optional[Mapping[tuple[Outcome, Outcome], int]]
 
-    def __post_init__(self) -> None:
-        if self.source is Source.ANALYTIC:
-            _check_analytic(tuple(self.p.values()))
+
+class JointProbabilityTable(_TableFields):
+    """Probabilities for the four outcomes of a chosen observable pair, an
+    immutable named tuple.  An ANALYTIC table is checked for range and sum
+    however it is built: called, by ``_make`` or by ``_replace``."""
+
+    __slots__ = ()
+
+    # the fields as parameters: half the time of super().__new__(cls, *args)
+    def __new__(cls, obs_l_kind, obs_r_kind, tau_l, tau_r, p, sigma, source,
+                n_events=0, flagged=False, counts=None) -> "JointProbabilityTable":
+        if source is Source.ANALYTIC:
+            _check_analytic(tuple(p.values()))
+        return tuple.__new__(cls, (obs_l_kind, obs_r_kind, tau_l, tau_r, p, sigma, source,
+                                   n_events, flagged, counts))
+
+    @classmethod
+    def _make(cls, iterable) -> "JointProbabilityTable":
+        return cls(*iterable)
 
     def total(self) -> float:
         return float(sum(self.p.values()))
@@ -84,7 +101,7 @@ class JointProbabilityTable:
 def _sech(x):
     """1/cosh(x) of a float or an array, written to avoid cosh overflow at
     large |x|."""
-    e = np.exp(-np.abs(x))
+    e = np.exp(-abs(x))
     return 2.0 * e / (1.0 + e * e)
 
 
@@ -115,24 +132,36 @@ def _point_terms(tau_l: float, tau_r: float, params: PhysicsParams) -> tuple:
     return 0.25 * (1.0 - fringe), 0.25 * (1.0 + fringe), _expit(-x), _expit(x)
 
 
+#: The keys of the (kind_l, kind_r) table, in the order the CLI prints them.
+_KEYS = {(kind_l, kind_r): tuple(itertools.product(_OUTCOMES[kind_l], _OUTCOMES[kind_r]))
+         for kind_l in Basis for kind_r in Basis}
+# the lifetime (x) lifetime table lists its two zero cells first
+_KEYS[Basis.LIFETIME, Basis.LIFETIME] = (
+    (Outcome.KS, Outcome.KS), (Outcome.KL, Outcome.KL),
+    (Outcome.KS, Outcome.KL), (Outcome.KL, Outcome.KS))
+
+
 def _cells(kind_l: Basis, kind_r: Basis, terms) -> dict[tuple[Outcome, Outcome], float]:
     """The four cells of the (kind_l, kind_r) table, laid out from the terms
     ``(like, unlike, w_ks, w_kl)`` of one time pair (floats) or of many
-    (arrays), keyed in the order the CLI prints them.
+    (arrays), keyed as in ``_KEYS``.
 
     ``w_ks`` is the share of surviving pairs whose right kaon is K_S and
     left kaon K_L, ``w_kl`` the share with a right K_L and a left K_S.  A
     strangeness outcome opposite a lifetime outcome splits its share evenly.
     """
     like, unlike, w_ks, w_kl = terms
-    ks, kl = _L_OUTCOMES
-    if kind_l is kind_r is Basis.LIFETIME:
-        return {(ks, ks): 0.0, (kl, kl): 0.0, (ks, kl): w_kl, (kl, ks): w_ks}
-    if kind_l is kind_r is Basis.STRANGENESS:
-        return {(a, b): like if a is b else unlike for a in _S_OUTCOMES for b in _S_OUTCOMES}
-    left = kind_l is Basis.LIFETIME
-    half = {ks: 0.5 * (w_kl if left else w_ks), kl: 0.5 * (w_ks if left else w_kl)}
-    return {(a, b): half[a if left else b] for a in _OUTCOMES[kind_l] for b in _OUTCOMES[kind_r]}
+    if kind_l is kind_r:
+        values = (like, unlike, unlike, like) if kind_l is Basis.STRANGENESS else (0.0, 0.0, w_kl, w_ks)
+    elif kind_r is Basis.LIFETIME:
+        ks, kl = 0.5 * w_ks, 0.5 * w_kl
+        values = (ks, kl, ks, kl)
+    else:
+        ks, kl = 0.5 * w_kl, 0.5 * w_ks
+        values = (ks, ks, kl, kl)
+    # a dict display: a third of the time of dict(zip(keys, values))
+    (k0, k1, k2, k3), (v0, v1, v2, v3) = _KEYS[kind_l, kind_r], values
+    return {k0: v0, k1: v1, k2: v2, k3: v3}
 
 
 def _analytic_table(kind_l: Basis, kind_r: Basis, tau_l, tau_r, terms) -> JointProbabilityTable:
@@ -226,9 +255,11 @@ def _check_analytic(cells: Sequence) -> None:
     table's values in key order, each a float, or each an array holding one
     table per element.  Each check asks for the good case, so a NaN, which
     compares false, fails it."""
+    in_range = True
     for values in cells:
-        if not _all((_P_MIN <= values) & (values <= _P_MAX)):
-            raise ValueError("analytic probabilities must lie in [0, 1]")
+        in_range = in_range & (_P_MIN <= values) & (values <= _P_MAX)
+    if not _all(in_range):
+        raise ValueError("analytic probabilities must lie in [0, 1]")
     total = sum(cells)
     ok = abs(total - 1.0) <= TABLE_SUM_TOL
     if not _all(ok):

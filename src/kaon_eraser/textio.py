@@ -337,8 +337,8 @@ def _csv_text(columns: list[np.ndarray]) -> str:
     ``'%.17g' % x``, an integer or bool array as ``'%d' % n``, and a 2-D
     uint8 matrix, NUL-padded bytes per row, as is.  Each distinct array is
     formatted once, by one call per formatter on the concatenation of every
-    array it formats; every NUL byte is then dropped by one ``lines[lines
-    != 0]`` per block of rows."""
+    array it formats; every NUL byte is then dropped by one
+    ``bytes.translate`` per block of rows."""
     by_format = {}
     for column in columns:
         if column.ndim == 1:
@@ -363,7 +363,7 @@ def _csv_text(columns: list[np.ndarray]) -> str:
             stop += width
             block[:, stop - 1] = ord(",")
         block[:, -1] = ord("\n")
-        text.append(block[block != 0].tobytes())
+        text.append(block.tobytes().translate(None, b"\0"))
     return b"".join(text).decode("ascii")
 
 

@@ -194,6 +194,78 @@ def test_scan_refuses_empty_events(default_params, kind):
         run_experiment(spec, default_params, events=events)
 
 
+def _valid_events(n=1000, seed=11):
+    rng = np.random.default_rng(seed)
+    return EventSet(rng.uniform(0.0, 4.0, n), rng.integers(0, 5, n).astype(np.int8),
+                    rng.uniform(0.0, 4.0, n), rng.integers(0, 5, n).astype(np.int8),
+                    seed, 50.0, "synthetic")
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c", "d"])
+def test_scan_refuses_events_with_mode_code_outside_the_mode_table(default_params, kind):
+    # code 9 names no decay mode; such records used to drop out of every count
+    events = _valid_events()
+    nine = np.full(events.n, 9, dtype=np.int8)
+    spec = ExperimentSpec(ExperimentKind(kind), 2.0, (0.0, 0.5, 1.0), events.n)
+    with pytest.raises(ValueError, match=r"record id 0: mode codes must be in \[0, 5\)"):
+        run_experiment(spec, default_params, events=dataclasses.replace(
+            events, mode_l=nine, mode_r=nine))
+    for field, code in (("mode_l", 5), ("mode_r", -1), ("mode_r", 9)):
+        modes = getattr(events, field).copy()
+        modes[537] = code
+        with pytest.raises(ValueError, match="record id 537: mode codes"):
+            run_experiment(spec, default_params,
+                           events=dataclasses.replace(events, **{field: modes}))
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c", "d"])
+def test_scan_refuses_events_with_times_not_finite_and_nonnegative(default_params, kind):
+    events = _valid_events()
+    spec = ExperimentSpec(ExperimentKind(kind), 2.0, (0.0, 0.5, 1.0), events.n)
+    nan = np.full(events.n, math.nan)
+    with pytest.raises(ValueError, match="record id 0: decay times must be finite and >= 0"):
+        run_experiment(spec, default_params, events=dataclasses.replace(
+            events, tau_l=nan, tau_r=nan))
+    for field, value in (("tau_l", math.nan), ("tau_r", math.nan), ("tau_l", -1e-300),
+                         ("tau_r", math.inf), ("tau_l", -math.inf)):
+        times = getattr(events, field).copy()
+        times[[12, 800]] = value
+        with pytest.raises(ValueError, match="record id 12: decay times"):
+            run_experiment(spec, default_params,
+                           events=dataclasses.replace(events, **{field: times}))
+    # the first bad record is named, whichever check it fails
+    times, modes = events.tau_r.copy(), events.mode_l.copy()
+    times[40], modes[39] = math.nan, 7
+    with pytest.raises(ValueError, match="record id 39: mode codes"):
+        run_experiment(spec, default_params,
+                       events=dataclasses.replace(events, tau_r=times, mode_l=modes))
+
+
+def test_sort_passive_events_refuses_bad_records(default_params):
+    events = _valid_events()
+    modes = events.mode_r.copy()
+    modes[3] = 9
+    with pytest.raises(ValueError, match="record id 3: mode codes"):
+        sort_passive_events(dataclasses.replace(events, mode_r=modes), (0.5, 1.0), 0.2, 2.0,
+                            default_params)
+    times = events.tau_l.copy()
+    times[5] = math.nan
+    with pytest.raises(ValueError, match="record id 5: decay times"):
+        sort_passive_events(dataclasses.replace(events, tau_l=times), (0.5, 1.0), 0.2, 2.0,
+                            default_params)
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c", "d"])
+def test_scan_takes_records_on_the_edges_of_the_checks(default_params, kind):
+    events = _valid_events()
+    tau_l, mode_l, mode_r = events.tau_l.copy(), events.mode_l.copy(), events.mode_r.copy()
+    tau_l[:3] = 0.0, 5e-324, np.finfo(float).max
+    mode_l[:2], mode_r[:2] = (0, 4), (4, 0)
+    edges = dataclasses.replace(events, tau_l=tau_l, mode_l=mode_l, mode_r=mode_r)
+    spec = ExperimentSpec(ExperimentKind(kind), 2.0, (0.0, 0.5, 1.0), events.n)
+    assert len(run_experiment(spec, default_params, events=edges).rows) == 3
+
+
 def test_partially_active_analytic_only(default_params, grid_short):
     spec = ExperimentSpec(ExperimentKind.PARTIALLY_ACTIVE, 2.0, grid_short, 0)
     result = run_experiment(spec, default_params)
@@ -485,11 +557,42 @@ def _edge_events(grid, bin_width_l, tau_r0, bin_width_r):
     )
 
 
+def _born_reference(tau_l, tau_r, params, cells):
+    """Born probabilities of ``cells`` the long way: the pair evolved and
+    normalized again for each cell, and one ``project_pair`` per cell."""
+    from kaon_eraser.pair import evolve_pair, initial_state, normalize_surviving, project_pair
+
+    probs = []
+    for outcome_l, outcome_r in cells:
+        state = normalize_surviving(evolve_pair(initial_state(Basis.LIFETIME), tau_l, tau_r, params))
+        probs.append(project_pair(state, outcome_l, outcome_r))
+    p = np.array(probs)
+    return p / p.sum()
+
+
+def test_born_cell_probs_from_one_state_are_the_projections_bit_for_bit(
+    default_params, rich_params
+):
+    from kaon_eraser.experiments import _MIXED_CELLS, _S_CELLS, _born_cell_probs
+    from kaon_eraser.pair import evolve_pair, initial_state, normalize_surviving
+
+    taus = np.concatenate([np.round(np.arange(0.0, 27.0, 0.2), 12), [1e-300, 0.1, 37.5]])
+    for params in (default_params, rich_params):
+        for tau_l in taus.tolist():
+            for tau_r in (0.0, 0.5, 2.0, 5.0):
+                state = normalize_surviving(
+                    evolve_pair(initial_state(Basis.LIFETIME), tau_l, tau_r, params))
+                for cells in (_S_CELLS, _MIXED_CELLS):
+                    got = _born_cell_probs(state, cells)
+                    expected = _born_reference(tau_l, tau_r, params, cells)
+                    assert got.tobytes() == expected.tobytes(), (tau_l, tau_r, cells)
+
+
 def _mask_reference_row(spec, params, events, row):
     """Estimates (value, sigma, n, flag) and counts of one row, every count
     a mask over all events."""
     from kaon_eraser.decay import MODE_ORDER, TransitionAmplitudes, _pair_coefficients
-    from kaon_eraser.experiments import _MIXED_CELLS, _S_CELLS, _born_cell_probs
+    from kaon_eraser.experiments import _MIXED_CELLS, _S_CELLS
 
     ev, t, r0, mc = events, spec.tau_l_grid[row], spec.tau_r0, spec.min_count
     amps = TransitionAmplitudes.from_params(params)
@@ -517,10 +620,10 @@ def _mask_reference_row(spec, params, events, row):
     if kind in "ab":
         survivors = int(np.sum(alive & (ev.tau_r > r0)))
         rng = np.random.default_rng([spec.seed, row, "ab".index(kind)])
-        c_s = rng.multinomial(survivors, _born_cell_probs(t, r0, params, _S_CELLS))
+        c_s = rng.multinomial(survivors, _born_reference(t, r0, params, _S_CELLS))
         like, unlike = ratio(c_s[0] + c_s[3], survivors), ratio(c_s[1] + c_s[2], survivors)
     if kind == "a":
-        c_m = rng.multinomial(survivors, _born_cell_probs(t, r0, params, _MIXED_CELLS))
+        c_m = rng.multinomial(survivors, _born_reference(t, r0, params, _MIXED_CELLS))
         estimates = (like, unlike, ratio(c_m[0] + c_m[2], survivors),
                      ratio(c_m[1] + c_m[3], survivors))
         counts = {"strangeness": survivors, "lifetime": survivors,

@@ -147,3 +147,38 @@ def test_tables_are_read_only_and_the_import_loads_no_fractions():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+def _nul_mask_reference(matrices):
+    """The lines of ``_csv_text`` on NUL-padded byte matrices, every NUL
+    dropped by a boolean mask over the whole text."""
+    n = matrices[0].shape[0]
+    parts = []
+    for i, matrix in enumerate(matrices):
+        parts += [matrix, np.full((n, 1), ord("\n" if i == len(matrices) - 1 else ","), np.uint8)]
+    lines = np.hstack(parts)
+    return lines[lines != 0].tobytes().decode("ascii")
+
+
+def test_csv_text_drops_the_nuls_the_boolean_mask_drops():
+    rng = np.random.default_rng(25)
+    # 0 and 1 rows, a few, and enough of them to span several text blocks
+    for n in (0, 1, 2, 7, 3000, 20_000):
+        for n_columns in (1, 3):
+            matrices = []
+            for _ in range(n_columns):
+                width = int(rng.integers(1, 40))
+                matrix = rng.integers(33, 127, (n, width), dtype=np.uint8)
+                # NUL padding on the left or the right of each row, and NULs
+                # inside rows, and all-NUL rows
+                pad = rng.integers(0, width + 1, n)
+                cols = np.arange(width)
+                matrix[(cols < pad[:, None]) if rng.random() < 0.5 else (cols >= width - pad[:, None])] = 0
+                matrix[rng.random((n, width)) < 0.1] = 0
+                matrices.append(matrix)
+            assert textio._csv_text(matrices) == _nul_mask_reference(matrices), (n, n_columns)
+    # formatted columns next to a byte matrix
+    values, counts = rng.normal(size=5), rng.integers(-9, 10**6, 5)
+    text = textio._csv_text([values, counts, textio._MODE_BYTES.take([0, 4, 2, 3, 1], axis=0)])
+    names = ["TwoPi", "Other", "SemileptonicPlus", "SemileptonicMinus", "ThreePi"]
+    assert text == "".join("%.17g,%d,%s\n" % row for row in zip(values.tolist(), counts.tolist(), names))

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
+import types
 
 import pytest
 
 from kaon_eraser import ParamsError, PhysicsParams, load_params
-from kaon_eraser.decay import amplitudes
+from kaon_eraser.decay import _mode_cells, amplitudes
 
 
 def test_empty_document_gives_defaults(tmp_path):
@@ -103,7 +105,33 @@ def test_hash_is_the_field_tuple_hash_and_follows_replace(default_params):
     equal = PhysicsParams()
     assert equal is not default_params
     assert hash(equal) == hash(default_params) == hash(tuple(default_params.to_dict().values()))
-    changed = dataclasses.replace(default_params, delta_m=0.5)
+    assert equal == default_params and not equal != default_params
+    changed = dataclasses.replace(default_params, delta_m=0.5, lifetime_window=3.0)
     assert hash(changed) == hash(tuple(changed.to_dict().values())) != hash(default_params)
+    assert changed == load_params({"delta_m": 0.5, "lifetime_window": 3.0})
+    assert changed != default_params
+    assert dataclasses.replace(changed, delta_m=0.47, lifetime_window=4.8) == default_params
     # the caches keyed on a parameter set find equal sets under one entry
     assert amplitudes(equal) is amplitudes(default_params)
+    assert _mode_cells(load_params()) is _mode_cells(default_params)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PhysicsParams)])
+def test_a_set_with_any_field_changed_compares_unequal(default_params, name):
+    # one ulp up keeps every invariant of the defaults
+    value = math.nextafter(getattr(default_params, name), math.inf)
+    changed = dataclasses.replace(default_params, **{name: value})
+    assert changed != default_params and not changed == default_params
+    assert getattr(changed, name) == value
+    assert changed == PhysicsParams(**{name: value})
+    assert hash(changed) == hash(tuple(changed.to_dict().values()))
+    default_params.delta_gamma  # cached on the instance, not carried over by replace
+    assert changed.delta_gamma == changed.gamma_l - changed.gamma_s
+
+
+def test_comparison_with_another_type_is_not_implemented(default_params):
+    fields = tuple(default_params.to_dict().values())
+    lookalike = types.SimpleNamespace(_key=fields, _hash=hash(fields))
+    for other in (fields, lookalike, default_params.to_dict(), None, 1.0):
+        assert default_params.__eq__(other) is NotImplemented
+        assert default_params != other and not default_params == other

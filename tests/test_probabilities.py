@@ -1,4 +1,7 @@
+import copy
+import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -26,7 +29,13 @@ from kaon_eraser import (
     window_table,
 )
 from kaon_eraser.decay import normalization_factor
-from kaon_eraser.probabilities import _check_analytic, _expit, _window_terms
+from kaon_eraser.probabilities import (
+    JointProbabilityTable,
+    Source,
+    _check_analytic,
+    _expit,
+    _window_terms,
+)
 from tests.conftest import random_params
 
 times = st.floats(min_value=0.0, max_value=30.0, allow_nan=False)
@@ -464,3 +473,60 @@ def test_survival_weight_computes_no_fringe(default_params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert survival_weight(far, far, default_params) == 0.0
+
+
+def _directly(p, source=Source.ANALYTIC, **fields):
+    return JointProbabilityTable(Basis.STRANGENESS, Basis.STRANGENESS, 1.0, 2.0, p,
+                                 dict.fromkeys(p, 0.0), source, **fields)
+
+
+def test_joint_probability_table_is_an_immutable_named_tuple(default_params):
+    table = full_table(Basis.STRANGENESS, Basis.LIFETIME, 1.0, 2.0, default_params)
+    assert isinstance(table, tuple) and table._fields == (
+        "obs_l_kind", "obs_r_kind", "tau_l", "tau_r", "p", "sigma", "source",
+        "n_events", "flagged", "counts")
+    assert (table.n_events, table.flagged, table.counts) == (0, False, None)
+    assert table.source is Source.ANALYTIC and type(table.total()) is float
+    assert table.total() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(AttributeError):
+        table.p = {}
+    assert not hasattr(table, "__dict__")
+    assert table._replace(tau_l=3.0) == (Basis.STRANGENESS, Basis.LIFETIME, 3.0, *table[3:])
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, -1e-11, math.nan])
+def test_directly_built_analytic_table_refuses_a_cell_out_of_range_or_nan(bad):
+    p = dict.fromkeys(itertools.product((Outcome.K0, Outcome.K0BAR), repeat=2), 0.25)
+    _directly(p)
+    p[Outcome.K0, Outcome.K0BAR] = bad
+    p[Outcome.K0BAR, Outcome.K0] = 0.5 - bad if math.isfinite(bad) else 0.25
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _directly(p)
+    good = _directly(dict.fromkeys(p, 0.25))
+    # built from fields, however: _make, _replace, copy, pickle
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        JointProbabilityTable._make((*good[:4], p, *good[5:]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        good._replace(p=p)
+    for other in (copy.copy(good), pickle.loads(pickle.dumps(good))):
+        assert other == good and type(other) is JointProbabilityTable
+
+
+@pytest.mark.parametrize("total", [1.0 + 2e-9, 1.0 - 2e-9, 0.5])
+def test_directly_built_analytic_table_refuses_a_bad_sum(total):
+    p = dict.fromkeys(itertools.product((Outcome.K0, Outcome.K0BAR), repeat=2), 0.25 * total)
+    with pytest.raises(ValueError, match="sums to"):
+        _directly(p)
+    p[Outcome.K0, Outcome.K0] += 1.0 - total  # back to a sum of 1 within the tolerance
+    _directly(p)
+
+
+def test_monte_carlo_table_is_not_checked():
+    p = dict.fromkeys(itertools.product((Outcome.K0, Outcome.K0BAR), repeat=2), math.nan)
+    p[Outcome.K0, Outcome.K0] = 7.0
+    table = _directly(p, Source.MONTE_CARLO, n_events=3, flagged=True, counts=dict.fromkeys(p, 1))
+    assert table.source is Source.MONTE_CARLO and table.total() != table.total()
+    assert (table.n_events, table.flagged) == (3, True)
+    assert table._replace(flagged=False).flagged is False
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        table._replace(source=Source.ANALYTIC)
