@@ -220,21 +220,10 @@ def _pair_coefficients(tau_l: float, tau_r, params: PhysicsParams):
     return c_sl, c_ls
 
 
-def joint_rate_channels(
-    ch_l: int,
-    tau_l: float,
-    ch_r: int,
-    tau_r: float,
-    amps: TransitionAmplitudes,
-) -> float:
-    """Joint decay rate density for internal channels (includes other-splits)."""
-    check_times(tau_l, tau_r)
-    return _channel_rate(ch_l, tau_l, ch_r, tau_r, amps)
-
-
 def _channel_rate(ch_l: int, tau_l: float, ch_r: int, tau_r: float,
                   amps: TransitionAmplitudes) -> float:
-    """:func:`joint_rate_channels` at times the caller has checked."""
+    """Joint decay rate density of the internal channels ``ch_l`` and
+    ``ch_r`` (other-splits included), at times the caller has checked."""
     c_sl, c_ls = _pair_coefficients(tau_l, tau_r, amps.params)
     (s_l, l_l), (s_r, l_r) = amps.rows[ch_l], amps.rows[ch_r]
     amp = complex(c_sl) * s_l * l_r + complex(c_ls) * l_l * s_r
@@ -257,9 +246,8 @@ def joint_decay_rate(
     if mode_l is DecayMode.OTHER or mode_r is DecayMode.OTHER:
         raise UnsupportedModeError("joint_decay_rate requires identifying decay modes")
     amps = amplitudes(params)
-    return joint_rate_channels(
-        _MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps
-    )
+    check_times(tau_l, tau_r)
+    return _channel_rate(_MODE_TO_CHANNEL[mode_l], tau_l, _MODE_TO_CHANNEL[mode_r], tau_r, amps)
 
 
 def passive_probability(

@@ -343,27 +343,6 @@ def _alive_bins(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.nextafter(grid, np.inf), np.full(grid.size, np.inf)
 
 
-def _check_records(events: EventSet) -> None:
-    """Refuse a decay time that is not finite and >= 0 or a mode code outside
-    ``decay.MODE_CODES``, naming the first record id that has one: a tally
-    drops such a record from every count.  :func:`textio.read_events`
-    refuses them in a file; this is the check of an event set built in
-    memory.  Whole-array ``min`` and ``max``, through which a NaN
-    propagates, decide; the record is searched for only if one fails."""
-    times, modes = (events.tau_l, events.tau_r), (events.mode_l, events.mode_r)
-    if not events.n or (all(0.0 <= tau.min() and tau.max() < np.inf for tau in times)
-                        and all(0 <= code.min() and code.max() < _N_MODES for code in modes)):
-        return
-    bad_time = ~np.logical_and.reduce([(tau >= 0.0) & (tau < np.inf) for tau in times])
-    bad_mode = ~np.logical_and.reduce([(code >= 0) & (code < _N_MODES) for code in modes])
-    i = int(np.argmax(bad_time | bad_mode))
-    if bad_mode[i]:
-        got = f"mode_l={events.mode_l[i]}, mode_r={events.mode_r[i]}"
-        raise ValueError(f"record id {i}: mode codes must be in [0, {_N_MODES}), got {got}")
-    got = f"tau_l={float(events.tau_l[i])!r}, tau_r={float(events.tau_r[i])!r}"
-    raise ValueError(f"record id {i}: decay times must be finite and >= 0, got {got}")
-
-
 def _in_window(tau: np.ndarray, window: TimeWindow) -> np.ndarray:
     return (tau >= window.lo) & (tau <= window.hi)
 
@@ -598,11 +577,10 @@ def sort_passive_events(
     average of the joint probability.  Standard errors are Poisson; tables
     backed by fewer than ``min_count`` events in total are flagged (an
     empty bin reports zero probabilities with zero error, flagged).  The
-    records are checked as :func:`run_experiment` checks them.
+    records are valid, as every :class:`textio.EventSet` is.
     """
     if bin_width <= 0 or (bin_width_r is not None and bin_width_r <= 0):
         raise ValueError("bin widths must be > 0")
-    _check_records(events)
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):
         raise ValueError("grid spacing must be at least bin_width (bins must not overlap)")
@@ -634,9 +612,9 @@ def run_experiment(
 
     ``events`` is the pre-generated event set the protocol sorts, reused
     as is; it must hold ``spec.n_pairs >= 1`` pairs, the size the scan
-    header states, each with decay times finite and >= 0 and mode codes of
-    ``decay.MODE_CODES``.  Without events the scan is analytic: ``spec.n_pairs``
-    must be 0 (kinds a and b), and every column is its twin.
+    header states.  Its records are valid, as every :class:`textio.EventSet`
+    is.  Without events the scan is analytic: ``spec.n_pairs`` must be 0
+    (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
         raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
@@ -646,7 +624,6 @@ def run_experiment(
                 "a scan of events needs n_pairs >= 1, the size of its sample;"
                 f" the spec states n_pairs={spec.n_pairs} but the events hold {events.n}"
             )
-        _check_records(events)
     twins, d = _scan_twins(spec, params)
     if events is None:
         zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)

@@ -33,7 +33,18 @@ class EventFormatError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class EventSet:
-    """Column-oriented batch of pair events (public decay-mode codes)."""
+    """Column-oriented batch of pair events (public decay-mode codes).
+
+    The record rules live here, checked when a set is built, by a call or
+    by ``dataclasses.replace``: the four columns are 1-D NumPy arrays of
+    one length, the mode codes of an integer dtype; every decay time is
+    finite and >= 0; every mode code is in ``[0, len(MODE_ORDER))``.  A
+    record that breaks one raises ValueError naming its id: it would be a
+    wrong measurement, and a tally would drop it from every count.  Whole-
+    array ``min`` and ``max``, through which a NaN propagates, decide; the
+    record is searched for only if one fails.  The columns are then made
+    read-only, so a set cannot change after its check.
+    """
 
     tau_l: np.ndarray
     mode_l: np.ndarray
@@ -42,6 +53,30 @@ class EventSet:
     seed: int
     tau_max: float
     params_digest: str
+
+    def __post_init__(self) -> None:
+        columns = (self.tau_l, self.mode_l, self.tau_r, self.mode_r)
+        times, modes = columns[::2], columns[1::2]
+        if (not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)
+                or len({c.size for c in columns}) > 1
+                or not all(code.dtype.kind in "iu" for code in modes)):
+            got = ", ".join(f"{name} {getattr(c, 'dtype', type(c).__name__)} {np.shape(c)}"
+                            for name, c in zip(("tau_l", "mode_l", "tau_r", "mode_r"), columns))
+            raise ValueError("event columns must be 1-D NumPy arrays of one length, the mode"
+                             f" codes integers; got {got}")
+        n_modes = len(MODE_ORDER)
+        if self.n and not (all(0.0 <= tau.min() and tau.max() < np.inf for tau in times)
+                           and all(0 <= code.min() and code.max() < n_modes for code in modes)):
+            bad_time = ~np.logical_and.reduce([(tau >= 0.0) & (tau < np.inf) for tau in times])
+            bad_mode = ~np.logical_and.reduce([(code >= 0) & (code < n_modes) for code in modes])
+            i = int(np.argmax(bad_time | bad_mode))
+            if bad_mode[i]:
+                got = f"mode_l={self.mode_l[i]}, mode_r={self.mode_r[i]}"
+                raise ValueError(f"record id {i}: mode codes must be in [0, {n_modes}), got {got}")
+            got = f"tau_l={float(self.tau_l[i])!r}, tau_r={float(self.tau_r[i])!r}"
+            raise ValueError(f"record id {i}: decay times must be finite and >= 0, got {got}")
+        for column in columns:
+            column.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -807,12 +842,13 @@ def read_events(path: Union[str, Path]) -> EventSet:
     The file is read in blocks of whole lines (:func:`_line_blocks`).  The
     three header lines are read first (:func:`_read_header`), then the
     records block by block from line 4 (:func:`_read_records`).  A record
-    that does not parse is named by its line; the checks on the arrays (ids
-    sequential from 0, decay times finite and >= 0, known mode names, as
-    many records as the header's ``n_pairs``) name the record id.  A file
-    that is not UTF-8 text is refused as such, whatever else is wrong with
-    it: after any other error the rest of the file is still read and
-    checked.
+    that does not parse is named by its line.  The checks on the arrays
+    name the record id: ids sequential from 0, known mode names, then the
+    record rules of :class:`EventSet`, whose ValueError is raised as
+    EventFormatError; last, as many records as the header's ``n_pairs``.
+    A file that is not UTF-8 text is refused as such, whatever else is
+    wrong with it: after any other error the rest of the file is still read
+    and checked.
     """
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -832,24 +868,17 @@ def read_events(path: Union[str, Path]) -> EventSet:
         raise EventFormatError(
             "record id {1} at position {0}: ids must be sequential from 0".format(*wrong_id)
         )
-    valid = np.isfinite(tau_l) & np.isfinite(tau_r) & (tau_l >= 0) & (tau_r >= 0)
-    if not valid.all():
-        bad = int(np.argmin(valid))
-        raise EventFormatError(f"record id {bad}: decay times must be finite and >= 0")
+    # -1 is the parser's code for a field that is no mode name
     known = (mode_l >= 0) & (mode_r >= 0)
     if not known.all():
         bad = int(np.argmin(known))
         raise EventFormatError(f"record id {bad}: unknown decay mode name")
-    if tau_l.size != n_pairs:
+    try:
+        events = EventSet(tau_l, mode_l, tau_r, mode_r, seed, tau_max, digest)
+    except ValueError as exc:
+        raise EventFormatError(str(exc)) from None
+    if events.n != n_pairs:
         raise EventFormatError(
-            f"header says n_pairs={n_pairs} but the file holds {tau_l.size} records"
+            f"header says n_pairs={n_pairs} but the file holds {events.n} records"
         )
-    return EventSet(
-        tau_l=tau_l,
-        mode_l=mode_l,
-        tau_r=tau_r,
-        mode_r=mode_r,
-        seed=seed,
-        tau_max=tau_max,
-        params_digest=digest,
-    )
+    return events

@@ -241,6 +241,29 @@ def test_scan_refuses_events_with_times_not_finite_and_nonnegative(default_param
                        events=dataclasses.replace(events, tau_r=times, mode_l=modes))
 
 
+def test_scan_refuses_mode_columns_longer_than_the_time_columns(default_params):
+    # a kind a scan used to run on such a set and give counts
+    events = _valid_events()
+    long = np.concatenate([events.mode_l, events.mode_r])
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 2.0, (0.0, 0.5, 1.0), events.n)
+    with pytest.raises(ValueError, match="event columns must be 1-D NumPy arrays of one length"):
+        run_experiment(spec, default_params,
+                       events=dataclasses.replace(events, mode_l=long, mode_r=long))
+
+
+def test_event_set_columns_are_read_only_and_replace_checks_again():
+    events = _valid_events()
+    columns = [events.tau_l, events.mode_l, events.tau_r, events.mode_r]
+    assert not any(column.flags.writeable for column in columns)
+    with pytest.raises(ValueError, match="read-only"):
+        events.tau_l[0] = -1.0
+    times = events.tau_r.copy()
+    times[3] = -1.0
+    with pytest.raises(ValueError, match="record id 3: decay times must be finite and >= 0"):
+        dataclasses.replace(events, tau_r=times)
+    assert not dataclasses.replace(events, seed=12).tau_r.flags.writeable
+
+
 def test_sort_passive_events_refuses_bad_records(default_params):
     events = _valid_events()
     modes = events.mode_r.copy()

@@ -28,11 +28,14 @@ PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 #: and scan text codec, which moved to ``textio``, and its lazy table
 #: builder, which the tables built at import replace; the metadata's own
 #: number rule and key table, which the writer's metadata line replaces; the
-#: protocols' counting helpers, which one tally per mode code replaces.
+#: protocols' counting helpers, which one tally per mode code replaces; the
+#: scans' record check, which ``EventSet`` makes when a set is built; the
+#: checked channel rate, folded into its one caller, ``joint_decay_rate``.
 REMOVED = {
+    decay: ("joint_rate_channels",),
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
                   "_once_per_array", "_g17_bytes", "_d_bytes", "_n_above", "_n_within",
-                  "_survivors", "_above_by_mode", "_window_cells"),
+                  "_survivors", "_above_by_mode", "_window_cells", "_check_records"),
     generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights", "_parse_records",
                 "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error",
                 "_check_utf8", "_atomic_write", "_csv_text", "_g17_bytes", "_g17_rows",

@@ -216,6 +216,17 @@ def test_mode_pair_chi2_of_no_events(default_params):
     assert (stat, dof) == (0.0, 0) and math.isnan(pvalue)
 
 
+def test_mode_pair_chi2_refuses_a_mode_code_outside_the_mode_table(default_params):
+    # code 7 used to count as the cell (ThreePi, SemileptonicPlus): 50 such
+    # records in 1e5 pairs gave p = 4e-52 where the set should be refused
+    events = generate(GeneratorConfig(seed=3, n_pairs=100_000), default_params)
+    modes = events.mode_r.copy()
+    modes[1000:51000:1000] = 7
+    with pytest.raises(ValueError, match=r"record id 1000: mode codes must be in \[0, 5\), "
+                                         r"got mode_l=\d, mode_r=7"):
+        mode_pair_chi2(dataclasses.replace(events, mode_r=modes), default_params)
+
+
 def _fresh_interpreter(code: str, *args: str) -> str:
     """The stdout of ``code`` run by a new interpreter on this one's path."""
     out = subprocess.run(
@@ -596,11 +607,11 @@ def _write_small_event_file(path, n_pairs, rows):
 
 
 #: Times that are not finite and >= 0: a decimal that ``float()`` reads as
-#: inf or a negative one fails the check on the arrays, and ``nan`` and
-#: ``inf``, which are no decimals, fail the record grammar.
+#: inf or a negative one fails the record rules of ``EventSet``, and ``nan``
+#: and ``inf``, which are no decimals, fail the record grammar.
 _BAD_TIMES = {
-    "1e+400": "record id 1: decay times must be finite and >= 0",
-    "-1.5": "record id 1: decay times must be finite and >= 0",
+    "1e+400": "record id 1: decay times must be finite and >= 0, got tau_l=2.0, tau_r=inf",
+    "-1.5": "record id 1: decay times must be finite and >= 0, got tau_l=2.0, tau_r=-1.5",
     "nan": "line 5: '1,2.0,TwoPi,nan,ThreePi' does not parse",
     "inf": "line 5: '1,2.0,TwoPi,inf,ThreePi' does not parse",
 }
@@ -613,6 +624,33 @@ def test_read_rejects_non_finite_times(tmp_path, bad):
     with pytest.raises(EventFormatError) as err:
         read_events(path)
     assert str(err.value) == _BAD_TIMES[bad]
+
+
+def test_write_events_refuses_records_that_break_the_record_rules(tmp_path):
+    # mode code -1 was written as Other and read back as code 4, and a NaN
+    # time was written as nan, which read_events refused
+    path = tmp_path / "events.csv"
+    times, modes = np.array([0.5, 1.5]), np.zeros(2, np.int8)
+    with pytest.raises(ValueError, match=r"record id 1: mode codes must be in \[0, 5\), "
+                                         r"got mode_l=-1, mode_r=0"):
+        write_events(path, EventSet(times, np.array([0, -1], np.int8), times, modes,
+                                    1, 50.0, "x"))
+    with pytest.raises(ValueError, match=r"record id 1: decay times must be finite and >= 0, "
+                                         r"got tau_l=1.5, tau_r=nan"):
+        write_events(path, EventSet(times, modes, np.array([0.5, math.nan]), modes,
+                                    1, 50.0, "x"))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("columns", [
+    ([0.5], [0], [0.5], [0]),
+    (np.zeros((1, 2)), np.zeros((1, 2), np.int8), np.zeros((1, 2)), np.zeros((1, 2), np.int8)),
+    (np.zeros(2), np.zeros(2, np.int8), np.zeros(3), np.zeros(2, np.int8)),
+    (np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2)),
+])
+def test_event_set_refuses_malformed_columns(columns):
+    with pytest.raises(ValueError, match="event columns must be 1-D NumPy arrays of one length"):
+        EventSet(*columns, 0, 50.0, "x")
 
 
 def test_read_rejects_record_count_other_than_header(tmp_path):
@@ -1045,17 +1083,19 @@ def _oracle_read_events(path):
         raise EventFormatError(
             f"record id {ids[bad]} at position {bad}: ids must be sequential from 0"
         )
-    tau_l = np.ascontiguousarray(records["tau_l"])
-    tau_r = np.ascontiguousarray(records["tau_r"])
-    valid = np.isfinite(tau_l) & np.isfinite(tau_r) & (tau_l >= 0) & (tau_r >= 0)
-    if not valid.all():
-        raise EventFormatError(f"record id {int(np.argmin(valid))}: decay times must be finite and >= 0")
     codes = {mode.value.encode(): code for code, mode in enumerate(MODE_ORDER)}
     mode_l, mode_r = (np.array([codes.get(name, -1) for name in records[side].tolist()], np.int8)
                       for side in ("mode_l", "mode_r"))
     known = (mode_l >= 0) & (mode_r >= 0)
     if not known.all():
         raise EventFormatError(f"record id {int(np.argmin(known))}: unknown decay mode name")
+    tau_l = np.ascontiguousarray(records["tau_l"])
+    tau_r = np.ascontiguousarray(records["tau_r"])
+    valid = np.isfinite(tau_l) & np.isfinite(tau_r) & (tau_l >= 0) & (tau_r >= 0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise EventFormatError(f"record id {bad}: decay times must be finite and >= 0,"
+                               f" got tau_l={float(tau_l[bad])!r}, tau_r={float(tau_r[bad])!r}")
     if records.size != n_pairs:
         raise EventFormatError(
             f"header says n_pairs={n_pairs} but the file holds {records.size} records"
