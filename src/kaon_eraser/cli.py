@@ -123,11 +123,12 @@ def _manifest_around(
     seed: int,
     started: str,
     events: Optional[EventSet] = None,
+    **extra,
 ) -> Iterator[None]:
     """``<out_path>.manifest.json``, written and flushed under a temporary
     name before the body writes the data file and moved into place right
     after it, so a failed write of either file leaves both as they were.
-    ``events``, read from an event file, adds that file's header."""
+    ``events``, read from an event file, adds its header; ``extra``, its keys."""
     manifest = {
         "tool_version": __version__,
         "params_digest": params.digest(),
@@ -137,6 +138,7 @@ def _manifest_around(
         "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(out_path)],
+        **extra,
     }
     if events is not None:
         manifest["events"] = {
@@ -183,12 +185,15 @@ def _cmd_generate(args, parser) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     config = GeneratorConfig(seed=args.seed, n_pairs=args.pairs, tau_max=args.tau_max)
     events = generate(config, params, threads=args.threads)
+    import numpy
+    import scipy  # generate has imported both; the event bytes depend on them
     with _manifest_around(
         args.out,
         params,
         {"command": "generate", "n_pairs": args.pairs, "tau_max": args.tau_max},
         args.seed,
         started,
+        libraries={"numpy": numpy.__version__, "scipy": scipy.__version__},
     ):
         write_events(args.out, events)
     return EXIT_OK

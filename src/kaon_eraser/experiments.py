@@ -194,23 +194,17 @@ class ScanResult:
 
     @functools.cached_property
     def rows(self) -> tuple[ScanRow, ...]:
-        """The scan's rows, built on first use by ``tuple.__new__`` over
-        zipped columns, which skips the named tuples' Python-level
-        ``__new__`` per row.  Each array is listed once, so its columns
-        share its floats."""
+        """The scan's rows, built on first use.  Each array is listed once,
+        so its columns share its floats."""
         arrays = {id(column): column
                   for column in itertools.chain(*self.families.values(), self.counts.values())}
         listed = {key: column.tolist() for key, column in arrays.items()}
-        families = [
-            map(tuple.__new__, itertools.repeat(Estimate),
-                zip(*(listed[id(column)] for column in self.families[fam])))
-            for fam in _FAMILIES
-        ]
+        families = [map(Estimate._make, zip(*(listed[id(c)] for c in self.families[fam])))
+                    for fam in _FAMILIES]
         keys = _COUNT_KEYS[self.spec.kind]
         count_rows = zip(*(listed[id(self.counts[key])] for key in keys))
-        row_counts = map(dict, map(zip, itertools.repeat(keys), count_rows))
-        fields = zip(self.spec.tau_l_grid, *families, row_counts)
-        return tuple(map(tuple.__new__, itertools.repeat(ScanRow), fields))
+        row_counts = (dict(zip(keys, row)) for row in count_rows)
+        return tuple(map(ScanRow._make, zip(self.spec.tau_l_grid, *families, row_counts)))
 
 
 # --------------------------------------------------------------------------
@@ -579,7 +573,7 @@ def sort_passive_events(
     empty bin reports zero probabilities with zero error, flagged).  The
     records are valid, as every :class:`textio.EventSet` is.
     """
-    if bin_width <= 0 or (bin_width_r is not None and bin_width_r <= 0):
+    if not bin_width > 0 or (bin_width_r is not None and not bin_width_r > 0):
         raise ValueError("bin widths must be > 0")
     grid_arr = np.asarray(list(grid), dtype=float)
     if grid_arr.size > 1 and np.any(np.diff(grid_arr) < bin_width - 1e-12):

@@ -162,7 +162,7 @@ def check_integer(name: str, value: object, least: Optional[int] = None) -> None
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is None:
         if not 0 <= value < 2**64:
-            raise ValueError(f"{name} must fit in 64 bits")
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     elif value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 

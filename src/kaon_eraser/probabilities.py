@@ -227,9 +227,7 @@ class TimeWindow:
     hi: float
 
     def __post_init__(self) -> None:
-        # asks for the good case, so a NaN bound fails it
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0 <= self.lo <= self.hi):
-            raise ValueError(f"invalid time window [{self.lo}, {self.hi}]")
+        _check_windows(self.lo, self.hi)
 
     @classmethod
     def point(cls, tau: float) -> "TimeWindow":
@@ -243,6 +241,15 @@ class TimeWindow:
     @property
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+
+def _check_windows(lo, hi) -> None:
+    """Refuse time windows ``[lo, hi]`` (floats, or arrays of one window per
+    element) unless ``0 <= lo <= hi < inf``: the rule fails a NaN bound."""
+    valid = (lo >= 0) & (hi >= lo) & (hi < math.inf)
+    if not _all(valid):
+        i = int(np.argmin(valid))
+        raise ValueError(f"invalid time window [{np.ravel(lo)[i]}, {np.ravel(hi)[i]}]")
 
 
 def _all(flags) -> bool:
@@ -267,20 +274,13 @@ def _check_analytic(cells: Sequence) -> None:
         raise ValueError(f"analytic table sums to {float(bad)!r}, not 1")
 
 
-def _select(flags, if_set, if_clear):
-    """``np.where`` on arrays of flags, a plain conditional on one flag."""
-    if isinstance(flags, np.ndarray):
-        return np.where(flags, if_set, if_clear)
-    return if_set if flags else if_clear
-
-
 def _exp_factors(c: complex, lo, hi):
     """exp(-c*tau) at the point windows (lo == hi), its integral over the others."""
     width = hi - lo
     at_lo = np.exp(-c * lo)
     integral = (at_lo - np.exp(-c * hi)) / c
     # below 1e-12 the two exponentials cancel; the integral is the width
-    return _select(hi == lo, at_lo, _select(abs(c) * width < 1e-12, width, integral))
+    return np.where(hi == lo, at_lo, np.where(abs(c) * width < 1e-12, width, integral))
 
 
 class _Survival(NamedTuple):
@@ -296,14 +296,9 @@ class _Survival(NamedTuple):
 
 
 def _survival(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -> _Survival:
-    """:func:`survival_weight` of the object windows ``[lo_l, hi_l]`` (floats,
-    or arrays of one window per element) against the meter window
-    ``[lo_r, hi_r]``.  The object windows get the check of
-    :class:`TimeWindow`: finite and ``0 <= lo <= hi``, so a NaN fails it."""
-    valid = (lo_l >= 0) & (hi_l >= lo_l) & (hi_l < math.inf)
-    if not _all(valid):
-        i = int(np.argmin(valid))
-        raise ValueError(f"invalid time window [{np.ravel(lo_l)[i]}, {np.ravel(hi_l)[i]}]")
+    """:func:`survival_weight` of the object windows ``[lo_l, hi_l]`` (floats, or arrays
+    of one window per element) against the meter window ``[lo_r, hi_r]``."""
+    _check_windows(lo_l, hi_l)
     f_s_l = _exp_factors(params.gamma_s, lo_l, hi_l)
     f_l_l = _exp_factors(params.gamma_l, lo_l, hi_l)
     f_s_r = _exp_factors(params.gamma_s, lo_r, hi_r)

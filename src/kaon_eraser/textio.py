@@ -802,19 +802,13 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes]:
     block that holds the column header.  The metadata line is refused unless
     :func:`_metadata_line` of its values gives it back byte for byte: it is
     read in the writer's grammar."""
-    block, end = b"", 0
-
-    def lines() -> Iterator[str]:
-        nonlocal block, end
-        for block in blocks:
-            start = 0
-            while start < len(block):
-                end = block.index(b"\n", start) + 1
-                yield block[start : end - 1].decode()
-                start = end
-
-    source = lines()
-    schema, metadata, columns = (next(source, "") for _ in range(3))
+    head = b""
+    for block in blocks:
+        head += block
+        if head.count(b"\n") >= 3:
+            break
+    *lines, rest = (*head.split(b"\n", 3), b"", b"", b"")[:4]  # a missing line is empty
+    schema, metadata, columns = (line.decode() for line in lines)
     if not schema.startswith("# kaon-eraser events v"):
         raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
     version = schema.rsplit("v", 1)[-1]
@@ -833,7 +827,7 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes]:
         raise EventFormatError(f"line 2: expected {_METADATA_FORM!r}")
     if columns != _HEADER_COLUMNS:
         raise EventFormatError(f"line 3: expected column header {_HEADER_COLUMNS!r}")
-    return *values, block[end:]
+    return *values, rest
 
 
 def read_events(path: Union[str, Path]) -> EventSet:

@@ -194,6 +194,10 @@ def test_generate_manifest_digest_round_trip(tmp_path, capsys):
     from kaon_eraser import load_params
 
     assert load_params(manifest["params"]).digest() == manifest["params_digest"]
+    # event bytes depend on NumPy (Philox, Generator.random) and SciPy (expit)
+    import scipy
+
+    assert manifest["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_generate_unwritable_path(tmp_path, capsys):
@@ -267,6 +271,18 @@ def test_experiment_requires_tau_r0(capsys):
         main(["experiment", "b", "--grid", "0:1:0.5", "--out", "x.csv"])
     assert exc.value.code == EXIT_USAGE
     assert "--tau-r0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--pairs", "0"], "--pairs must be >= 1"),
+    (["experiment", "a", "--tau-r0", "-1", "--grid", "0:1:0.5"], "--tau-r0 must be >= 0"),
+])
+def test_flags_out_of_range_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -350,7 +366,7 @@ def test_experiment_refuses_negative_seed(tmp_path, capsys, kind, source):
         argv += ["--events-in", str(events_path)]
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
-    assert "seed must fit in 64 bits" in err
+    assert "seed must be an integer in [0, 2**64), got -1" in err
     assert not (tmp_path / "scan.csv").exists()
 
 
@@ -441,6 +457,7 @@ def test_experiment_scan_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["spec"]["kind"] == "c"
     assert manifest["tool_version"]
+    assert "libraries" not in manifest
 
 
 def test_experiment_manifest_records_event_provenance(tmp_path, capsys):

@@ -112,8 +112,9 @@ def test_spec_validation():
             ExperimentSpec(**{**fields, field: value})
     # the generator's rule and message: the row draws seed NumPy with it
     for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        with pytest.raises(ValueError) as err:
             ExperimentSpec(**{**fields, "seed": seed})
+        assert str(err.value) == f"seed must be an integer in [0, 2**64), got {seed}"
     assert ExperimentSpec(**{**fields, "seed": 2**64 - 1}).seed == 2**64 - 1
     numpy_spec = ExperimentSpec(**{**fields, "seed": np.uint64(2**64 - 1),
                                    "n_pairs": np.int64(0), "min_count": np.int32(5)})
@@ -480,6 +481,18 @@ def test_sort_passive_synthetic_factorized_oracle(rich_params):
 def test_sort_passive_rejects_overlapping_bins(default_params, events_1m):
     with pytest.raises(ValueError, match="overlap"):
         sort_passive_events(events_1m, [1.0, 1.1], 0.5, 1.0, default_params)
+
+
+@pytest.mark.parametrize("bin_width, bin_width_r", [
+    (0.0, None), (0.5, 0.0), (math.nan, None), (0.5, math.nan),
+])
+def test_sort_passive_refuses_bin_widths_that_are_not_positive(default_params, events_1m,
+                                                               bin_width, bin_width_r):
+    # a NaN width used to read "invalid time window [0.0, nan]"
+    with pytest.raises(ValueError) as err:
+        sort_passive_events(events_1m, [1.0], bin_width, 1.0, default_params,
+                            bin_width_r=bin_width_r)
+    assert str(err.value) == "bin widths must be > 0"
 
 
 @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])

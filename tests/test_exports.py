@@ -45,7 +45,7 @@ REMOVED = {
                 "_TextTables", "EVENT_SCHEMA_VERSION"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
-    probabilities: ("Observable",),
+    probabilities: ("Observable", "_select"),
     textio: ("_TextTables", "_text_tables", "_metadata_number", "_METADATA"),
 }
 

@@ -31,7 +31,8 @@ from kaon_eraser import (
     write_events,
 )
 from kaon_eraser import generator, textio
-from kaon_eraser.decay import CHANNEL_TO_MODE_CODE, MODE_ORDER, _mode_cells, amplitudes
+from kaon_eraser.decay import (CHANNEL_TO_MODE_CODE, MODE_ORDER, DecayMode, _mode_cells,
+                               amplitudes)
 from kaon_eraser.generator import _BATCH, _TASK, _fringe_reach
 from kaon_eraser.textio import _HEADER_COLUMNS, _WRITE_BATCH, EVENT_SCHEMA_VERSION, _event_lines
 from kaon_eraser.probabilities import _sech
@@ -214,6 +215,16 @@ def test_mode_pair_chi2_of_no_events(default_params):
     )
     stat, dof, pvalue = mode_pair_chi2(empty, default_params)
     assert (stat, dof) == (0.0, 0) and math.isnan(pvalue)
+
+
+def test_mode_pair_chi2_of_a_forbidden_cell(default_params):
+    # a (TwoPi, TwoPi) record needs K_S K_S, which the antisymmetric pair never holds
+    events = generate(GeneratorConfig(seed=3, n_pairs=1000), default_params)
+    two_pi = MODE_ORDER.index(DecayMode.TWO_PI)
+    mode_l, mode_r = events.mode_l.copy(), events.mode_r.copy()
+    mode_l[0] = mode_r[0] = two_pi
+    forbidden = dataclasses.replace(events, mode_l=mode_l, mode_r=mode_r)
+    assert mode_pair_chi2(forbidden, default_params) == (math.inf, 0, 0.0)
 
 
 def test_mode_pair_chi2_refuses_a_mode_code_outside_the_mode_table(default_params):
@@ -1251,6 +1262,40 @@ def test_read_matches_the_loadtxt_reader_across_block_sizes(tmp_path, monkeypatc
         assert np.float64(again.tau_max).tobytes() == np.float64(got.tau_max).tobytes()
 
 
+_SCHEMA = b"# kaon-eraser events v1\n"
+_METADATA_LINE = b"# seed=0 n_pairs=%d tau_max=50 params_digest=x\n"
+_COLUMNS_WRONG = "line 3: expected column header 'id,tau_l,mode_l,tau_r,mode_r'"
+
+#: Files that end in or before their header, or whose header is not the
+#: writer's, with the message that names the fault.
+_BAD_HEADERS = {
+    "empty file": (b"", "line 1: missing 'kaon-eraser events' schema header"),
+    "schema line only": (_SCHEMA, _NOT_METADATA),
+    "no column header": (_SCHEMA + _METADATA_LINE % 0, _COLUMNS_WRONG),
+    "wrong column header": (_SCHEMA + _METADATA_LINE % 0 + b"id,tau_l,mode_l,tau_r\n",
+                            _COLUMNS_WRONG),
+    "schema v2": (b"# kaon-eraser events v2\n" + _METADATA_LINE % 0
+                  + b"id,tau_l,mode_l,tau_r,mode_r\n",
+                  "line 1: unsupported schema version '2'"),
+    "column header without its newline": (
+        _SCHEMA + _METADATA_LINE % 1 + b"id,tau_l,mode_l,tau_r,mode_r",
+        "header says n_pairs=1 but the file holds 0 records"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, textio._READ_BLOCK])
+@pytest.mark.parametrize("case", list(_BAD_HEADERS))
+def test_read_refuses_bad_headers_at_every_block_size(tmp_path, monkeypatch, case, block):
+    # the header lines may end in one block, span several, or not all be there
+    data, message = _BAD_HEADERS[case]
+    monkeypatch.setattr(textio, "_READ_BLOCK", block)
+    path = tmp_path / "header.csv"
+    path.write_bytes(data)
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == message
+
+
 #: Lines outside the record grammar, with the message that names them; the
 #: line's place in the file is put in for ``{i}``.
 _BAD_LINES = {
@@ -1261,6 +1306,9 @@ _BAD_LINES = {
     "eighteen digits": ("{i},1.23456789012345678,TwoPi,2.5,ThreePi",
                         "'{i},1.23456789012345678,TwoPi,2.5,ThreePi' does not parse"),
     "NUL": ("{i},1.5,TwoPi\0,2.5,ThreePi", "'{i},1.5,TwoPi\\x00,2.5,ThreePi' does not parse"),
+    # tau_l parses; tau_r is one byte past the widest field the parser reads
+    "25-byte tau_r": ("{i},1.5,TwoPi,1.%s,ThreePi" % ("0" * 23),
+                      "'{i},1.5,TwoPi,1.%s,ThreePi' does not parse" % ("0" * 23)),
 }
 
 

@@ -7,6 +7,7 @@ from kaon_eraser import (
     Basis,
     DegenerateStateError,
     Outcome,
+    PairAmplitude,
     PhysicsParams,
     evolve_pair,
     initial_state,
@@ -74,6 +75,15 @@ def test_evolving_normalized_state_rejected(default_params):
     )
     with pytest.raises(ValueError, match="normalized"):
         evolve_pair(state, 1.0, 1.0, default_params)
+
+
+def test_pair_amplitude_refuses_a_malformed_state():
+    with pytest.raises(ValueError) as err:
+        PairAmplitude(Basis.STRANGENESS, Basis.STRANGENESS, np.zeros((2, 3)))
+    assert str(err.value) == "amps must be 2x2, got shape (2, 3)"
+    with pytest.raises(ValueError) as err:
+        PairAmplitude(Basis.STRANGENESS, Basis.STRANGENESS, np.eye(2), normalized=True)
+    assert str(err.value) == "normalized state has norm^2 = 2.0"
 
 
 def test_degenerate_evolution_is_pure_phase():

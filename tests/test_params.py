@@ -55,6 +55,26 @@ def test_invalid_json_reports_path(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"delta_m": math.nan}, "key 'delta_m': value must be finite, got nan"),
+    ({"gamma_l": 0.0}, "gamma_l must be > 0"),
+    ({"lifetime_window": 0.0}, "lifetime_window must be > 0"),
+    ({"br_l_3pi": -0.1}, "branching fractions of K_L must be >= 0"),
+])
+def test_out_of_range_field_is_refused(fields, message):
+    with pytest.raises(ParamsError) as err:
+        PhysicsParams(**fields)
+    assert str(err.value) == message
+
+
+def test_json_document_that_is_no_object_is_refused(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1.0, 0.5]")
+    with pytest.raises(ParamsError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: expected a flat JSON object"
+
+
 def test_branching_budget_enforced():
     with pytest.raises(ParamsError, match="K_S"):
         PhysicsParams(br_s_2pi=1.0, br_semileptonic_s=0.01)
