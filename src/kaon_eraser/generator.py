@@ -41,6 +41,8 @@ exp(-gamma_s * tau_max) < 1e-12, so the discarded mass is negligible.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
@@ -119,6 +121,80 @@ def _fringe_reach(m_sl: Iterable[float], m_ls: Iterable[float], m_x: Iterable[fl
     return reach
 
 
+#: Past these pacing exponents ``x = delta_gamma * dt``, scipy's ``expit(x)
+#: = 1 / (1 + exp(-x))`` is exactly 1.0 (``exp(-x)`` is below 2**-54 and
+#: rounds away against 1) or exactly 0.0 (``exp(-x)`` overflows to inf).
+_X_HIGH, _X_LOW = 40.0, -746.0
+
+
+@functools.lru_cache(maxsize=16)
+def _saturated_cells(params: PhysicsParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """(T, totals_sl, totals_ls): the fringe reach of :func:`_fringe_reach`
+    and the running totals of ``m_sl`` and of ``m_ls`` over the live cells,
+    summed from +0 in cell order.  Beyond ``T``, a column whose ``r`` is
+    exactly 1 has the cell rows ``m_sl`` and so these running totals, and
+    one whose ``r`` is exactly 0 those of ``m_ls`` (see
+    :func:`sampling_kernel`).  Built once per parameter set and read-only,
+    as :func:`decay._mode_cells` is."""
+    _, _, m_sl, m_ls, m_x = _mode_cells(params)
+    totals = []
+    for weights in (m_sl, m_ls):
+        running = np.array(list(itertools.accumulate(weights.tolist(), initial=0.0))[1:])
+        running.setflags(write=False)
+        totals.append(running)
+    return _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma), *totals
+
+
+def _draw_cells(x: np.ndarray, u3: np.ndarray, near: np.ndarray, dt_near: np.ndarray,
+                params: PhysicsParams) -> np.ndarray:
+    """The live-cell index of each column, drawn from its cell rows with the
+    target ``u3 * total``.  ``x`` is the pacing exponent, which ``r``
+    overwrites, ``near`` the indices of the columns within the fringe reach
+    and ``dt_near`` their time differences, which the fringe overwrites."""
+    from scipy.special import expit
+
+    _, _, m_sl, m_ls, m_x = _mode_cells(params)
+    w_sl, w_ls, w_x = m_sl.tolist(), m_ls.tolist(), m_x.tolist()
+    fringe = _sech(0.5 * params.delta_gamma * dt_near) * np.cos(params.delta_m * dt_near)
+    r = expit(x, out=x)
+    one_minus_r = 1.0 - r
+
+    # every product goes to ``term``: no row allocates a temporary
+    term = np.empty_like(r)
+    kept = {}
+    for j in range(len(w_sl)):
+        if w_x[j] != 0.0 or (w_sl[j] != 0.0 and w_ls[j] != 0.0):
+            row = kept[j] = np.multiply(w_sl[j], r)
+            np.add(row, np.multiply(w_ls[j], one_minus_r, out=term), out=row)
+        if w_x[j] != 0.0:
+            row = kept[j][near]
+            np.subtract(row, np.multiply(w_x[j], fringe, out=dt_near), out=row)
+            np.maximum(row, 0.0, out=row)  # what np.clip(row, 0.0, None) calls
+            kept[j][near] = row
+
+    def cell_rows() -> Iterator[np.ndarray]:
+        for j in range(len(w_sl)):
+            if j in kept:
+                yield kept[j]
+            elif w_ls[j] == 0.0:
+                yield np.multiply(w_sl[j], r, out=term)
+            else:
+                yield np.multiply(w_ls[j], one_minus_r, out=term)
+
+    # The totals start at +0: +0 + p is p for every row, as rows are >= +0.
+    target = np.zeros_like(r)
+    for row in cell_rows():
+        np.add(target, row, out=target)
+    np.multiply(u3, target, out=target)
+    # among the live cells only: a target of exactly 0 picks the first one
+    pick = np.zeros(r.size, np.uint8)
+    below = np.empty(r.size, bool)
+    running = np.zeros_like(r)
+    for _, row in zip(range(len(w_sl) - 1), cell_rows()):
+        pick += np.less(np.add(running, row, out=running), target, out=below)
+    return pick
+
+
 def sampling_kernel(
     u: np.ndarray, params: PhysicsParams, tau_max: float = GeneratorConfig.tau_max
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -150,16 +226,22 @@ def sampling_kernel(
       a thirty-second of ``h``, half an ulp of that bound, and rounds away:
       the fringe runs only where ``|dt| < T``.  ``exp`` and ``cos`` give
       an element the same bits on a subset as on the whole array;
+    * saturated pacing: from ``|dt| = T`` on, a column with ``x =
+      delta_gamma * dt > 40`` has ``r`` exactly 1 and ``1 - r`` +0, so its
+      rows are exactly ``m_sl``; one with ``x < -746`` has ``r`` exactly 0,
+      so its rows are exactly ``m_ls``.  Such a column builds no row: its
+      cell is the count of the fixed running totals of
+      :func:`_saturated_cells` below ``u3 * total``.  The other columns
+      are gathered and drawn row by row; where no column saturates, on the
+      whole arrays, with no gather;
     * horizons and truncation masses are computed on the two widths;
     * the last total is never below ``u3 * total`` (``u3 < 1``), so the
       count over all but the last cell is the count clipped to the cells.
 
     ``expit`` stays scipy's: NumPy's own ``exp`` rounds differently on
-    AVX-512 hosts.  scipy is imported here, not with the package, so the
-    closed forms never load it.
+    AVX-512 hosts.  scipy is imported by :func:`_draw_cells`, not with the
+    package, so the closed forms never load it.
     """
-    from scipy.special import expit
-
     gs = params.gamma_s
     # the left kaon's width and mass, at 1 where it is the S-paced one
     gammas = np.array([params.gamma_l, gs])
@@ -168,49 +250,29 @@ def sampling_kernel(
     tau_l = _truncated_exp(u[1], gammas.take(s_paced_left), masses.take(s_paced_left))
     tau_r = _truncated_exp(u[2], gammas[::-1].take(s_paced_left), masses[::-1].take(s_paced_left))
 
-    code_l, code_r, m_sl, m_ls, m_x = _mode_cells(params)
-    w_sl, w_ls, w_x = m_sl.tolist(), m_ls.tolist(), m_x.tolist()
+    code_l, code_r = _mode_cells(params)[:2]
+    reach, totals_sl, totals_ls = _saturated_cells(params)
     dt = tau_l - tau_r
-    near = np.flatnonzero(np.abs(dt) < _fringe_reach(w_sl, w_ls, w_x, params.delta_gamma))
-    dt_near = dt[near]
-    fringe = _sech(0.5 * params.delta_gamma * dt_near) * np.cos(params.delta_m * dt_near)
-    r = expit(np.multiply(params.delta_gamma, dt, out=dt), out=dt)
-    one_minus_r = 1.0 - r
-
-    # every product goes to ``term``: no row allocates a temporary
-    term = np.empty_like(r)
-    kept = {}
-    for j in range(len(w_sl)):
-        if w_x[j] != 0.0 or (w_sl[j] != 0.0 and w_ls[j] != 0.0):
-            row = kept[j] = np.multiply(w_sl[j], r)
-            np.add(row, np.multiply(w_ls[j], one_minus_r, out=term), out=row)
-        if w_x[j] != 0.0:
-            row = kept[j][near]
-            np.subtract(row, np.multiply(w_x[j], fringe, out=dt_near), out=row)
-            np.maximum(row, 0.0, out=row)  # what np.clip(row, 0.0, None) calls
-            kept[j][near] = row
-
-    def cell_rows() -> Iterator[np.ndarray]:
-        for j in range(len(w_sl)):
-            if j in kept:
-                yield kept[j]
-            elif w_ls[j] == 0.0:
-                yield np.multiply(w_sl[j], r, out=term)
-            else:
-                yield np.multiply(w_ls[j], one_minus_r, out=term)
-
-    # The totals start at +0: +0 + p is p for every row, as rows are >= +0.
-    target = np.zeros_like(r)
-    for row in cell_rows():
-        np.add(target, row, out=target)
-    np.multiply(u[3], target, out=target)
-    # among the live cells only: a target of exactly 0 picks the first one
-    pick = np.zeros(r.size, np.uint8)
-    below = np.empty(r.size, bool)
-    running = np.zeros_like(r)
-    for _, row in zip(range(len(w_sl) - 1), cell_rows()):
-        pick += np.less(np.add(running, row, out=running), target, out=below)
-    return tau_l, code_l[pick], tau_r, code_r[pick]
+    near = np.abs(dt) < reach
+    near_cols = np.flatnonzero(near)
+    dt_near = dt.take(near_cols)
+    x = np.multiply(params.delta_gamma, dt, out=dt)
+    far = ~near
+    high = (x > _X_HIGH) & far
+    low = (x < _X_LOW) & far
+    saturated = high | low
+    if not saturated.any():
+        pick = _draw_cells(x, u[3], near_cols, dt_near, params)
+    else:
+        # every near column is in the rest, in order, so dt_near is theirs
+        rest = np.flatnonzero(~saturated)
+        pick = np.empty(x.size, np.uint8)
+        pick[rest] = _draw_cells(x.take(rest), u[3].take(rest), np.flatnonzero(near.take(rest)),
+                                 dt_near, params)
+        for cols, totals in ((np.flatnonzero(high), totals_sl), (np.flatnonzero(low), totals_ls)):
+            target = np.multiply(u[3].take(cols), totals[-1])
+            pick[cols] = np.add.reduce(np.less.outer(totals[:-1], target), axis=0, dtype=np.uint8)
+    return tau_l, code_l.take(pick), tau_r, code_r.take(pick)
 
 
 def generate(

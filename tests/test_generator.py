@@ -33,7 +33,8 @@ from kaon_eraser import (
 from kaon_eraser import generator, textio
 from kaon_eraser.decay import (CHANNEL_TO_MODE_CODE, MODE_ORDER, DecayMode, _mode_cells,
                                amplitudes)
-from kaon_eraser.generator import _BATCH, _TASK, _fringe_reach
+from kaon_eraser.generator import (_BATCH, _TASK, _X_HIGH, _X_LOW, _fringe_reach,
+                                   _saturated_cells)
 from kaon_eraser.textio import _HEADER_COLUMNS, _WRITE_BATCH, EVENT_SCHEMA_VERSION, _event_lines
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
@@ -518,6 +519,156 @@ def test_cell_weights_are_cached_and_read_only(default_params):
     for a in weights:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def test_saturated_cells_are_cached_and_read_only(default_params, rich_params):
+    for params in (default_params, rich_params, _edge_params()["subnormal_semileptonic"]):
+        reach, totals_sl, totals_ls = constants = _saturated_cells(params)
+        assert _saturated_cells(dataclasses.replace(params)) is constants
+        _, _, m_sl, m_ls, m_x = _mode_cells(params)
+        assert reach == _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma)
+        for totals, weights in ((totals_sl, m_sl), (totals_ls, m_ls)):
+            expected = list(itertools.accumulate(weights.tolist(), initial=0.0))[1:]
+            assert totals.tolist() == expected
+            with pytest.raises(ValueError, match="read-only"):
+                totals[0] = 0
+
+
+def _pacing_grid():
+    """The two bounds, their float neighbours and a log-spaced grid past
+    each out to 1e308."""
+    neighbours = [np.nextafter(bound, toward) for bound in (_X_HIGH, _X_LOW)
+                  for toward in (-np.inf, np.inf)]
+    return np.concatenate([[_X_HIGH, _X_LOW], neighbours,
+                           np.logspace(np.log10(_X_HIGH), 308.0, 400),
+                           -np.logspace(np.log10(-_X_LOW), 308.0, 400)])
+
+
+def test_expit_is_exactly_one_above_40_and_zero_below_minus_746():
+    from kaon_eraser.probabilities import _expit
+
+    x = _pacing_grid()
+    r = expit(x)
+    assert np.all(r[x >= _X_HIGH] == 1.0) and np.all(r[x <= _X_LOW] == 0.0)
+    assert x.max() == 1e308 and x.min() == -1e308
+    # probabilities._expit is scipy's formula on one double
+    assert [_expit(v) for v in x.tolist()] == r.tolist()
+    # the high bound is not tight: below ln(2**53) = 36.74, r is not 1
+    assert expit(36.7) < 1.0 and expit(36.8) == 1.0
+
+
+def _uniforms_crossing(params, sign, bounds, measure=np.abs):
+    """Uniforms (4, 3k), the other decay time 0 and ``u3`` 0.5: per bound
+    that a draw can reach, the last uniform of the varied time at which
+    ``measure(dt)`` is below the bound, the first at which it is not, and
+    the float after that.  ``dt`` is ``tau_l`` with the left kaon L-paced
+    for ``sign`` +1, and ``-tau_r`` with the right kaon L-paced for -1;
+    ``measure`` must grow with ``|dt|``."""
+    varied = 1 if sign > 0 else 2
+    u = np.zeros((4, 1))
+    u[0], u[3] = (0.75 if sign > 0 else 0.25), 0.5
+
+    def past(uniforms, bounds):
+        u[varied] = uniforms
+        tau_l, tau_r, _, _ = _oracle_columns(u, params, 50.0)
+        return measure(tau_l - tau_r) >= bounds
+
+    bounds = np.asarray(bounds, float)
+    bounds = bounds[past(np.nextafter(1.0, 0.0), bounds)]
+    u = np.repeat(u, bounds.size, axis=1)
+    # bisect on the bits of the varied uniform, which order as its values
+    lo, hi = np.zeros(bounds.size, np.int64), np.full(bounds.size, np.float64(1.0).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        crossed = past(mid.view(np.float64), bounds)
+        lo, hi = np.where(crossed, lo, mid), np.where(crossed, mid, hi)
+    u = np.repeat(u, 3, axis=1)
+    u[varied] = np.stack([lo, hi, hi + 1], axis=1).ravel().view(np.float64)
+    return u
+
+
+def _saturation_uniforms(params):
+    """Uniform columns across the bounds of the saturated partition: ``x``
+    on 40 and -746 and through the 36.74 where ``r`` becomes 1, ``|dt|``
+    on the fringe reach ``T``, and draws with ``x > 40`` inside ``T``."""
+    reach = _saturated_cells(params)[0]
+    pacing = lambda dt: np.abs(params.delta_gamma * dt)  # noqa: E731
+    parts = [
+        _uniforms_crossing(params, -1, [_X_HIGH], pacing),
+        _uniforms_crossing(params, +1, [-_X_LOW], pacing),
+        _uniforms_crossing(params, -1, np.linspace(30.0, 45.0, 31), pacing),
+        _uniforms_crossing(params, -1, [53.0 * math.log(2.0)], pacing),
+        _uniforms_crossing(params, +1, np.linspace(700.0, 800.0, 11), pacing),
+    ]
+    if 0.0 < reach < math.inf:
+        parts += [_uniforms_crossing(params, sign, [reach]) for sign in (-1, +1)]
+        parts.append(_uniforms_crossing(
+            params, -1, np.linspace(_X_HIGH / abs(params.delta_gamma), reach, 30)))
+    return np.concatenate(parts, axis=1)
+
+
+def _with_targets(u, params):
+    """Each column of ``u`` once per target: ``u3`` of 0, of the least
+    subnormal, of ``totals[j] / totals[-1]`` on both constant running totals
+    of :func:`_saturated_cells` (their plateaus included, where a cell's
+    weight is 0) and of ``cum[j] / cum[-1]`` on the column's own running
+    totals, for every cell j but the last; a plateau up to the last total
+    gives the float below 1, as ``u3 < 1``."""
+    _, totals_sl, totals_ls = _saturated_cells(params)
+    _, cum = _oracle_kernel(u, params)
+    fixed = np.concatenate([[0.0, 5e-324], totals_sl[:-1] / totals_sl[-1],
+                            totals_ls[:-1] / totals_ls[-1]])
+    targets = np.concatenate([np.repeat(fixed[:, None], u.shape[1], axis=1), cum[:-1] / cum[-1]])
+    out = np.repeat(u[:, None, :], targets.shape[0], axis=1)
+    out[3] = np.minimum(targets, np.nextafter(1.0, 0.0))
+    return out.reshape(4, -1)
+
+
+def _zero_semileptonic():
+    """No semileptonic mode, so no fringe: ``T`` is 0, and the bounds on
+    ``x`` alone decide which draw saturates."""
+    return PhysicsParams(br_semileptonic_s=0.0, br_semileptonic_l=0.0)
+
+
+def test_saturated_partition_matches_oracle_bytes(default_params, rich_params):
+    sets = {"default": default_params, "rich": rich_params,
+            "zero_semileptonic": _zero_semileptonic(),
+            "tiny_semileptonic": _edge_params()["tiny_semileptonic"]}
+    assert _saturated_cells(sets["zero_semileptonic"])[0] == 0.0
+    for name, params in sets.items():
+        u = _with_targets(_saturation_uniforms(params), params)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        tau_l, tau_r, _, _ = _oracle_columns(u, params, 50.0)
+        dt = tau_l - tau_r
+        x = params.delta_gamma * dt
+        saturated = (np.abs(dt) >= _saturated_cells(params)[0]) & ((x > _X_HIGH) | (x < _X_LOW))
+        assert 0 < saturated.sum() < saturated.size, name
+        batches = {"mixed": u, "all saturated": u[:, saturated], "none saturated": u[:, ~saturated],
+                   "strided": np.repeat(u, 2, axis=1)[:, ::2]}
+        for kind in (saturated & (x > 0), saturated & (x < 0), ~saturated):
+            c = np.flatnonzero(kind)[:1]
+            batches[f"column {c}"] = u[:, c]
+        for label, batch in batches.items():
+            _assert_same_bytes(sampling_kernel(batch, params), _oracle_kernel(batch, params)[0],
+                               (name, label))
+
+
+@pytest.mark.parametrize("params, low, high", [("default_params", 0.50, 0.65),
+                                              ("rich_params", 0.0, 0.0)])
+def test_saturated_share_of_a_batch(monkeypatch, request, params, low, high):
+    # the share of a task's draws that builds no cell row, read off the
+    # columns the row builder receives: the fast path cannot go dead, and
+    # where nothing saturates the rows are built on the whole arrays
+    params = request.getfixturevalue(params)
+    drawn = []
+    draw_cells = generator._draw_cells
+    monkeypatch.setattr(generator, "_draw_cells",
+                        lambda x, *args: drawn.append(x.size) or draw_cells(x, *args))
+    n = _TASK * _BATCH
+    u = np.random.Generator(np.random.Philox(key=7)).random((4, n))
+    sampling_kernel(u, params)
+    assert len(drawn) == 1
+    assert low <= 1.0 - drawn[0] / n <= high
 
 
 def test_factorizing_degenerate_case_kolmogorov_smirnov():
