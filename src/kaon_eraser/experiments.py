@@ -179,9 +179,10 @@ class ScanRow(NamedTuple):
 class ScanResult:
     """One scan by column: per family its ``(value, sigma, twin, n,
     flagged)`` arrays in :class:`Estimate` field order, per count key of
-    the kind its array.  One array may fill several columns, such as an
-    analytic value and its twin.  The arrays are made read-only here, so
-    the rows built from them and a later write cannot disagree."""
+    the kind its array, each one value per grid point.  One array may fill
+    several columns, such as an analytic value and its twin.  The arrays
+    are checked and made read-only when a result is built, so the rows
+    built from them and a later write cannot disagree."""
 
     spec: ExperimentSpec
     params: PhysicsParams
@@ -189,15 +190,28 @@ class ScanResult:
     counts: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        for column in itertools.chain(*self.families.values(), self.counts.values()):
+        points = len(self.spec.tau_l_grid)
+        for name, column in self.csv_columns:
+            if np.shape(column) != (points,):
+                raise ValueError(
+                    f"scan column {name} has shape {np.shape(column)}; the grid has {points} points"
+                )
             column.setflags(write=False)
+
+    @functools.cached_property
+    def csv_columns(self) -> list[tuple[str, np.ndarray]]:
+        """The name and array of each scan CSV column after ``tau_l``, in
+        order; a family without its five arrays raises ValueError."""
+        suffixes = ("", "_sigma", "_twin", "_n", "_flag")
+        named = [(fam + suffix, column) for fam in _FAMILIES
+                 for suffix, column in zip(suffixes, self.families[fam], strict=True)]
+        return named + [(f"count_{key}", self.counts[key]) for key in _COUNT_KEYS[self.spec.kind]]
 
     @functools.cached_property
     def rows(self) -> tuple[ScanRow, ...]:
         """The scan's rows, built on first use.  Each array is listed once,
         so its columns share its floats."""
-        arrays = {id(column): column
-                  for column in itertools.chain(*self.families.values(), self.counts.values())}
+        arrays = {id(column): column for _, column in self.csv_columns}
         listed = {key: column.tolist() for key, column in arrays.items()}
         families = [map(Estimate._make, zip(*(listed[id(c)] for c in self.families[fam])))
                     for fam in _FAMILIES]
@@ -646,18 +660,7 @@ _COUNT_KEYS = {
 def write_scan_csv(path: Union[str, Path], result: ScanResult, tool_version: str) -> None:
     spec = result.spec
     grid = spec.tau_l_grid
-    names, columns = ["tau_l"], [np.array(grid)]
-    for fam in _FAMILIES:
-        names += [fam, f"{fam}_sigma", f"{fam}_twin", f"{fam}_n", f"{fam}_flag"]
-        columns += result.families[fam]
-    for key in _COUNT_KEYS[spec.kind]:  # a result without the key raises KeyError
-        names.append(f"count_{key}")
-        columns.append(result.counts[key])
-    for name, column in zip(names, columns):
-        if np.shape(column) != (len(grid),):
-            raise ValueError(
-                f"scan column {name} has shape {np.shape(column)}; the grid has {len(grid)} points"
-            )
+    names, columns = zip(("tau_l", np.array(grid)), *result.csv_columns)
     lines = _csv_text(columns)
     with _atomic_write(path) as fh:
         fh.write("# kaon-eraser scan v1\n")

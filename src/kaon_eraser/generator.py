@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -104,23 +103,6 @@ def _truncated_exp(u: np.ndarray, gamma: np.ndarray, mass: np.ndarray) -> np.nda
     return tau
 
 
-def _fringe_reach(m_sl: Iterable[float], m_ls: Iterable[float], m_x: Iterable[float],
-                  delta_gamma: float) -> float:
-    """``T = max (2 / |delta_gamma|) ln(64 |m_x| / h)`` over the cells with
-    ``m_x != 0``, ``h`` half an ulp of ``0.99 * min(m_sl, m_ls)``: from
-    ``|dt| = T`` on no fringe term moves a bit of its row (see
-    :func:`sampling_kernel`).  Infinite where ``h`` is 0, a subnormal row."""
-    reach = 0.0
-    for sl, ls, x in zip(m_sl, m_ls, m_x):
-        if x == 0.0:
-            continue
-        half_ulp = 0.5 * math.ulp(0.99 * min(sl, ls))
-        if half_ulp == 0.0:
-            return math.inf
-        reach = max(reach, 2.0 / abs(delta_gamma) * math.log(64.0 * abs(x) / half_ulp))
-    return reach
-
-
 #: Past these pacing exponents ``x = delta_gamma * dt``, scipy's ``expit(x)
 #: = 1 / (1 + exp(-x))`` is exactly 1.0 (``exp(-x)`` is below 2**-54 and
 #: rounds away against 1) or exactly 0.0 (``exp(-x)`` overflows to inf).
@@ -129,20 +111,27 @@ _X_HIGH, _X_LOW = 40.0, -746.0
 
 @functools.lru_cache(maxsize=16)
 def _saturated_cells(params: PhysicsParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """(T, totals_sl, totals_ls): the fringe reach of :func:`_fringe_reach`
-    and the running totals of ``m_sl`` and of ``m_ls`` over the live cells,
-    summed from +0 in cell order.  Beyond ``T``, a column whose ``r`` is
-    exactly 1 has the cell rows ``m_sl`` and so these running totals, and
-    one whose ``r`` is exactly 0 those of ``m_ls`` (see
+    """(T, totals_sl, totals_ls).  The fringe reach is ``T = max (2 /
+    |delta_gamma|) ln(64 |m_x| / h)`` over the cells with ``m_x != 0``,
+    ``h`` half an ulp of ``0.99 * min(m_sl, m_ls)``: from ``|dt| = T`` on no
+    fringe term moves a bit of its row.  It is infinite where ``h`` is 0, a
+    subnormal row.  The totals are the running sums of ``m_sl`` and of
+    ``m_ls`` over the live cells, in cell order.  Beyond ``T``, a column
+    whose ``r`` is exactly 1 has the cell rows ``m_sl`` and so these running
+    totals, and one whose ``r`` is exactly 0 those of ``m_ls`` (see
     :func:`sampling_kernel`).  Built once per parameter set and read-only,
     as :func:`decay._mode_cells` is."""
     _, _, m_sl, m_ls, m_x = _mode_cells(params)
-    totals = []
-    for weights in (m_sl, m_ls):
-        running = np.array(list(itertools.accumulate(weights.tolist(), initial=0.0))[1:])
+    reach = 0.0
+    for sl, ls, x in zip(m_sl.tolist(), m_ls.tolist(), m_x.tolist()):
+        if x != 0.0:
+            half_ulp = 0.5 * math.ulp(0.99 * min(sl, ls))
+            reach = max(reach, (2.0 / abs(params.delta_gamma) * math.log(64.0 * abs(x) / half_ulp)
+                                if half_ulp else math.inf))
+    totals = np.cumsum(m_sl), np.cumsum(m_ls)
+    for running in totals:
         running.setflags(write=False)
-        totals.append(running)
-    return _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma), *totals
+    return reach, *totals
 
 
 def _draw_cells(x: np.ndarray, u3: np.ndarray, near: np.ndarray, dt_near: np.ndarray,
@@ -222,9 +211,9 @@ def sampling_kernel(
       clip of non-negative products returns them;
     * the inert fringe: an SL×SL row is above ``0.99 * min(m_sl, m_ls)``
       and the fringe term is at most ``2 |m_x| exp(-|delta_gamma| |dt| /
-      2)``, so from ``|dt| = T`` of :func:`_fringe_reach` on it is below
-      a thirty-second of ``h``, half an ulp of that bound, and rounds away:
-      the fringe runs only where ``|dt| < T``.  ``exp`` and ``cos`` give
+      2)``, so from ``|dt| = T`` on, the reach that :func:`_saturated_cells`
+      computes, it is below a thirty-second of ``h``, half an ulp of that
+      bound, and rounds away: the fringe runs only where ``|dt| < T``.  ``exp`` and ``cos`` give
       an element the same bits on a subset as on the whole array;
     * saturated pacing: from ``|dt| = T`` on, a column with ``x =
       delta_gamma * dt > 40`` has ``r`` exactly 1 and ``1 - r`` +0, so its

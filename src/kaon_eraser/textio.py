@@ -25,6 +25,8 @@ import numpy as np
 from .decay import MODE_ORDER
 
 EVENT_SCHEMA_VERSION = 1
+#: The schema line up to its version, which is the rest of the line.
+_SCHEMA = "# kaon-eraser events v"
 
 
 class EventFormatError(ValueError):
@@ -438,7 +440,7 @@ def write_events(path: Union[str, Path], events: EventSet) -> None:
     before ``path`` is touched."""
     metadata = _metadata_line(events.seed, events.n, events.tau_max, events.params_digest)
     with _atomic_write(path) as fh:
-        fh.write(f"# kaon-eraser events v{EVENT_SCHEMA_VERSION}\n{metadata}\n{_HEADER_COLUMNS}\n")
+        fh.write(f"{_SCHEMA}{EVENT_SCHEMA_VERSION}\n{metadata}\n{_HEADER_COLUMNS}\n")
         for start in range(0, events.n, _WRITE_BATCH):
             chunk = slice(start, start + _WRITE_BATCH)
             fh.write(_event_lines(start, events.tau_l[chunk], events.mode_l[chunk],
@@ -809,9 +811,9 @@ def _read_header(blocks: Iterator[bytes]) -> tuple[int, int, float, str, bytes]:
             break
     *lines, rest = (*head.split(b"\n", 3), b"", b"", b"")[:4]  # a missing line is empty
     schema, metadata, columns = (line.decode() for line in lines)
-    if not schema.startswith("# kaon-eraser events v"):
+    if not schema.startswith(_SCHEMA):
         raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
-    version = schema.rsplit("v", 1)[-1]
+    version = schema[len(_SCHEMA):]
     if version != str(EVENT_SCHEMA_VERSION):
         raise EventFormatError(f"line 1: unsupported schema version {version!r}")
     match = _METADATA_FIELDS.fullmatch(metadata)

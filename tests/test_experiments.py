@@ -907,18 +907,14 @@ def test_scan_csv_refuses_a_row_without_a_count_key(tmp_path, default_params):
     result = run_experiment(spec, default_params)
     counts = dict(result.counts)
     del counts["discarded"]
-    broken = dataclasses.replace(result, counts=counts)
     with pytest.raises(KeyError, match="discarded"):
-        write_scan_csv(tmp_path / "scan.csv", broken, "test")
+        write_scan_csv(tmp_path / "scan.csv", dataclasses.replace(result, counts=counts), "test")
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("short", ["value", "flag", "count"])
-def test_scan_csv_refuses_a_column_shorter_than_the_grid(tmp_path, default_params, short):
-    # zip() over the columns wrote as many lines as the shortest one held,
-    # under a header that states three grid points
-    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5, 1.0), 0)
-    result = run_experiment(spec, default_params)
+def _cut_to_two_points(result, short):
+    """``result``'s families and counts with one column cut to two grid
+    points: the like value, the like flag or the lifetime count."""
     families, counts = dict(result.families), dict(result.counts)
     if short == "count":
         counts["lifetime"] = counts["lifetime"][:2]
@@ -927,10 +923,43 @@ def test_scan_csv_refuses_a_column_shorter_than_the_grid(tmp_path, default_param
         like = list(families["like"])
         like[column] = like[column][:2]
         families["like"] = tuple(like)
-    broken = dataclasses.replace(result, families=families, counts=counts)
+    return families, counts
+
+
+@pytest.mark.parametrize("short", ["value", "flag", "count"])
+def test_scan_csv_refuses_a_column_shorter_than_the_grid(tmp_path, default_params, short):
+    # zip() over the columns wrote as many lines as the shortest one held,
+    # under a header that states three grid points
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5, 1.0), 0)
+    result = run_experiment(spec, default_params)
+    families, counts = _cut_to_two_points(result, short)
     with pytest.raises(ValueError, match=r"shape \(2,\); the grid has 3 points"):
+        broken = dataclasses.replace(result, families=families, counts=counts)
         write_scan_csv(tmp_path / "scan.csv", broken, "test")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("short", ["value", "count"])
+def test_scan_result_refuses_a_column_shorter_than_the_grid(default_params, short):
+    # the rows were zipped from the columns: a result on three grid points
+    # had two rows
+    spec = ExperimentSpec(ExperimentKind.PARTIALLY_ACTIVE, 0.5, (0.0, 0.5, 1.0), 0)
+    families, counts = _cut_to_two_points(run_experiment(spec, default_params), short)
+    name = "count_lifetime" if short == "count" else "like"
+    with pytest.raises(ValueError, match=rf"scan column {name} has shape \(2,\); the grid has 3"):
+        ScanResult(spec, default_params, families, counts)
+
+
+@pytest.mark.parametrize("n_arrays", [4, 6])
+def test_scan_result_refuses_a_family_without_five_arrays(default_params, n_arrays):
+    # four like arrays were written under the five like names: 24 header
+    # fields over rows of 23
+    spec = ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 0.5, (0.0, 0.5), 0)
+    result = run_experiment(spec, default_params)
+    like = result.families["like"]
+    families = {**result.families, "like": (like + like)[:n_arrays]}
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer)"):
+        ScanResult(spec, default_params, families, result.counts)
 
 
 @pytest.fixture(scope="module")

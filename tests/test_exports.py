@@ -4,6 +4,7 @@ and the benchmark's tracer still finds what it reads."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,8 @@ PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 #: number rule and key table, which the writer's metadata line replaces; the
 #: protocols' counting helpers, which one tally per mode code replaces; the
 #: scans' record check, which ``EventSet`` makes when a set is built; the
-#: checked channel rate, folded into its one caller, ``joint_decay_rate``.
+#: checked channel rate, folded into its one caller, ``joint_decay_rate``;
+#: the sampler's fringe reach, folded into ``_saturated_cells``.
 REMOVED = {
     decay: ("joint_rate_channels",),
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
@@ -42,7 +44,7 @@ REMOVED = {
                 "_g17_decimal", "_d_bytes", "_event_lines", "_line_blocks", "_fast_records",
                 "_read_records", "_read_header", "_read_times", "_read_names", "_bad_line",
                 "_READ_BLOCK", "_PAD", "_HEADER_COLUMNS", "_MODE_BYTES", "_text_tables",
-                "_TextTables", "EVENT_SCHEMA_VERSION"),
+                "_TextTables", "EVENT_SCHEMA_VERSION", "_fringe_reach"),
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable", "_select"),
@@ -69,6 +71,52 @@ def test_removed_names_are_gone():
     assert not hasattr(pair.PairAmplitude, "tau_l")
     assert not hasattr(pair.PairAmplitude, "tau_r")
     assert not hasattr(probabilities.TimeWindow, "is_point")
+
+
+def _names_read(path):
+    """Every name that the source at ``path`` reads: as a load, as an
+    attribute or as an imported name."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rpartition(".")[2])
+    return read
+
+
+def _module_level_names(tree):
+    """The functions, classes, class methods and constants that ``tree``
+    defines at module level, dunder names left out: Python reads those."""
+    for node in tree.body:
+        nodes = [node]
+        if isinstance(node, ast.ClassDef):
+            nodes += [sub for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for sub in nodes:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [sub.name]
+            elif isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            yield from (name for name in names if not re.fullmatch("__.*__", name))
+
+
+def test_no_package_name_is_read_only_by_tests():
+    # a helper kept only for its tests is code that no output depends on:
+    # delete it, or fold it into its one caller
+    read = set()
+    for directory in (PACKAGE_DIR, BENCH_DIR.parent / "scripts", BENCH_DIR):
+        for path in directory.glob("*.py"):
+            read |= _names_read(path)
+    unread = [(path.name, name) for path in sorted(PACKAGE_DIR.glob("*.py"))
+              for name in _module_level_names(ast.parse(path.read_text()))
+              if name not in read and name not in kaon_eraser.__all__]
+    assert unread == []
 
 
 def _imports(module):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -8,7 +9,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -33,8 +33,7 @@ from kaon_eraser import (
 from kaon_eraser import generator, textio
 from kaon_eraser.decay import (CHANNEL_TO_MODE_CODE, MODE_ORDER, DecayMode, _mode_cells,
                                amplitudes)
-from kaon_eraser.generator import (_BATCH, _TASK, _X_HIGH, _X_LOW, _fringe_reach,
-                                   _saturated_cells)
+from kaon_eraser.generator import _BATCH, _TASK, _X_HIGH, _X_LOW, _saturated_cells
 from kaon_eraser.textio import _HEADER_COLUMNS, _WRITE_BATCH, EVENT_SCHEMA_VERSION, _event_lines
 from kaon_eraser.probabilities import _sech
 from tests.conftest import random_params
@@ -77,27 +76,40 @@ def test_generate_refuses_a_thread_count_that_is_no_positive_integer(default_par
         generate(GeneratorConfig(seed=1, n_pairs=10), default_params, threads=threads)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_an_interrupted_generate_runs_no_queued_task(monkeypatch, default_params, threads):
     # Ctrl-C during the second kernel call: ``map`` cancels the tasks not
-    # yet started.  A call takes 50 ms, so the main thread has cancelled them
-    # before a worker is free, even on a loaded host; an interrupt raised in
-    # a worker instead reaches the main thread only after the results ahead
-    # of it, while the other workers go on starting tasks.
+    # yet started, and then the pool shuts down.  Every call from the second
+    # on waits for that shutdown, so no worker is free to start a queued
+    # task before the cancel, on any host: the first call and one call per
+    # worker run.  An interrupt raised in a worker instead reaches the main
+    # thread only after the results ahead of it, while the other workers go
+    # on starting tasks.
     calls = itertools.count(1)
     kernel = generator.sampling_kernel
+    shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+    shutting_down = threading.Event()
+    waits = []
+
+    def signalled_shutdown(pool, *args, **kwargs):
+        shutting_down.set()
+        return shutdown(pool, *args, **kwargs)
 
     def interrupted(*args):
-        if next(calls) == 2:
+        call = next(calls)
+        if call == 2:
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        time.sleep(0.05)
+        if call >= 2:
+            waits.append(shutting_down.wait(60))
         return kernel(*args)
 
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", signalled_shutdown)
     monkeypatch.setattr(generator, "sampling_kernel", interrupted)
     config = GeneratorConfig(seed=1, n_pairs=20 * _TASK * _BATCH)
     with pytest.raises(KeyboardInterrupt):
         generate(config, default_params, threads=threads)
-    assert next(calls) - 1 <= threads + 2
+    assert waits and all(waits)
+    assert next(calls) - 1 <= threads + 1
 
 
 def test_identical_seeds_identical_streams(default_params):
@@ -422,8 +434,7 @@ def _oracle_param_sets(default_params, rich_params):
 def test_edge_params_reach_the_fringe_rule_limits(default_params):
     # the reach is finite at defaults and covers every draw, or none, at the edges
     def reach(params):
-        _, _, m_sl, m_ls, m_x = _mode_cells(params)
-        return _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma)
+        return _saturated_cells(params)[0]
 
     edges = _edge_params()
     assert 80.0 < reach(default_params) < 90.0
@@ -522,11 +533,10 @@ def test_cell_weights_are_cached_and_read_only(default_params):
 
 
 def test_saturated_cells_are_cached_and_read_only(default_params, rich_params):
-    for params in (default_params, rich_params, _edge_params()["subnormal_semileptonic"]):
-        reach, totals_sl, totals_ls = constants = _saturated_cells(params)
+    for params in _oracle_param_sets(default_params, rich_params).values():
+        _, totals_sl, totals_ls = constants = _saturated_cells(params)
         assert _saturated_cells(dataclasses.replace(params)) is constants
-        _, _, m_sl, m_ls, m_x = _mode_cells(params)
-        assert reach == _fringe_reach(m_sl, m_ls, m_x, params.delta_gamma)
+        _, _, m_sl, m_ls, _ = _mode_cells(params)
         for totals, weights in ((totals_sl, m_sl), (totals_ls, m_ls)):
             expected = list(itertools.accumulate(weights.tolist(), initial=0.0))[1:]
             assert totals.tolist() == expected
@@ -1203,7 +1213,7 @@ def _oracle_read_events(path):
             schema = fh.readline().rstrip("\n")
             if not schema.startswith("# kaon-eraser events v"):
                 raise EventFormatError("line 1: missing 'kaon-eraser events' schema header")
-            version = schema.rsplit("v", 1)[-1]
+            version = schema[len("# kaon-eraser events v"):]
             if version != str(EVENT_SCHEMA_VERSION):
                 raise EventFormatError(f"line 1: unsupported schema version {version!r}")
             for idx, line in enumerate(iter(fh.readline, ""), start=2):
@@ -1428,6 +1438,11 @@ _BAD_HEADERS = {
     "schema v2": (b"# kaon-eraser events v2\n" + _METADATA_LINE % 0
                   + b"id,tau_l,mode_l,tau_r,mode_r\n",
                   "line 1: unsupported schema version '2'"),
+    # the version is the whole rest of the line, not what follows its last "v"
+    **{f"schema v{version}": (f"# kaon-eraser events v{version}\n".encode() + _METADATA_LINE % 0
+                              + b"id,tau_l,mode_l,tau_r,mode_r\n",
+                              f"line 1: unsupported schema version {version!r}")
+       for version in ("0v1", "foo v1", "év1")},
     "column header without its newline": (
         _SCHEMA + _METADATA_LINE % 1 + b"id,tau_l,mode_l,tau_r,mode_r",
         "header says n_pairs=1 but the file holds 0 records"),
