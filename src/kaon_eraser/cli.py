@@ -208,11 +208,6 @@ def _cmd_experiment(args, parser) -> int:
     params = load_params(args.params)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     events = read_events(args.events_in) if args.events_in is not None else None
-    if events is not None and events.params_digest != params.digest():
-        raise ValueError(
-            f"{args.events_in} was generated with params_digest="
-            f"{events.params_digest or '(none)'}, not {params.digest()} of the given params"
-        )
     n_pairs = events.n if events is not None else args.pairs
     spec = ExperimentSpec(
         kind=ExperimentKind(args.kind),

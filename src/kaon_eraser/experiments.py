@@ -558,6 +558,14 @@ def _passive_cells(
     return estimates
 
 
+def _check_provenance(events: EventSet, params: PhysicsParams) -> None:
+    """Refuse a sample not drawn with ``params``, whose weights and widths it is divided by."""
+    theirs, ours = events.params_digest or "(none)", params.digest()
+    if theirs != ours:
+        raise ValueError(f"the events were generated with params_digest={theirs},"
+                         f" not {ours} of the given params")
+
+
 def sort_passive_events(
     events: EventSet,
     grid,
@@ -569,7 +577,7 @@ def sort_passive_events(
     bin_width_r: Optional[float] = None,
     min_count: int = ExperimentSpec.min_count,
 ) -> list[JointProbabilityTable]:
-    """Binned probability estimation from purely passive decay records.
+    """Binned probability estimation from passive records drawn with ``params``.
 
     For every grid point, events whose left decay falls in the bin around
     it and whose right decay falls in the bin around ``tau_r0`` are sorted
@@ -587,6 +595,7 @@ def sort_passive_events(
     empty bin reports zero probabilities with zero error, flagged).  The
     records are valid, as every :class:`textio.EventSet` is.
     """
+    _check_provenance(events, params)
     if not bin_width > 0 or (bin_width_r is not None and not bin_width_r > 0):
         raise ValueError("bin widths must be > 0")
     grid_arr = np.asarray(list(grid), dtype=float)
@@ -620,9 +629,9 @@ def run_experiment(
 
     ``events`` is the pre-generated event set the protocol sorts, reused
     as is; it must hold ``spec.n_pairs >= 1`` pairs, the size the scan
-    header states.  Its records are valid, as every :class:`textio.EventSet`
-    is.  Without events the scan is analytic: ``spec.n_pairs`` must be 0
-    (kinds a and b), and every column is its twin.
+    header states, drawn with ``params``.  Its records are valid, as every
+    :class:`textio.EventSet` is.  Without events the scan is analytic:
+    ``spec.n_pairs`` must be 0 (kinds a and b), and every column is its twin.
     """
     if events is None and spec.n_pairs > 0:
         raise ValueError(f"a scan of n_pairs={spec.n_pairs} needs its events; generate them first")
@@ -632,6 +641,7 @@ def run_experiment(
                 "a scan of events needs n_pairs >= 1, the size of its sample;"
                 f" the spec states n_pairs={spec.n_pairs} but the events hold {events.n}"
             )
+        _check_provenance(events, params)
     twins, d = _scan_twins(spec, params)
     if events is None:
         zero = np.zeros(len(spec.tau_l_grid), dtype=np.int64)

@@ -221,8 +221,7 @@ def sampling_kernel(
       so its rows are exactly ``m_ls``.  Such a column builds no row: its
       cell is the count of the fixed running totals of
       :func:`_saturated_cells` below ``u3 * total``.  The other columns
-      are gathered and drawn row by row; where no column saturates, on the
-      whole arrays, with no gather;
+      are gathered and drawn row by row;
     * horizons and truncation masses are computed on the two widths;
     * the last total is never below ``u3 * total`` (``u3 < 1``), so the
       count over all but the last cell is the count clipped to the cells.
@@ -243,24 +242,19 @@ def sampling_kernel(
     reach, totals_sl, totals_ls = _saturated_cells(params)
     dt = tau_l - tau_r
     near = np.abs(dt) < reach
-    near_cols = np.flatnonzero(near)
-    dt_near = dt.take(near_cols)
+    dt_near = dt.take(np.flatnonzero(near))
     x = np.multiply(params.delta_gamma, dt, out=dt)
     far = ~near
     high = (x > _X_HIGH) & far
     low = (x < _X_LOW) & far
-    saturated = high | low
-    if not saturated.any():
-        pick = _draw_cells(x, u[3], near_cols, dt_near, params)
-    else:
-        # every near column is in the rest, in order, so dt_near is theirs
-        rest = np.flatnonzero(~saturated)
-        pick = np.empty(x.size, np.uint8)
-        pick[rest] = _draw_cells(x.take(rest), u[3].take(rest), np.flatnonzero(near.take(rest)),
-                                 dt_near, params)
-        for cols, totals in ((np.flatnonzero(high), totals_sl), (np.flatnonzero(low), totals_ls)):
-            target = np.multiply(u[3].take(cols), totals[-1])
-            pick[cols] = np.add.reduce(np.less.outer(totals[:-1], target), axis=0, dtype=np.uint8)
+    # every near column is in the rest, in order, so dt_near is theirs
+    rest = np.flatnonzero(~(high | low))
+    pick = np.empty(x.size, np.uint8)
+    pick[rest] = _draw_cells(x.take(rest), u[3].take(rest), np.flatnonzero(near.take(rest)),
+                             dt_near, params)
+    for cols, totals in ((np.flatnonzero(high), totals_sl), (np.flatnonzero(low), totals_ls)):
+        target = np.multiply(u[3].take(cols), totals[-1])
+        pick[cols] = np.add.reduce(np.less.outer(totals[:-1], target), axis=0, dtype=np.uint8)
     return tau_l, code_l.take(pick), tau_r, code_r.take(pick)
 
 
@@ -328,7 +322,8 @@ def mode_pair_chi2(events: EventSet, params: PhysicsParams) -> tuple[float, int,
     Cells with expected counts below ``MIN_EXPECTED`` are pooled.  Returns
     (statistic, dof, p_value); any event in a structurally forbidden cell
     (expected exactly 0) yields p_value 0, and fewer than two cells (dof 0)
-    p_value NaN.
+    p_value NaN.  Any ``params`` are taken: the statistic is no table labelled
+    with them, and testing against shifted ones is how its power is measured.
     """
     from scipy.special import chdtrc
 

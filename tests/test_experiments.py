@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from kaon_eraser import (
     visibility,
     write_scan_csv,
 )
-from kaon_eraser.decay import IDENTIFIES
+from kaon_eraser.decay import IDENTIFIES, MODE_CODES, amplitudes
 
 FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 
@@ -91,8 +92,9 @@ def test_misidentification_rates(default_params):
 def test_spec_validation():
     with pytest.raises(ValueError, match="tau_r0"):
         ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, -1.0, (0.0, 1.0), 0)
-    with pytest.raises(ValueError, match="increasing"):
-        ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 1.0, (1.0, 0.5), 0)
+    for grid in ((1.0, 0.5), (0.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="increasing"):
+            ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 1.0, grid, 0)
     with pytest.raises(ValueError, match="nonempty"):
         ExperimentSpec(ExperimentKind.ACTIVE_ACTIVE, 1.0, (), 0)
     with pytest.raises(ValueError, match="event-based"):
@@ -109,6 +111,9 @@ def test_spec_validation():
         ("bin_width_r", math.inf),
     ]:
         with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(**{**fields, field: value})
+    for field, value in itertools.product(("bin_width_l", "bin_width_r"), (0.0, -0.2)):
+        with pytest.raises(ValueError, match="bin widths must be > 0"):
             ExperimentSpec(**{**fields, field: value})
     # the generator's rule and message: the row draws seed NumPy with it
     for seed in (-1, 2**64):
@@ -181,6 +186,31 @@ def test_scan_refuses_events_of_another_sample_size(rich_params, kind, n_pairs):
     spec = ExperimentSpec(ExperimentKind(kind), 1.0, (0.0, 0.5), n_pairs)
     with pytest.raises(ValueError, match="n_pairs=.* but the events hold 2000"):
         run_experiment(spec, rich_params, events=events)
+
+
+@pytest.fixture(scope="module")
+def events_default_2000(default_params):
+    return generate(GeneratorConfig(1, 2000), default_params)
+
+
+def _names_both_digests(events, params):
+    return re.escape(f"params_digest={events.params_digest}, not {params.digest()} of the")
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c", "d"])
+def test_scan_refuses_events_drawn_with_other_params(events_default_2000, kind):
+    # the estimates divide the sample's counts by the weights and widths of
+    # params, so a sample drawn with other parameters estimates nothing
+    shifted = PhysicsParams(delta_m=0.3)
+    spec = ExperimentSpec(ExperimentKind(kind), 2.0, (0.0, 0.5, 1.0), events_default_2000.n)
+    with pytest.raises(ValueError, match=_names_both_digests(events_default_2000, shifted)):
+        run_experiment(spec, shifted, events=events_default_2000)
+
+
+def test_sort_passive_refuses_events_drawn_with_other_params(events_default_2000):
+    shifted = PhysicsParams(delta_m=0.3)
+    with pytest.raises(ValueError, match=_names_both_digests(events_default_2000, shifted)):
+        sort_passive_events(events_default_2000, (0.5, 1.0), 0.2, 2.0, shifted)
 
 
 @pytest.mark.parametrize("kind", ["a", "b"])
@@ -285,9 +315,27 @@ def test_scan_takes_records_on_the_edges_of_the_checks(default_params, kind):
     tau_l, mode_l, mode_r = events.tau_l.copy(), events.mode_l.copy(), events.mode_r.copy()
     tau_l[:3] = 0.0, 5e-324, np.finfo(float).max
     mode_l[:2], mode_r[:2] = (0, 4), (4, 0)
-    edges = dataclasses.replace(events, tau_l=tau_l, mode_l=mode_l, mode_r=mode_r)
+    edges = dataclasses.replace(events, tau_l=tau_l, mode_l=mode_l, mode_r=mode_r,
+                                params_digest=default_params.digest())
     spec = ExperimentSpec(ExperimentKind(kind), 2.0, (0.0, 0.5, 1.0), events.n)
     assert len(run_experiment(spec, default_params, events=edges).rows) == 3
+
+
+def test_width_scaled_row_with_a_scale_below_one(default_params):
+    # one meter 2pi decay in the window [1.9, 2.1] of a row whose width scale
+    # n_pairs * gamma(2pi) * d is about 2/3: the count is read as 1 / scale,
+    # and with min_count 1 it is not flagged
+    tau_r = np.full(50, 100.0)
+    tau_r[0] = 2.0
+    two_pi = np.full(50, MODE_CODES[DecayMode.TWO_PI], dtype=np.int8)
+    events = EventSet(np.full(50, 11.0), two_pi, tau_r, two_pi, 0, 50.0, default_params.digest())
+    spec = ExperimentSpec("c", 2.0, (10.0,), 50, bin_width_r=0.2, min_count=1)
+    row = run_experiment(spec, default_params, events=events).rows[0]
+    d = survival_weight(TimeWindow.point(10.0), TimeWindow.centered(2.0, 0.2), default_params)
+    scale = 50 * amplitudes(default_params).identified_width(DecayMode.TWO_PI) * d
+    assert 0.6 < scale < 0.7
+    assert row.s_ks == Estimate(row.s_ks.value, row.s_ks.value, row.s_ks.twin, 1, False)
+    assert row.s_ks.value == pytest.approx(1.0 / scale, rel=1e-12)
 
 
 def test_partially_active_analytic_only(default_params, grid_short):
@@ -451,7 +499,7 @@ def test_sort_passive_synthetic_factorized_oracle(rich_params):
     mode_r = rng.choice(list(p_right), p=list(p_right.values()), size=n).astype(np.int8)
     events = EventSet(
         tau_l=tau_l, mode_l=mode_l, tau_r=tau_r, mode_r=mode_r,
-        seed=99, tau_max=50.0, params_digest="synthetic",
+        seed=99, tau_max=50.0, params_digest=rich_params.digest(),
     )
     grid = (1.0, 2.0)
     tau_r0, bw = 1.5, 0.5
@@ -562,11 +610,12 @@ def test_sort_passive_error_scaling(default_params):
 _SLP, _SLM, _2PI, _3PI, _OTHER = 2, 3, 0, 1, 4
 
 
-def _edge_events(grid, bin_width_l, tau_r0, bin_width_r):
+def _edge_events(grid, bin_width_l, tau_r0, bin_width_r, params):
     """Uniform random records plus records exactly on every edge a row
     compares against: grid points (strict ``tau_l > t``), object-bin edges
     (closed; shared by two rows when the spacing equals the bin width),
-    ``tau_r0``, ``tau_r0 - bin_width_r`` and the meter-window edges."""
+    ``tau_r0``, ``tau_r0 - bin_width_r`` and the meter-window edges; labelled
+    with the digest of ``params``, which a scan of them takes."""
     rng = np.random.default_rng(5)
     edges_l = sorted(
         {float(t) for t in grid}
@@ -589,7 +638,7 @@ def _edge_events(grid, bin_width_l, tau_r0, bin_width_r):
     return EventSet(
         tau_l=tau_l, mode_l=rng.integers(0, 5, n).astype(np.int8),
         tau_r=tau_r, mode_r=rng.integers(0, 5, n).astype(np.int8),
-        seed=5, tau_max=50.0, params_digest="synthetic",
+        seed=5, tau_max=50.0, params_digest=params.digest(),
     )
 
 
@@ -755,7 +804,7 @@ def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
     # edge), 0.5 makes neighbouring object bins overlap; all edges are
     # exact binary fractions, so shared edges coincide exactly
     grid = tuple(0.25 * k for k in range(9))
-    events = _edge_events(grid, bin_width_l, 1.0, 0.5)
+    events = _edge_events(grid, bin_width_l, 1.0, 0.5, rich_params)
     spec = ExperimentSpec(kind, 1.0, grid, n_pairs=events.n, seed=8,
                           bin_width_l=bin_width_l, bin_width_r=0.5, min_count=3)
     result = run_experiment(spec, rich_params, events=events)

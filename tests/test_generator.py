@@ -667,8 +667,7 @@ def test_saturated_partition_matches_oracle_bytes(default_params, rich_params):
                                               ("rich_params", 0.0, 0.0)])
 def test_saturated_share_of_a_batch(monkeypatch, request, params, low, high):
     # the share of a task's draws that builds no cell row, read off the
-    # columns the row builder receives: the fast path cannot go dead, and
-    # where nothing saturates the rows are built on the whole arrays
+    # columns the row builder receives: the fast path cannot go dead
     params = request.getfixturevalue(params)
     drawn = []
     draw_cells = generator._draw_cells
@@ -1472,6 +1471,9 @@ _BAD_LINES = {
     "eighteen digits": ("{i},1.23456789012345678,TwoPi,2.5,ThreePi",
                         "'{i},1.23456789012345678,TwoPi,2.5,ThreePi' does not parse"),
     "NUL": ("{i},1.5,TwoPi\0,2.5,ThreePi", "'{i},1.5,TwoPi\\x00,2.5,ThreePi' does not parse"),
+    # 2**64: the uint64 Horner sum wraps to 0, so only the 10**18 check refuses it
+    "twenty digits": ("{i},18446744073709551616,TwoPi,1,TwoPi",
+                      "'{i},18446744073709551616,TwoPi,1,TwoPi' does not parse"),
     # tau_l parses; tau_r is one byte past the widest field the parser reads
     "25-byte tau_r": ("{i},1.5,TwoPi,1.%s,ThreePi" % ("0" * 23),
                       "'{i},1.5,TwoPi,1.%s,ThreePi' does not parse" % ("0" * 23)),

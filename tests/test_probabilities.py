@@ -125,6 +125,11 @@ def test_negative_times_rejected(default_params):
         joint_strangeness(-1.0, 0.0, Outcome.K0, Outcome.K0, default_params)
     with pytest.raises(ValueError):
         joint_strangeness_lifetime(0.0, -1.0, Outcome.K0, Outcome.KS, default_params)
+    # and outcomes of the wrong observable
+    with pytest.raises(ValueError, match="takes strangeness outcomes"):
+        joint_strangeness(1.0, 0.0, Outcome.K0, Outcome.KS, default_params)
+    with pytest.raises(ValueError, match=r"takes \(strangeness, lifetime\) outcomes"):
+        joint_strangeness_lifetime(1.0, 0.0, Outcome.KS, Outcome.K0, default_params)
 
 
 #: Every point closed form and the pair evolution, called with one time ``t``.
