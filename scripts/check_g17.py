@@ -13,9 +13,11 @@ took the per-element fallback (zero is laid out directly and is not
 counted).  Reading: parses each finite value's written text with the
 reader's ``textio._read_times`` and compares the bits with ``float()`` of
 the same text, printing the mismatches (a value the reader refuses counts as
-one) and the share that the reader took through ``float()`` itself.
-Infinities and NaN are outside the record grammar, which refuses them, so
-they are not read here.  Exits 1 on any mismatch.
+one) and the share that the reader took through ``float()`` itself.  The
+reader hands every field in exponent notation to ``float()``, so for the
+exponent-heavy families (log-uniform, specials) that share is near 1, by
+design.  Infinities and NaN are outside the record grammar, which refuses
+them, so they are not read here.  Exits 1 on any mismatch.
 
     PYTHONPATH=src python3 scripts/check_g17.py --values 100000000 --seed 1
 """

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -54,13 +53,13 @@ from .decay import (
     amplitudes,
 )
 from .kaon import Basis, Outcome
-from .pair import evolve_pair, initial_state, normalize_surviving, to_pair_basis
+from .pair import evolve_pair, initial_state, normalize_surviving, project_pair, to_pair_basis
 from .params import PhysicsParams, check_integer
 from .probabilities import (
     JointProbabilityTable,
     Source,
     TimeWindow,
-    _L_OUTCOMES,
+    _KEYS,
     _OUTCOMES,
     _S_OUTCOMES,
     _cells,
@@ -70,8 +69,8 @@ from .probabilities import (
 )
 from .textio import EventSet, _atomic_write, _csv_text
 
-_S_CELLS = tuple(itertools.product(_S_OUTCOMES, _S_OUTCOMES))
-_MIXED_CELLS = tuple(itertools.product(_S_OUTCOMES, _L_OUTCOMES))
+_S_CELLS = _KEYS[Basis.STRANGENESS, Basis.STRANGENESS]
+_MIXED_CELLS = _KEYS[Basis.STRANGENESS, Basis.LIFETIME]
 
 #: The two cells of the (strangeness, strangeness) or (strangeness,
 #: lifetime) table that each family of a scan sums, in the order added.
@@ -241,37 +240,6 @@ def misidentification_rates(params: PhysicsParams) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Born-rule draws from the evolved pair state (amplitude path)
-# --------------------------------------------------------------------------
-
-
-def _born_cell_probs(state, cells) -> np.ndarray:
-    """Born probabilities of ``cells``, the four outcome pairs of one basis
-    pair, in the survival-normalized pair ``state``, scaled to sum to 1.
-    ``abs(a) ** 2`` of each amplitude, as :func:`pair.project_pair` takes it."""
-    outcome_l, outcome_r = cells[0]
-    amps = to_pair_basis(state, outcome_l.basis, outcome_r.basis).amps
-    p = np.array([abs(amps[ol.index, orr.index]) ** 2 for ol, orr in cells])
-    return p / p.sum()
-
-
-def _born_counts(spec, params, survivors, stream: int, *cell_sets) -> dict[tuple, np.ndarray]:
-    """Born-rule draws of the survivors of every row: per cell, its count
-    in every row.  Row i draws from its own generator, seeded
-    ``[seed, i, stream]``, one multinomial per cell set in the given order,
-    all from the pair state evolved and normalized once for the row."""
-    counts = [np.empty((survivors.size, len(cells)), dtype=np.int64) for cells in cell_sets]
-    start = initial_state(Basis.LIFETIME)
-    for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, survivors.tolist())):
-        rng = np.random.default_rng([spec.seed, row, stream])
-        state = normalize_surviving(evolve_pair(start, tau_l, spec.tau_r0, params))
-        for out, cells in zip(counts, cell_sets):
-            out[row] = rng.multinomial(n, _born_cell_probs(state, cells))
-    return {cell: column
-            for out, cells in zip(counts, cell_sets) for cell, column in zip(cells, out.T)}
-
-
-# --------------------------------------------------------------------------
 # Analytic twins: every row's closed forms from one array call per scan
 # --------------------------------------------------------------------------
 
@@ -383,10 +351,36 @@ def _divided(count: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(live, count / safe, 0.0), np.where(live, np.sqrt(count) / safe, 0.0)
 
 
-def _born_columns(born: dict, survivors: np.ndarray, min_count: int) -> dict[str, _Column]:
-    """The count ratio of every family whose two cells were drawn."""
-    return {fam: _ratio(born[a] + born[b], survivors, min_count)
-            for fam, (a, b) in _FAMILY_CELLS.items() if a in born}
+def _born_cell_probs(state, cells) -> np.ndarray:
+    """Born probabilities of ``cells``, the four outcome pairs of one basis
+    pair, in the survival-normalized pair ``state``, scaled to sum to 1:
+    :func:`pair.project_pair` of each, on the state turned once to their bases."""
+    outcome_l, outcome_r = cells[0]
+    turned = to_pair_basis(state, outcome_l.basis, outcome_r.basis)
+    p = np.array([project_pair(turned, ol, orr) for ol, orr in cells])
+    return p / p.sum()
+
+
+def _born_columns(spec, params, events: EventSet, stream: int,
+                  *cell_sets) -> tuple[np.ndarray, dict[str, _Column]]:
+    """Per row, the survivors (object alive at ``tau_l``, meter alive at
+    ``tau_r0``), and the count ratio of every family whose two cells are in
+    ``cell_sets``, from Born draws of the survivors.  Row i draws from its
+    own generator, seeded ``[seed, i, stream]``, one multinomial per cell
+    set in the given order, all from the pair state evolved and normalized
+    once for the row."""
+    survivors = _tally(events.tau_l[events.tau_r > spec.tau_r0], None, 1, *_alive_bins(spec))[0]
+    counts = [np.empty((survivors.size, len(cells)), dtype=np.int64) for cells in cell_sets]
+    start = initial_state(Basis.LIFETIME)
+    for row, (tau_l, n) in enumerate(zip(spec.tau_l_grid, survivors.tolist())):
+        rng = np.random.default_rng([spec.seed, row, stream])
+        state = normalize_surviving(evolve_pair(start, tau_l, spec.tau_r0, params))
+        for out, cells in zip(counts, cell_sets):
+            out[row] = rng.multinomial(n, _born_cell_probs(state, cells))
+    born = {cell: column
+            for out, cells in zip(counts, cell_sets) for cell, column in zip(cells, out.T)}
+    return survivors, {fam: _ratio(born[a] + born[b], survivors, spec.min_count)
+                       for fam, (a, b) in _FAMILY_CELLS.items() if a in born}
 
 
 def _lifetime_columns(n_window, n_pairs: int, params, d, min_count: int) -> dict[str, _Column]:
@@ -414,9 +408,7 @@ def _columns_active_active(spec, params, events: EventSet, d: np.ndarray) -> tup
     state, once in the strangeness-strangeness setup and once with the
     meter matter removed (strangeness-lifetime setup).
     """
-    survivors = _tally(events.tau_l[events.tau_r > spec.tau_r0], None, 1, *_alive_bins(spec))[0]
-    born = _born_counts(spec, params, survivors, 0, _S_CELLS, _MIXED_CELLS)
-    columns = _born_columns(born, survivors, spec.min_count)
+    survivors, columns = _born_columns(spec, params, events, 0, _S_CELLS, _MIXED_CELLS)
     counts = {"strangeness": survivors, "lifetime": survivors, "discarded": events.n - survivors}
     return columns, counts
 
@@ -432,15 +424,14 @@ def _columns_partially_active(spec, params, events: EventSet, d: np.ndarray) -> 
     measure strangeness instead and are tallied separately; other modes
     are discarded.  The lifetime/early tallies cover all early decays.
     """
+    survivors, born = _born_columns(spec, params, events, 1, _S_CELLS)
     alive = _alive_bins(spec)
-    survivors = _tally(events.tau_l[events.tau_r > spec.tau_r0], None, 1, *alive)[0]
-    born = _born_counts(spec, params, survivors, 1, _S_CELLS)
     early = events.tau_r < spec.tau_r0
     in_window = early & (events.tau_r >= _early_window(spec).lo)
     n_early = _tally(events.tau_l[early], events.mode_r[early], _N_MODES, *alive)
     n_window = _tally(events.tau_l[in_window], events.mode_r[in_window], _N_MODES, *alive)
     columns = {
-        **_born_columns(born, survivors, spec.min_count),
+        **born,
         **_lifetime_columns(n_window, events.n, params, d, spec.min_count),
     }
     counts = {

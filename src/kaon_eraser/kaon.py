@@ -51,13 +51,8 @@ class Outcome(Enum):
     KS = "KS"
     KL = "KL"
 
-    @property
-    def basis(self) -> Basis:
-        if self in (Outcome.K0, Outcome.K0BAR):
-            return Basis.STRANGENESS
-        return Basis.LIFETIME
-
-    @property
-    def index(self) -> int:
-        """Component index within the outcome's own basis (0 or 1)."""
-        return 0 if self in (Outcome.K0, Outcome.KS) else 1
+    def __init__(self, value: str) -> None:
+        # plain attributes, not properties: the Born rule reads them per cell
+        self.basis = Basis.STRANGENESS if value in ("K0", "K0bar") else Basis.LIFETIME
+        #: Component index within the outcome's own basis (0 or 1).
+        self.index = 0 if value in ("K0", "KS") else 1

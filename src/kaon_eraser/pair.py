@@ -72,7 +72,9 @@ def initial_state(basis: Basis = Basis.STRANGENESS) -> PairAmplitude:
 
 
 def to_pair_basis(state: PairAmplitude, basis_l: Basis, basis_r: Basis) -> PairAmplitude:
-    """Express the pair state with each side in the requested basis."""
+    """Express the pair state with each side in the requested basis; a state in both is returned."""
+    if basis_l is state.basis_l and basis_r is state.basis_r:
+        return state
     amps = state.amps
     if basis_l is not state.basis_l:
         amps = HADAMARD @ amps
@@ -109,6 +111,6 @@ def normalize_surviving(state: PairAmplitude) -> PairAmplitude:
 
 
 def project_pair(state: PairAmplitude, outcome_l: Outcome, outcome_r: Outcome) -> float:
-    """Joint Born probability |<outcome_l, outcome_r | state>|^2."""
+    """Joint Born probability |<outcome_l, outcome_r | state>|^2, the package's one Born rule."""
     in_basis = to_pair_basis(state, outcome_l.basis, outcome_r.basis)
     return abs(in_basis.amps[outcome_l.index, outcome_r.index]) ** 2

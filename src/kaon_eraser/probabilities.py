@@ -329,16 +329,22 @@ def _window_terms(lo_l, hi_l, lo_r: float, hi_r: float, params: PhysicsParams) -
     windows ``[lo_l, hi_l]`` (floats, or arrays of one window per element)
     against the meter window ``[lo_r, hi_r]``.
 
-    The terms are not checked: the caller checks the tables it builds of
-    them with :func:`_check_analytic`.  Element i of an array call is bit
-    for bit the float call on window i: each goes through the same IEEE
-    operations in the same order.  No complex array product is formed,
-    because NumPy's SIMD loop for it may fuse a multiply and an add (FMA),
-    which rounds once where the scalar product rounds twice and so moves
-    the last bit of some rows.  The real part of ``z_l * z_r`` is written
-    out in real operations instead.
+    Windows whose survival weight underflows to 0, where the terms would
+    be 0/0, are refused; the terms are not checked: the caller checks the
+    tables it builds of them with :func:`_check_analytic`.  Element i of
+    an array call is bit for bit the float call on window i: each goes
+    through the same IEEE operations in the same order.  No complex array
+    product is formed, because NumPy's SIMD loop for it may fuse a
+    multiply and an add (FMA), which rounds once where the scalar product
+    rounds twice and so moves the last bit of some rows.  The real part of
+    ``z_l * z_r`` is written out in real operations instead.
     """
     d, f_s_l, f_l_l, f_s_r, f_l_r = _survival(lo_l, hi_l, lo_r, hi_r, params)
+    if not _all(d > 0.0):
+        i = int(np.argmin(d > 0.0))
+        raise ValueError(f"the survival weight of object window [{np.ravel(lo_l)[i]},"
+                         f" {np.ravel(hi_l)[i]}] and meter window [{lo_r}, {hi_r}]"
+                         " underflows to 0: no pair survives to both windows")
     gbar = 0.5 * (params.gamma_s + params.gamma_l)
     z_l = _exp_factors(gbar - 1j * params.delta_m, lo_l, hi_l)
     z_r = _exp_factors(gbar + 1j * params.delta_m, lo_r, hi_r)

@@ -45,7 +45,10 @@ class EventSet:
     wrong measurement, and a tally would drop it from every count.  Whole-
     array ``min`` and ``max``, through which a NaN propagates, decide; the
     record is searched for only if one fails.  The columns are then made
-    read-only, so a set cannot change after its check.
+    read-only: the set freezes the arrays it is given, not other views of
+    their memory, so a column that is a view of a writable array changes
+    with it.  ``generate`` and ``read_events`` hand over arrays that
+    nothing else holds.
     """
 
     tau_l: np.ndarray
@@ -613,9 +616,10 @@ def _read_times(buf: np.ndarray, starts: np.ndarray,
     The automaton runs over the columns of the fields' bytes, aligned on
     the right, and counts the digits after the point.  The mantissas' digits
     ``D`` are read by :func:`_mantissas`: of all fields at once, and again,
-    aligned on the ``e``, for the few that have an exponent, whose value is
-    read off their last bytes.  :func:`_from_decimal` then makes ``D *
-    10**q`` a double.
+    aligned on the ``e``, for the few that have an exponent.
+    :func:`_from_decimal` then makes ``D * 10**-after_point`` a double; a
+    field with an exponent, which the writer writes only for ``|x|`` below
+    1e-4 or from 1e17 up, is read by ``float()``.
     """
     width = int(widths.max())
     if width > _TIME_FIELD:
@@ -631,23 +635,17 @@ def _read_times(buf: np.ndarray, starts: np.ndarray,
     if (state > _EXP3).any():
         return None
     digits, too_long = _mantissas(columns, after_point)
-
-    exp10 = -after_point.astype(np.int64)
     tagged = np.flatnonzero(state >= _EXP2)
     if tagged.size:
-        # the exponent's last three bytes, the first of them its sign if it has two digits
-        three = state[tagged] == _EXP3
-        last = buf[ends[tagged, None] - np.arange(3, 0, -1)].astype(np.int64) - ord("0")
-        value = 10 * last[:, 1] + last[:, 2] + 100 * three * last[:, 0]
-        exp10[tagged] += np.where(buf[ends[tagged] - 3 - three] == ord("-"), -value, value)
-        e = ends[tagged] - 4 - three
+        e = ends[tagged] - 4 - (state[tagged] == _EXP3)  # where "e+DD" or "e+DDD" starts
         mantissa = e - starts[tagged]
         digits[tagged], too_long[tagged] = _mantissas(
             _right_aligned(buf, e, mantissa, int(mantissa.max())), after_point[tagged]
         )
     if too_long.any():
         return None
-    x, fallback = _from_decimal(digits, exp10)
+    x, fallback = _from_decimal(digits, -after_point.astype(np.int64))
+    fallback[tagged] = True
     np.negative(x, out=x, where=buf.take(starts) == ord("-"))
     for i in np.flatnonzero(fallback).tolist():
         x[i] = float(buf[starts[i] : ends[i]].tobytes())
@@ -664,19 +662,17 @@ def _from_decimal(digits: np.ndarray, exp10: np.ndarray) -> tuple[np.ndarray, np
     the value, far below an ulp, so ``x``, ``p + r`` rounded, is the nearest
     double unless a midpoint between two doubles lies within 2**-29 of the
     rest ``x - (p + r)``: where ``x`` plus the rest scaled by ``1 ± 2**-29``
-    rounds two ways, the element takes the fallback.  So do exponents
-    outside [-278, 260], where a value could leave [1e-278, 1e278) and a
-    term the normal range.
+    rounds two ways, the element takes the fallback.  ``exp10`` is in
+    [-24, 0], where no term leaves the normal range.
     """
-    inside = (exp10 >= -278) & (exp10 <= 260)
-    row = np.where(inside, exp10 - _POW_E.start, 0)
+    row = exp10 - _POW_E.start
     a = digits.astype(np.float64)
     p, r = _times_power(a, row)
     r += (digits - a.astype(np.int64)).astype(np.float64) * _POW_HI.take(row)
     x = p + r
     rest = (p - x) + r  # p and x are within a factor 2: ``p - x`` is exact
     near = (x + rest * (1 + 2.0**-29)) != (x + rest * (1 - 2.0**-29))
-    return x, ~inside | near
+    return x, near
 
 
 def _read_names(buf: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:

@@ -266,6 +266,25 @@ def test_experiment_non_finite_usage_error(tmp_path, capsys, flag, value):
     assert not list(tmp_path.iterdir())
 
 
+def test_experiment_where_survival_underflows_names_it(tmp_path):
+    # no pair survives to tau_r0 = 1e308: the scan is refused with the cause,
+    # not with NumPy's divide warnings and a range check; run as a command,
+    # so that stderr is what a user sees
+    src = str(Path(kaon_eraser.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaon_eraser.cli", "experiment", "a", "--tau-r0", "1e308",
+         "--grid", "0:1:0.5", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "meter window [1e+308, 1e+308]" in proc.stderr
+    assert "underflows to 0: no pair survives" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_experiment_requires_tau_r0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "b", "--grid", "0:1:0.5", "--out", "x.csv"])

@@ -147,10 +147,10 @@ def test_spec_refuses_what_is_no_integer(field, value):
 
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_analytic_scan_where_survival_underflows_is_refused(default_params, kind):
-    # at tau_l = tau_r0 = 2000 the survival weight is 0 and the twins are
-    # 0/0 = NaN, which the table checks must not pass
+    # at tau_l = tau_r0 = 2000 the survival weight is 0 and the twins would
+    # be 0/0 = NaN: the windows are refused before the division
     spec = ExperimentSpec(ExperimentKind(kind), 2000.0, (2000.0,), 0)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match="underflows to 0: no pair survives"):
         run_experiment(spec, default_params)
 
 

@@ -32,12 +32,14 @@ PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 #: protocols' counting helpers, which one tally per mode code replaces; the
 #: scans' record check, which ``EventSet`` makes when a set is built; the
 #: checked channel rate, folded into its one caller, ``joint_decay_rate``;
-#: the sampler's fringe reach, folded into ``_saturated_cells``.
+#: the sampler's fringe reach, folded into ``_saturated_cells``; the Born
+#: draws' own helper, folded into the one ``_born_columns``.
 REMOVED = {
     decay: ("joint_rate_channels",),
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
                   "_once_per_array", "_g17_bytes", "_d_bytes", "_n_above", "_n_within",
-                  "_survivors", "_above_by_mode", "_window_cells", "_check_records"),
+                  "_survivors", "_above_by_mode", "_window_cells", "_check_records",
+                  "_born_counts"),
     generator: ("DecayEvent", "PairEvent", "Side", "_cell_weights", "_parse_records",
                 "_parses", "_mode_codes", "_RECORD", "_MODE_FIELD", "_bad_line_error",
                 "_check_utf8", "_atomic_write", "_csv_text", "_g17_bytes", "_g17_rows",

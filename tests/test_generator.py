@@ -1599,6 +1599,25 @@ def test_block_parser_hands_midpoints_to_float():
     assert values.tobytes() == np.array([float(t) for t in near]).tobytes()
 
 
+def test_block_parser_hands_exponent_fields_to_float():
+    # '%.17g' writes an exponent below 1e-4 and from 1e17 up: 2- and 3-digit
+    # exponents of both signs, both signs of the value; float() reads each,
+    # and the fixed-notation fields beside them go the decimal way
+    exponent = [1.5e-5, -9.9999999999999991e-05, 1e-100, 5e-324, -2.2250738585072014e-308,
+                1e17, -1.0000000000000002e17, 1e100, -1.7976931348623157e308]
+    fixed = [1e-4, -0.00012345678901234567, 99999999999999984.0, -0.5, 3.0]
+    fields = [b"%.17g" % x for x in exponent + fixed]
+    values, fallback = textio._read_times(*_fields(*fields))
+    assert fallback.tolist() == [True] * len(exponent) + [False] * len(fixed)
+    assert [b"e" in field for field in fields] == fallback.tolist()
+    assert values.tobytes() == np.array([float(field) for field in fields]).tobytes()
+
+
+def test_block_parser_refuses_a_block_that_ends_inside_a_line():
+    # the line after the last newline is cut off, not dropped
+    assert textio._fast_records(b"0,1,TwoPi,1,Other\nabc") is None
+
+
 @pytest.mark.parametrize("field", [b"1.23456789012345678", b"123456789012345678",
                                    b"0.000123456789012345678", b"1.234567890123456789e-05"])
 def test_block_parser_refuses_more_than_17_digits(field):

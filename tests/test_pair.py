@@ -16,6 +16,7 @@ from kaon_eraser import (
     project_pair,
     to_pair_basis,
 )
+from kaon_eraser.kaon import HADAMARD
 from tests.conftest import random_params
 
 SQRT_HALF = math.sqrt(0.5)
@@ -42,6 +43,18 @@ def test_both_initial_forms_are_the_same_state():
     np.testing.assert_allclose(
         converted.amps, initial_state(Basis.STRANGENESS).amps, atol=1e-14
     )
+
+
+def test_to_pair_basis_turns_only_what_differs(default_params):
+    state = evolve_pair(initial_state(Basis.LIFETIME), 1.0, 2.0, default_params)
+    # in its own bases the state is returned as it is, not copied
+    assert to_pair_basis(state, state.basis_l, state.basis_r) is state
+    turned = to_pair_basis(state, Basis.STRANGENESS, Basis.LIFETIME)
+    assert turned is not state
+    assert (turned.basis_l, turned.basis_r) == (Basis.STRANGENESS, Basis.LIFETIME)
+    assert turned.amps.tobytes() == (HADAMARD @ state.amps).tobytes()
+    both = to_pair_basis(state, Basis.STRANGENESS, Basis.STRANGENESS)
+    assert both.amps.tobytes() == (HADAMARD @ state.amps @ HADAMARD.T).tobytes()
 
 
 def test_initial_state_antisymmetric():

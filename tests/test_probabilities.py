@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -461,14 +462,30 @@ def test_time_window_refuses_non_finite_and_unordered_bounds(make):
 
 
 def test_table_checks_reject_nan(default_params):
-    # both times far out: the survival weight underflows to 0, the fringe
-    # cells are 0/0 = NaN, and NaN compares false in every check
+    # both times far out: the survival weight underflows to 0, where the
+    # fringe cells would be 0/0 = NaN; the windows are refused first
     w = TimeWindow.centered(2000.0, 0.2)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match="underflows to 0: no pair survives"):
         window_table(Basis.STRANGENESS, Basis.STRANGENESS, w, w, default_params)
     # a NaN bound fails the window check as well
     with pytest.raises(ValueError, match="invalid time window"):
         survival_weight(TimeWindow(0.0, math.nan), w, default_params)
+
+
+def test_window_table_names_the_underflow(default_params):
+    # where the survival weight underflows to 0 the fringe and the K_S/K_L
+    # shares would be 0/0: the windows are refused before any division
+    w = TimeWindow.centered(2000.0, 0.2)
+    message = f"object window [{w.lo}, {w.hi}] and meter window [{w.lo}, {w.hi}] underflows to 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message) + ": no pair survives"):
+            window_table(Basis.STRANGENESS, Basis.LIFETIME, w, w, default_params)
+        assert survival_weight(w, w, default_params) == 0.0
+        # of many object windows, the first whose weight underflows is named
+        with pytest.raises(ValueError, match=re.escape("object window [1000.0, 1000.0] and")):
+            _window_terms(np.array([0.0, 1000.0, 2000.0]), np.array([0.0, 1000.0, 2000.0]),
+                          2000.0, 2000.0, default_params)
 
 
 def test_survival_weight_computes_no_fringe(default_params):
@@ -483,6 +500,14 @@ def test_survival_weight_computes_no_fringe(default_params):
 def _directly(p, source=Source.ANALYTIC, **fields):
     return JointProbabilityTable(Basis.STRANGENESS, Basis.STRANGENESS, 1.0, 2.0, p,
                                  dict.fromkeys(p, 0.0), source, **fields)
+
+
+def test_analytic_table_with_a_nan_cell_is_refused():
+    # NaN compares false in the range check
+    p = {(Outcome.K0, Outcome.K0): math.nan, (Outcome.K0, Outcome.K0BAR): 0.5,
+         (Outcome.K0BAR, Outcome.K0): 0.25, (Outcome.K0BAR, Outcome.K0BAR): 0.25}
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        _directly(p)
 
 
 def test_joint_probability_table_is_an_immutable_named_tuple(default_params):
