@@ -60,7 +60,6 @@ from .probabilities import (
     Source,
     TimeWindow,
     _KEYS,
-    _OUTCOMES,
     _S_OUTCOMES,
     _cells,
     _check_analytic,
@@ -490,30 +489,22 @@ def _columns_passive_passive(spec, params, events: EventSet, d: np.ndarray) -> t
     """Nothing projected: counting and sorting of joint decay records.
 
     Both decay times are binned (object bin around tau_l, meter bin around
-    tau_r0) and the four identifying mode cells per observable family are
-    turned into probabilities by :func:`_passive_cells`, the estimator of
-    :func:`sort_passive_events`.  Object bins of neighbouring rows may
-    overlap.
+    tau_r0), and one :func:`_passive_cells` pass, the estimator of
+    :func:`sort_passive_events`, turns the eight identifying mode cells of a
+    semileptonic object and a semileptonic or nonleptonic meter into
+    probabilities; each family sums two of them.  Object bins of
+    neighbouring rows may overlap.
     """
     cells = _cell_tally(events, _meter_window(spec), *_object_bins(spec))
-    # semileptonic object with semileptonic / nonleptonic meter
-    table_s, table_m = (
-        _passive_cells(cells, events.n * d, params, Basis.STRANGENESS, kind_r)
-        for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)
-    )
-
-    by_cell = {**table_s, **table_m}
-
-    def family(key_a, key_b) -> _Column:
-        (p_a, s_a, n_a), (p_b, s_b, n_b) = by_cell[key_a], by_cell[key_b]
+    p, s, n = _passive_cells(cells, events.n * d, params, _S_CELLS + _MIXED_CELLS)
+    columns = {}
+    for fam, (a, b) in _FAMILY_CELLS.items():
         # scalar ** is libm pow, an array's ** 2 is x * x: they can differ
         # in the last bit, and the scan bytes are pinned to the scalar form
-        sigma = np.sqrt([a ** 2 + b ** 2 for a, b in zip(s_a.tolist(), s_b.tolist())])
-        n = n_a + n_b
-        return p_a + p_b, sigma, n, n < spec.min_count
-
-    columns = {fam: family(*keys) for fam, keys in _FAMILY_CELLS.items()}
-    n_s, n_m = (sum(n for _, _, n in table.values()) for table in (table_s, table_m))
+        sigma = np.sqrt([x ** 2 + y ** 2 for x, y in zip(s[a].tolist(), s[b].tolist())])
+        count = n[a] + n[b]
+        columns[fam] = (p[a] + p[b], sigma, count, count < spec.min_count)
+    n_s, n_m = (sum(n[key] for key in keys) for keys in (_S_CELLS, _MIXED_CELLS))
     counts = {"strangeness": n_s, "lifetime": n_m, "discarded": cells.sum(axis=0) - n_s - n_m}
     return columns, counts
 
@@ -531,22 +522,19 @@ _COLUMN_BUILDERS = {
 # --------------------------------------------------------------------------
 
 
-def _passive_cells(
-    cells: np.ndarray, n_d: np.ndarray, params, kind_l: Basis, kind_r: Basis
-) -> dict[tuple[Outcome, Outcome], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per outcome pair of the observables: probability, Poisson error and
-    count in every object bin, from the rows of :func:`_cell_tally` over the
-    meter window.  ``n_d`` is ``n_pairs * d``, with ``d`` the survival
-    weight of each pair of bins."""
+def _passive_cells(cells: np.ndarray, n_d: np.ndarray, params, keys) -> tuple[dict, dict, dict]:
+    """Per outcome pair of ``keys``: probability, Poisson error and count in
+    every object bin, as three dicts keyed by outcome pair, from the rows of
+    :func:`_cell_tally` over the meter window.  ``n_d`` is ``n_pairs * d``,
+    with ``d`` the survival weight of each pair of bins."""
     amps = amplitudes(params)
-    estimates = {}
-    for ol in _OUTCOMES[kind_l]:
-        for outcome_r in _OUTCOMES[kind_r]:
-            mode_l, mode_r = _MODE_OF[ol], _MODE_OF[outcome_r]
-            count = cells[MODE_CODES[mode_l] * _N_MODES + MODE_CODES[mode_r]]
-            scale = n_d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
-            estimates[(ol, outcome_r)] = (*_divided(count, scale), count)
-    return estimates
+    p, sigma, counts = {}, {}, {}
+    for key in keys:
+        mode_l, mode_r = (_MODE_OF[outcome] for outcome in key)
+        counts[key] = cells[MODE_CODES[mode_l] * _N_MODES + MODE_CODES[mode_r]]
+        scale = n_d * amps.identified_width(mode_l) * amps.identified_width(mode_r)
+        p[key], sigma[key] = _divided(counts[key], scale)
+    return p, sigma, counts
 
 
 def _check_provenance(events: EventSet, params: PhysicsParams) -> None:
@@ -572,10 +560,10 @@ def sort_passive_events(
 
     For every grid point, events whose left decay falls in the bin around
     it and whose right decay falls in the bin around ``tau_r0`` are sorted
-    into the four identifying-mode cells of the requested observable pair.
-    Bins are closed at both ends, ``[lo, hi]``: a decay exactly on a bin
-    edge counts in that bin, and so in both rows when two bins share the
-    edge.  Each count is divided by
+    into the four identifying-mode cells of the requested observable pair,
+    in the order of :func:`full_table`.  Bins are closed at both ends,
+    ``[lo, hi]``: a decay exactly on a bin edge counts in that bin, and so
+    in both rows when two bins share the edge.  Each count is divided by
 
         n_pairs * #integral of the extinction factor over the bins#
                 * gamma(K_l -> f_l) * gamma(K_r -> f_r),
@@ -595,8 +583,9 @@ def sort_passive_events(
     window_r = TimeWindow.centered(tau_r0, bin_width if bin_width_r is None else bin_width_r)
     lo, hi = _centered_bins(grid_arr, bin_width)
     n_d = events.n * _survival(lo, hi, window_r.lo, window_r.hi, params).d
-    cells = _passive_cells(_cell_tally(events, window_r, lo, hi), n_d, params, kind_l, kind_r)
-    columns = [{key: cell[i].tolist() for key, cell in cells.items()} for i in range(3)]
+    estimates = _passive_cells(_cell_tally(events, window_r, lo, hi), n_d, params,
+                               _KEYS[kind_l, kind_r])
+    columns = [{key: v.tolist() for key, v in table.items()} for table in estimates]
     tables = []
     for row, tau_l in enumerate(grid_arr.tolist()):
         p, sigma, counts = ({key: v[row] for key, v in column.items()} for column in columns)

@@ -60,9 +60,13 @@ class PhysicsParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParamsError(f"key '{name}': expected a number, got {value!r}")
+            try:  # a JSON integer has no size limit
+                value = float(value)
+            except OverflowError:
+                raise ParamsError(f"key '{name}': value is too large for a float") from None
             if not math.isfinite(value):
                 raise ParamsError(f"key '{name}': value must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if not self.gamma_l > 0.0:
             raise ParamsError("gamma_l must be > 0")
         if not self.gamma_s > self.gamma_l:
@@ -181,8 +185,10 @@ def load_params(
         data = dict(source)
     else:
         path = Path(source)
-        try:
-            raw = json.loads(path.read_text())
+        try:  # JSON text is UTF-8 (RFC 8259)
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParamsError(f"{path}: not UTF-8 text: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise ParamsError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

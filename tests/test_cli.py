@@ -285,6 +285,29 @@ def test_experiment_where_survival_underflows_names_it(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, named", [
+    (b'{"delta_m": 1' + b"0" * 400 + b"}", "key 'delta_m'"),
+    (b'\xff{"delta_m": 0.5}', "{path}: not UTF-8 text"),
+], ids=["integer-beyond-float", "not-utf8"])
+def test_table_refuses_a_bad_params_file_by_name(tmp_path, content, named):
+    # an integer beyond the float range, and a file that is not UTF-8, are
+    # refused like any other bad params file; run as a command, so that
+    # stderr is what a user sees
+    src = str(Path(kaon_eraser.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "params.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaon_eraser.cli", "table", "--left", "strangeness",
+         "--right", "strangeness", "--tau-l", "1", "--tau-r", "1", "--params", str(path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert named.format(path=path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_experiment_requires_tau_r0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "b", "--grid", "0:1:0.5", "--out", "x.csv"])

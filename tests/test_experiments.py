@@ -29,6 +29,7 @@ from kaon_eraser import (
     write_scan_csv,
 )
 from kaon_eraser.decay import IDENTIFIES, MODE_CODES, amplitudes
+from kaon_eraser.experiments import _FAMILY_CELLS
 
 FAMILIES = ("like", "unlike", "s_ks", "s_kl")
 
@@ -834,15 +835,22 @@ def test_counts_equal_per_row_masks(kind, bin_width_l, rich_params):
                                                  spec.min_count)
                 got = (table.p, table.sigma, table.counts, table.n_events, table.flagged)
                 assert got == expected, (kind_l, kind_r, tau_l)
-        # the s_ks count and s_kl value of a row of d are its passive table's cells
-        tables = sort_passive_events(events, sort_grid, bin_width_l, spec.tau_r0, rich_params,
-                                     kind_r=Basis.LIFETIME, bin_width_r=spec.bin_width_r,
-                                     min_count=spec.min_count)
-        for row, table in zip(result.rows[::step], tables):
-            assert table.counts[(Outcome.K0, Outcome.KS)] + table.counts[
-                (Outcome.K0BAR, Outcome.KS)] == row.s_ks.n
-            assert table.p[(Outcome.K0, Outcome.KL)] + table.p[
-                (Outcome.K0BAR, Outcome.KL)] == row.s_kl.value
+                # cells in the order of the analytic table, as the CLI prints them
+                keys = list(full_table(kind_l, kind_r, tau_l, spec.tau_r0, rich_params).p)
+                assert list(table.p) == list(table.sigma) == list(table.counts) == keys
+        # every family of a row of d sums two cells of its passive tables
+        tables = [sort_passive_events(events, sort_grid, bin_width_l, spec.tau_r0, rich_params,
+                                      kind_r=kind_r, bin_width_r=spec.bin_width_r,
+                                      min_count=spec.min_count)
+                  for kind_r in (Basis.STRANGENESS, Basis.LIFETIME)]
+        for row, table_s, table_m in zip(result.rows[::step], *tables):
+            p, sigma, counts = ({**getattr(table_s, field), **getattr(table_m, field)}
+                                for field in ("p", "sigma", "counts"))
+            for fam, (a, b) in _FAMILY_CELLS.items():
+                got = getattr(row, fam)
+                assert got.value == p[a] + p[b], (fam, row.tau_l)
+                assert got.sigma == math.sqrt(sigma[a] ** 2 + sigma[b] ** 2), (fam, row.tau_l)
+                assert got.n == counts[a] + counts[b], (fam, row.tau_l)
 
 
 # ---------------------------------------------------------------------------

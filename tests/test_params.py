@@ -55,11 +55,21 @@ def test_invalid_json_reports_path(tmp_path):
         load_params(path)
 
 
+def test_file_that_is_not_utf8_reports_path(tmp_path):
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"delta_m": 0.5}')
+    with pytest.raises(ParamsError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"delta_m": math.nan}, "key 'delta_m': value must be finite, got nan"),
     ({"gamma_l": 0.0}, "gamma_l must be > 0"),
     ({"lifetime_window": 0.0}, "lifetime_window must be > 0"),
     ({"br_l_3pi": -0.1}, "branching fractions of K_L must be >= 0"),
+    ({"delta_m": 10**400}, "key 'delta_m': value is too large for a float"),
 ])
 def test_out_of_range_field_is_refused(fields, message):
     with pytest.raises(ParamsError) as err:
