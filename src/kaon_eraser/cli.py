@@ -1,10 +1,10 @@
 """Command-line interface: analytic tables, event generation, eraser scans.
 
-Exit codes: 0 success, 2 usage or validation error, 3 I/O error,
-4 data-format error.  All state flows through flags and files; with a
-fixed seed every output data file is byte-for-byte reproducible for any
-``--threads`` value.  File-producing commands write a
-``<out>.manifest.json`` with the run metadata next to each output
+Exit codes: 0 success, 2 usage or validation error (a sample too large
+for memory included), 3 I/O error, 4 data-format error.  All state flows
+through flags and files; with a fixed seed every output data file is
+byte-for-byte reproducible for any ``--threads`` value.  File-producing
+commands write a ``<out>.manifest.json`` with the run metadata next to each output
 (``table`` prints to stdout and produces no files, hence no manifest).
 """
 
@@ -260,6 +260,9 @@ def main(argv=None) -> int:
         return EXIT_FORMAT
     except (ParamsError, ValueError) as exc:
         print(f"kaon-eraser: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a sample too large; drawn before any output is opened
+        print(f"kaon-eraser: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         path = getattr(exc, "filename", None)

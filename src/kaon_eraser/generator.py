@@ -291,10 +291,13 @@ def generate(
         (tau_l[start:stop], mode_l[start:stop], tau_r[start:stop],
          mode_r[start:stop]) = sampling_kernel(u, params, config.tau_max)
 
-    # when a result raises, an interrupt included, ``map`` cancels the tasks
-    # not yet started
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # wherever an interrupt lands, ``map``'s submit loop included, the tasks
+    # not yet started are cancelled, and only those already running finish
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         list(pool.map(run, range(0, n, span)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     return EventSet(
         tau_l=tau_l,

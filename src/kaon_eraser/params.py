@@ -189,12 +189,12 @@ def load_params(
             raw = json.loads(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ParamsError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
             raise ParamsError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParamsError(f"{path}: expected a flat JSON object")
         data = raw
-    unknown = sorted(set(data) - set(_FIELD_NAMES))
+    unknown = sorted(str(key) for key in set(data) - set(_FIELD_NAMES))
     if unknown:
         raise ParamsError(
             "unknown key(s): " + ", ".join(unknown)

@@ -308,6 +308,33 @@ def test_table_refuses_a_bad_params_file_by_name(tmp_path, content, named):
     assert proc.stdout == ""
 
 
+def test_a_params_integer_past_the_digit_limit_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"delta_m": 1' + "0" * 5000 + "}")
+    assert main(["table", "--left", "strangeness", "--right", "strangeness", "--tau-l", "1",
+                 "--tau-r", "1", "--params", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith(f"kaon-eraser: {path}: not valid JSON: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--pairs", "1000000000000"],
+    ["experiment", "a", "--tau-r0", "0", "--grid", "0:1:0.5", "--pairs", "1000000000000"],
+])
+def test_a_sample_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # never allocated for real: a host that overcommits may grant it
+    def too_large(config, params, threads=1):
+        raise MemoryError(f"Unable to allocate {config.n_pairs} pairs")
+
+    monkeypatch.setattr("kaon_eraser.cli.generate", too_large)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "kaon-eraser: not enough memory: Unable to allocate 1000000000000 pairs\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_requires_tau_r0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "b", "--grid", "0:1:0.5", "--out", "x.csv"])

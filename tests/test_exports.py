@@ -33,7 +33,8 @@ PACKAGE_DIR = Path(kaon_eraser.__file__).resolve().parent
 #: scans' record check, which ``EventSet`` makes when a set is built; the
 #: checked channel rate, folded into its one caller, ``joint_decay_rate``;
 #: the sampler's fringe reach, folded into ``_saturated_cells``; the Born
-#: draws' own helper, folded into the one ``_born_columns``.
+#: draws' own helper, folded into the one ``_born_columns``; the reader's
+#: lines per pass, now that a block is parsed in one pass.
 REMOVED = {
     decay: ("joint_rate_channels",),
     experiments: ("classify_event_lifetime", "_ESTIMATE_FORMATS", "_byte_columns",
@@ -50,7 +51,7 @@ REMOVED = {
     kaon: ("KaonAmplitude", "ket", "to_basis", "evolve", "project"),
     params: ("lambda_eigenvalue",),
     probabilities: ("Observable", "_select"),
-    textio: ("_TextTables", "_text_tables", "_metadata_number", "_METADATA"),
+    textio: ("_TextTables", "_text_tables", "_metadata_number", "_METADATA", "_READ_PASS"),
 }
 
 

@@ -106,10 +106,54 @@ def test_an_interrupted_generate_runs_no_queued_task(monkeypatch, default_params
     monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", signalled_shutdown)
     monkeypatch.setattr(generator, "sampling_kernel", interrupted)
     config = GeneratorConfig(seed=1, n_pairs=20 * _TASK * _BATCH)
+    before = set(threading.enumerate())
     with pytest.raises(KeyboardInterrupt):
         generate(config, default_params, threads=threads)
+    # an interrupt between a worker's start and the pool's record of it
+    # leaves that worker out of the shutdown's join: join it here
+    for worker in set(threading.enumerate()) - before:
+        worker.join(60)
     assert waits and all(waits)
     assert next(calls) - 1 <= threads + 1
+
+
+def test_an_interrupt_while_generate_submits_runs_no_queued_task(monkeypatch, default_params):
+    # Ctrl-C while the tasks are still being submitted, on one worker: the
+    # third submit queues its task and waits for the interrupt, which the
+    # first kernel call sends.  That call then waits until the pool's
+    # shutdown has cancelled what it cancels, so only the first call runs.
+    calls = itertools.count(1)
+    submits = itertools.count(1)
+    kernel = generator.sampling_kernel
+    pool_class = concurrent.futures.ThreadPoolExecutor
+    submit, shutdown = pool_class.submit, pool_class.shutdown
+    third_queued, shut_down = threading.Event(), threading.Event()
+
+    def waiting_submit(pool, *args, **kwargs):
+        future = submit(pool, *args, **kwargs)
+        if next(submits) == 3:
+            third_queued.set()
+            threading.Event().wait(60)  # ended by the interrupt
+        return future
+
+    def signalled_shutdown(pool, wait=True, **kwargs):
+        shutdown(pool, wait=False, **kwargs)
+        shut_down.set()
+        shutdown(pool, wait=wait, **kwargs)
+
+    def interrupted(*args):
+        if next(calls) == 1:
+            third_queued.wait(60)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            shut_down.wait(60)
+        return kernel(*args)
+
+    monkeypatch.setattr(pool_class, "submit", waiting_submit)
+    monkeypatch.setattr(pool_class, "shutdown", signalled_shutdown)
+    monkeypatch.setattr(generator, "sampling_kernel", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        generate(GeneratorConfig(seed=1, n_pairs=3 * _TASK * _BATCH), default_params, threads=1)
+    assert next(calls) - 1 == 1
 
 
 def test_identical_seeds_identical_streams(default_params):
@@ -1533,6 +1577,35 @@ def test_read_an_id_split_by_the_block_boundary(tmp_path, default_params):
     got = _assert_reads_as_the_oracle(path)
     for name in ("tau_l", "mode_l", "tau_r", "mode_r"):
         assert getattr(got, name).tobytes() == getattr(events, name).tobytes()
+
+
+#: 50,000 short hand-made records: about 21,000 lines to a default block.
+_SHORT_ROWS = [b"%d,0.5,TwoPi,1,Other" % i for i in range(50_000)]
+
+
+def test_read_blocks_of_many_short_lines(tmp_path):
+    # a block of more lines than the writer's is still parsed in one pass
+    data = _event_bytes(_SHORT_ROWS)
+    assert max(n for _, _, n in _places(data)) > 16_384
+    path = tmp_path / "short.csv"
+    path.write_bytes(data)
+    got = _assert_reads_as_the_oracle(path)
+    assert got.n == len(_SHORT_ROWS) and (got.tau_l == 0.5).all() and (got.tau_r == 1).all()
+
+
+def test_read_names_a_bad_line_deep_in_a_block_of_short_lines(tmp_path):
+    # the bad line lies past line 8,192 of the first block, so the search by
+    # halves runs over a block longer than that
+    i = 10_000
+    rows = _SHORT_ROWS[:i] + [b"%d,0.5,TwoPi, 1,Other" % i] + _SHORT_ROWS[i + 1 :]
+    data = _event_bytes(rows)
+    k, j, _ = _places(data)[i + 3]
+    assert k == 0 and j > 8_192
+    path = tmp_path / "short.csv"
+    path.write_bytes(data)
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == f"line {i + 4}: '{i},0.5,TwoPi, 1,Other' does not parse"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -55,6 +55,25 @@ def test_invalid_json_reports_path(tmp_path):
         load_params(path)
 
 
+def test_integer_past_the_digit_limit_reports_path(tmp_path):
+    # Python's integer-string limit (4300 digits) refuses it inside json.loads
+    path = tmp_path / "big.json"
+    path.write_text('{"delta_m": 1' + "0" * 5000 + "}")
+    with pytest.raises(ParamsError) as err:
+        load_params(path)
+    assert str(err.value).startswith(f"{path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("source, named", [
+    ({1: 0.5}, "unknown key(s): 1; "),
+    ({1: 0.5, "gamma_x": 1.0}, "unknown key(s): 1, gamma_x; "),
+])
+def test_a_key_that_is_no_string_is_named(source, named):
+    with pytest.raises(ParamsError) as err:
+        load_params(source)
+    assert str(err.value).startswith(named)
+
+
 def test_file_that_is_not_utf8_reports_path(tmp_path):
     # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
     path = tmp_path / "latin1.json"
